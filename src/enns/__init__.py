@@ -23,7 +23,7 @@ from .network import (
     train,
     xavier_init,
 )
-from .stagewise import DnpConfig, SelectionState, candidate_scores, dnp_run, select_next
+from .stagewise import DnpConfig, SelectionState, candidate_scores, dnp_run, select_next, stagewise_fit
 from .ensemble import (
     EnnsConfig,
     SelectionReport,

@@ -10,39 +10,38 @@ and 3 (numerical failure).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
+import os
 import sys
 import time
-from dataclasses import dataclass
+import typing
+from contextlib import contextmanager
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 from .ensemble import EnnsConfig, SelectionReport, enns_select
 from .estimation import SparsitySpec, fit_l1
-from .metrics import classification_metrics, regression_metrics, selection_metrics
+from .metrics import PredictionMetrics, classification_metrics, regression_metrics, selection_metrics
 from .network import (
     Dataset,
     NetworkArchitecture,
+    NetworkParameters,
     NumericalError,
     TrainOptions,
     forward_batch,
-    save_model,
+    model_to_json,
     train,
     xavier_init,
 )
 from .seeding import derive_seed, spawn_rng
-from .simulate import ResponseSpec, gen_design_correlated, gen_design_uniform, gen_response
+from .simulate import GroundTruth, ResponseSpec, gen_design_correlated, gen_design_uniform, gen_response
 from .stagewise import DnpConfig, dnp_run
-from .theory import (
-    SignalProfile,
-    mc_first_selection,
-    mc_select_over,
-    prob_first_correct,
-    prob_select_over,
-)
+from .theory import SignalProfile, mc_first_selection, mc_select_over, prob_first_correct, prob_select_over
 
 FLOAT_FMT = "%.17g"
 
@@ -64,14 +63,50 @@ def _fmt(value: float) -> str:
     return FLOAT_FMT % value
 
 
-# --- CSV I/O ----------------------------------------------------------------------
+def _cell(value: float) -> str:
+    """A results-CSV cell: NaN (a metric that does not apply) is left empty."""
+    return "" if math.isnan(value) else _fmt(value)
+
+
+# --- file output ------------------------------------------------------------------
+
+
+@contextmanager
+def _atomic_open(path):
+    """Text handle on a temp file beside ``path`` that replaces ``path`` only
+    once the block completes; a failed write leaves any earlier file intact."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf8", newline="\n") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _write_csv(path, header: Sequence[str], rows: Iterable[Iterable[str]]) -> None:
+    with _atomic_open(path) as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(row) + "\n")
+
+
+def _write_json(doc: dict, path: Optional[str]) -> None:
+    text = json.dumps(doc, indent=2)
+    if path is None:
+        print(text)
+    else:
+        with _atomic_open(path) as fh:
+            fh.write(text + "\n")
+
+
+# --- CSV input and output -----------------------------------------------------------
 
 
 def write_matrix_csv(path: Path, header: Sequence[str], matrix: np.ndarray) -> None:
-    with open(path, "w", encoding="utf8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in np.atleast_2d(matrix):
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    _write_csv(path, header, ((_fmt(v) for v in row) for row in np.atleast_2d(matrix)))
 
 
 def read_matrix_csv(path) -> tuple[list[str], np.ndarray]:
@@ -127,107 +162,65 @@ def _float_list(text: str) -> tuple[float, ...]:
         raise UsageError(f"expected a comma-separated number list, got {text!r}") from exc
 
 
-def _selected_to_internal(indices: Sequence[int], p: int) -> list[int]:
-    out = []
-    for j in indices:
-        if not 1 <= j <= p:
-            raise UsageError(f"selected column {j} outside 1..{p}")
-        out.append(j - 1)
-    return out
-
-
 # --- experiment config file -----------------------------------------------------------
 
 
-def _parse_bool(text: str) -> bool:
-    if text.lower() in ("true", "yes", "1"):
-        return True
-    if text.lower() in ("false", "no", "0"):
-        return False
-    raise UsageError(f"expected a boolean, got {text!r}")
-
-
-_CONFIG_KEYS: dict[str, tuple] = {
-    # (converter, required, default)
-    "design": (str, False, "uniform"),
-    "rho": (float, False, None),
-    "n": (int, True, None),
-    "p": (int, True, None),
-    "response": (str, True, None),
-    "task": (str, False, "regression"),
-    "s": (int, True, None),
-    "coef_mean": (float, False, None),
-    "coef_sd": (float, False, None),
-    "noise_sd": (float, False, 1.0),
-    "net_hidden": (_int_list, False, (50, 30, 15, 10)),
-    "method": (str, False, "enns"),
-    "s0": (int, True, None),
-    "bags": (int, False, 10),
-    "ps": (float, False, 0.3),
-    "bootstrap_size": (int, False, None),
-    "per_round": (int, False, None),
-    "b1": (int, False, 2),
-    "dropout_rate": (float, False, 0.5),
-    "norm_q": (float, False, 2.0),
-    "hidden": (_int_list, False, (10,)),
-    "activation": (str, False, "relu"),
-    "learning_rate": (float, False, 0.1),
-    "max_epochs": (int, False, 50),
-    "batch_size": (int, False, None),
-    "patience": (int, False, 0),
-    "sparsity_mode": (str, False, "none"),
-    "sparsity_values": (_float_list, False, None),
-    "repetitions": (int, False, 1),
-    "train_fraction": (float, False, 0.6),
-    "validation_fraction": (float, False, 0.2),
-    "test_fraction": (float, False, 0.2),
-    "seed": (int, False, 0),
-    "output": (str, False, None),
-}
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
-    """Validated contents of a run-experiment config file."""
+    """Validated contents of a run-experiment config file.
 
-    design: str
-    rho: Optional[float]
+    Every field is a config key; a field without a default is a required key.
+    Values are converted by the field's type, or by ``metadata["convert"]``
+    for the comma-separated list keys.
+    """
+
+    design: str = "uniform"
+    rho: Optional[float] = None
     n: int
     p: int
     response: str
-    task: str
+    task: str = "regression"
     s: int
-    coef_mean: Optional[float]
-    coef_sd: Optional[float]
-    noise_sd: float
-    net_hidden: tuple[int, ...]
-    method: str
+    coef_mean: Optional[float] = None
+    coef_sd: Optional[float] = None
+    noise_sd: float = 1.0
+    net_hidden: tuple[int, ...] = field(default=(50, 30, 15, 10), metadata={"convert": _int_list})
+    method: str = "enns"
     s0: int
-    bags: int
-    ps: float
-    bootstrap_size: Optional[int]
-    per_round: Optional[int]
-    b1: int
-    dropout_rate: float
-    norm_q: float
-    hidden: tuple[int, ...]
-    activation: str
-    learning_rate: float
-    max_epochs: int
-    batch_size: Optional[int]
-    patience: int
-    sparsity_mode: str
-    sparsity_values: Optional[tuple[float, ...]]
-    repetitions: int
-    train_fraction: float
-    validation_fraction: float
-    test_fraction: float
-    seed: int
-    output: Optional[str]
+    bags: int = 10
+    ps: float = 0.3
+    bootstrap_size: Optional[int] = None
+    per_round: Optional[int] = None
+    b1: int = 2
+    dropout_rate: float = 0.5
+    norm_q: float = 2.0
+    hidden: tuple[int, ...] = field(default=(10,), metadata={"convert": _int_list})
+    activation: str = "relu"
+    learning_rate: float = 0.1
+    max_epochs: int = 50
+    batch_size: Optional[int] = None
+    patience: int = 0
+    sparsity_mode: str = "none"
+    sparsity_values: Optional[tuple[float, ...]] = field(default=None, metadata={"convert": _float_list})
+    repetitions: int = 1
+    train_fraction: float = 0.6
+    validation_fraction: float = 0.2
+    test_fraction: float = 0.2
+    seed: int = 0
+    output: Optional[str] = None
+
+
+def _config_converter(f: dataclasses.Field, hint) -> Callable[[str], object]:
+    if "convert" in f.metadata:
+        return f.metadata["convert"]
+    # Optional[X] converts with X
+    return next((a for a in typing.get_args(hint) if a is not type(None)), hint)
 
 
 def parse_experiment_config(text: str) -> ExperimentConfig:
     """Parse the flat ``key = value`` config format; unknown keys are errors."""
+    fields = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
+    hints = typing.get_type_hints(ExperimentConfig)
     values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -238,22 +231,17 @@ def parse_experiment_config(text: str) -> ExperimentConfig:
         key, _, val = line.partition("=")
         key = key.strip()
         val = val.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in fields:
             raise UsageError(f"config line {lineno}: unknown key {key!r}")
         if key in values:
             raise UsageError(f"config line {lineno}: duplicate key {key!r}")
-        conv = _CONFIG_KEYS[key][0]
         try:
-            values[key] = conv(val)
-        except UsageError:
-            raise
+            values[key] = _config_converter(fields[key], hints[key])(val)
         except ValueError as exc:
             raise UsageError(f"config line {lineno}: bad value for {key}: {exc}") from exc
-    for key, (_, required, default) in _CONFIG_KEYS.items():
-        if key not in values:
-            if required:
-                raise UsageError(f"config is missing required key {key!r}")
-            values[key] = default
+    for key, f in fields.items():
+        if key not in values and f.default is dataclasses.MISSING:
+            raise UsageError(f"config is missing required key {key!r}")
     cfg = ExperimentConfig(**values)
     _validate_experiment_config(cfg)
     return cfg
@@ -283,106 +271,99 @@ def _validate_experiment_config(cfg: ExperimentConfig) -> None:
         raise UsageError("sparsity_values required unless sparsity_mode is none")
 
 
-# --- shared pipeline pieces --------------------------------------------------------
+# --- the pipeline, shared by the subcommands and run-experiment ---------------------
+# ``src`` is the parsed flags or an ExperimentConfig: both carry the same names.
 
 
-def _train_options(args_or_cfg, seed: int, validation_fraction: float) -> TrainOptions:
+def _generate(src, seed: int) -> tuple[np.ndarray, np.ndarray, GroundTruth]:
+    """Design matrix, response and ground truth for one seeded dataset."""
+    if src.design == "correlated":
+        x = gen_design_correlated(src.n, src.p, src.rho, derive_seed(seed, "design"))
+    else:
+        x = gen_design_uniform(src.n, src.p, derive_seed(seed, "design"))
+    spec = ResponseSpec(
+        kind=src.response,
+        task=src.task,
+        s=src.s,
+        coef_mean=src.coef_mean,
+        coef_sd=src.coef_sd,
+        noise_sd=src.noise_sd,
+        net_hidden=src.net_hidden,
+    )
+    y, truth = gen_response(x, spec, derive_seed(seed, "response"))
+    return x, y, truth
+
+
+def _train_options(src, seed: int, validation_fraction: float) -> TrainOptions:
     return TrainOptions(
-        learning_rate=args_or_cfg.learning_rate,
-        max_epochs=args_or_cfg.max_epochs,
-        batch_size=args_or_cfg.batch_size,
-        patience=args_or_cfg.patience,
+        learning_rate=src.learning_rate,
+        max_epochs=src.max_epochs,
+        batch_size=src.batch_size,
+        patience=src.patience,
         validation_fraction=validation_fraction,
         rng_seed=seed,
     )
 
 
-def _dnp_config(args_or_cfg, seed: int, validation_fraction: float = 0.0) -> DnpConfig:
-    return DnpConfig(
-        norm_q=args_or_cfg.norm_q,
-        num_dropouts=args_or_cfg.b1,
-        dropout_rate=args_or_cfg.dropout_rate,
-        train_opts=_train_options(args_or_cfg, seed, validation_fraction),
+def _select(data: Dataset, src, seed: int, train_seed: int, validation_fraction: float) -> SelectionReport:
+    """Stage-wise (``dnp``) or ensemble (``enns``) selection of ``src.s0``
+    features; ``seed`` seeds the selector and ``train_seed`` its inner training.
+    A stage-wise result is reported as one complete pass without rounds."""
+    arch = NetworkArchitecture(data.p, src.hidden, src.activation, src.task)
+    dnp_cfg = DnpConfig(
+        norm_q=src.norm_q,
+        num_dropouts=src.b1,
+        dropout_rate=src.dropout_rate,
+        train_opts=_train_options(src, train_seed, validation_fraction),
     )
+    if src.method == "dnp":
+        order = dnp_run(data, arch, src.s0, dnp_cfg, seed)
+        return SelectionReport(tuple(order), per_round_appearances=(), rounds_executed=0, complete=True)
+    cfg = EnnsConfig(
+        target_s0=src.s0,
+        num_bags=src.bags,
+        appearance_proportion=src.ps,
+        bootstrap_size=src.bootstrap_size,
+        per_round=src.per_round,
+        dnp=dnp_cfg,
+        seed=seed,
+    )
+    return enns_select(data, arch, cfg)
 
 
-def _selection_json(
-    method: str,
-    s0: int,
-    report_or_list,
-    seed: int,
-    wall_clock: float,
-) -> dict:
-    if isinstance(report_or_list, SelectionReport):
-        selected = [j + 1 for j in report_or_list.selected]
-        rounds = [
-            {"round": i + 1, "appearances": {str(j + 1): c for j, c in sorted(counts.items())}}
-            for i, counts in enumerate(report_or_list.per_round_appearances)
-        ]
-        complete = report_or_list.complete
-    else:
-        selected = [j + 1 for j in report_or_list]
-        rounds = []
-        complete = True
-    return {
-        "method": method,
-        "s0": s0,
-        "seed": seed,
-        "selected": selected,
-        "complete": complete,
-        "rounds": rounds,
-        "wall_clock_seconds": wall_clock,
-    }
+def _fit(
+    data_fit: Dataset, src, seed: int, validation_fraction: float
+) -> tuple[NetworkParameters, NetworkArchitecture]:
+    """Plain training or the l1 soft-threshold fit, by ``src.sparsity_mode``."""
+    arch = NetworkArchitecture(data_fit.p, src.hidden, src.activation, src.task)
+    opts = _train_options(src, seed, validation_fraction)
+    if src.sparsity_mode == "none":
+        return train(xavier_init(arch, seed), arch, data_fit, opts), arch
+    if src.sparsity_values is None:
+        raise UsageError("--sparsity-values required with this sparsity mode")
+    return fit_l1(data_fit, arch, SparsitySpec(src.sparsity_mode, src.sparsity_values), opts), arch
 
 
-def _write_json(doc: dict, path: Optional[str]) -> None:
-    text = json.dumps(doc, indent=2)
-    if path is None:
-        print(text)
-    else:
-        with open(path, "w", encoding="utf8") as fh:
-            fh.write(text + "\n")
+def _prediction_metrics(task: str, y: np.ndarray, preds: np.ndarray) -> PredictionMetrics:
+    if task == "regression":
+        return regression_metrics(y, preds)
+    return classification_metrics(y, preds, threshold=0.5)
 
 
 # --- subcommands -----------------------------------------------------------------
 
 
 def cmd_gen_data(args) -> int:
+    if args.design == "correlated" and args.rho is None:
+        raise UsageError("--rho is required for the correlated design")
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if args.design == "correlated":
-        if args.rho is None:
-            raise UsageError("--rho is required for the correlated design")
-        x = gen_design_correlated(args.n, args.p, args.rho, derive_seed(args.seed, "design"))
-    else:
-        x = gen_design_uniform(args.n, args.p, derive_seed(args.seed, "design"))
-    spec = ResponseSpec(
-        kind=args.response,
-        task=args.task,
-        s=args.s,
-        coef_mean=args.coef_mean,
-        coef_sd=args.coef_sd,
-        noise_sd=args.noise_sd,
-        net_hidden=args.net_hidden,
-    )
-    y, truth = gen_response(x, spec, derive_seed(args.seed, "response"))
+    x, y, truth = _generate(args, args.seed)
     write_matrix_csv(out / "X.csv", [f"x{j + 1}" for j in range(args.p)], x)
     write_matrix_csv(out / "y.csv", ["y"], y[:, None])
-    truth_doc = {
-        "support": [j + 1 for j in truth.support],
-        "seed": args.seed,
-        "n": args.n,
-        "p": args.p,
-        "design": args.design,
-        "rho": args.rho,
-        "response": args.response,
-        "task": args.task,
-        "s": args.s,
-        "noise_sd": args.noise_sd,
-    }
-    with open(out / "truth.json", "w", encoding="utf8") as fh:
-        json.dump(truth_doc, fh, indent=2)
-        fh.write("\n")
+    keys = ("n", "p", "design", "rho", "response", "task", "s", "noise_sd")
+    truth_doc = {"support": [j + 1 for j in truth.support], "seed": args.seed}
+    _write_json({**truth_doc, **{k: getattr(args, k) for k in keys}}, out / "truth.json")
     return 0
 
 
@@ -390,29 +371,22 @@ def cmd_select(args) -> int:
     data = load_dataset(args.x, args.y, args.task)
     if args.s0 > data.p:
         raise UsageError(f"s0={args.s0} exceeds the number of columns ({data.p})")
-    arch = NetworkArchitecture(data.p, args.hidden, args.activation, args.task)
-    dnp_cfg = _dnp_config(args, derive_seed(args.seed, "dnp"), args.val_fraction)
     start = time.perf_counter()
-    if args.method == "dnp":
-        result = dnp_run(data, arch, args.s0, dnp_cfg, args.seed)
-    else:
-        cfg = EnnsConfig(
-            target_s0=args.s0,
-            num_bags=args.bags,
-            appearance_proportion=args.ps,
-            bootstrap_size=args.bootstrap_size,
-            per_round=args.per_round,
-            dnp=dnp_cfg,
-            seed=args.seed,
-        )
-        result = enns_select(data, arch, cfg)
-    wall = time.perf_counter() - start
-    _write_json(_selection_json(args.method, args.s0, result, args.seed, wall), args.out)
+    report = _select(data, args, args.seed, derive_seed(args.seed, "dnp"), args.val_fraction)
+    doc = {
+        "method": args.method,
+        "s0": args.s0,
+        "seed": args.seed,
+        "selected": [j + 1 for j in report.selected],
+        "complete": report.complete,
+        "rounds": [
+            {"round": i + 1, "appearances": {str(j + 1): c for j, c in sorted(counts.items())}}
+            for i, counts in enumerate(report.per_round_appearances)
+        ],
+        "wall_clock_seconds": time.perf_counter() - start,
+    }
+    _write_json(doc, args.out)
     return 0
-
-
-def _constant_prediction(data_fit: Dataset, n_rows: int) -> np.ndarray:
-    return np.full(n_rows, float(np.mean(data_fit.y)))
 
 
 def cmd_estimate(args) -> int:
@@ -427,47 +401,24 @@ def cmd_estimate(args) -> int:
         selected_1based = list(args.selected)
     else:
         raise UsageError("provide --selected or --selection-json")
-    selected = _selected_to_internal(selected_1based, data.p)
-    if not selected:
+    for j in selected_1based:
+        if not 1 <= j <= data.p:
+            raise UsageError(f"selected column {j} outside 1..{data.p}")
+    if not selected_1based:
         raise UsageError("no columns selected")
+    selected = [j - 1 for j in selected_1based]
 
-    rng = spawn_rng(args.seed, "estimate-split")
     n_test = int(math.floor(args.test_fraction * data.n))
-    perm = rng.permutation(data.n)
+    perm = spawn_rng(args.seed, "estimate-split").permutation(data.n)
     test_idx, fit_idx = perm[:n_test], perm[n_test:]
     data_sel = data.subset_columns(selected)
-    data_fit = data_sel.subset_rows(fit_idx)
+    params, arch = _fit(data_sel.subset_rows(fit_idx), args, derive_seed(args.seed, "fit"), args.val_fraction)
+    _write_json({**model_to_json(params, arch), "selected_columns": [j + 1 for j in selected]}, args.model_out)
 
-    arch = NetworkArchitecture(len(selected), args.hidden, args.activation, args.task)
-    opts = _train_options(args, derive_seed(args.seed, "fit"), args.val_fraction)
-    if args.sparsity_mode == "none":
-        params = train(xavier_init(arch, opts.rng_seed), arch, data_fit, opts)
-    else:
-        if args.sparsity_values is None:
-            raise UsageError("--sparsity-values required with this sparsity mode")
-        spec = SparsitySpec(args.sparsity_mode, args.sparsity_values)
-        params = fit_l1(data_fit, arch, spec, opts)
-
-    save_model(args.model_out, params, arch)
-    model_doc_extra = {"selected_columns": [j + 1 for j in selected]}
-    with open(args.model_out, encoding="utf8") as fh:
-        doc = json.load(fh)
-    doc.update(model_doc_extra)
-    with open(args.model_out, "w", encoding="utf8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
-
+    metrics_doc = {"task": args.task, "n_test": n_test, "metrics": {}}
     if n_test > 0:
-        x_test = data_sel.x[test_idx]
-        y_test = data.y[test_idx]
-        preds = forward_batch(params, arch, x_test)
-        if args.task == "regression":
-            metrics = regression_metrics(y_test, preds)
-        else:
-            metrics = classification_metrics(y_test, preds, threshold=0.5)
-        metrics_doc = {"task": args.task, "n_test": int(n_test), "metrics": metrics.as_dict()}
-    else:
-        metrics_doc = {"task": args.task, "n_test": 0, "metrics": {}}
+        preds = forward_batch(params, arch, data_sel.x[test_idx])
+        metrics_doc["metrics"] = _prediction_metrics(args.task, data.y[test_idx], preds).as_dict()
     _write_json(metrics_doc, args.metrics_out)
     return 0
 
@@ -476,113 +427,55 @@ _REG_METRIC_COLUMNS = ["rmse", "mae", "mape"]
 _CLF_METRIC_COLUMNS = ["accuracy", "auc", "f1"]
 
 
-def _experiment_repetition(cfg: ExperimentConfig, rep: int) -> dict:
-    rep_seed = derive_seed(cfg.seed, "rep", rep)
-    if cfg.design == "correlated":
-        x = gen_design_correlated(cfg.n, cfg.p, cfg.rho, derive_seed(rep_seed, "design"))
-    else:
-        x = gen_design_uniform(cfg.n, cfg.p, derive_seed(rep_seed, "design"))
-    spec = ResponseSpec(
-        kind=cfg.response,
-        task=cfg.task,
-        s=cfg.s,
-        coef_mean=cfg.coef_mean,
-        coef_sd=cfg.coef_sd,
-        noise_sd=cfg.noise_sd,
-        net_hidden=cfg.net_hidden,
-    )
-    y, truth = gen_response(x, spec, derive_seed(rep_seed, "response"))
+def _experiment_repetition(cfg: ExperimentConfig, rep_seed: int, metric_cols: list[str]) -> list[float]:
+    """The numeric results-CSV columns of one repetition; NaN for a metric
+    that is undefined (AUC with one class in the test rows)."""
+    x, y, truth = _generate(cfg, rep_seed)
     data = Dataset(x, y, cfg.task)
-
     n_test = int(math.floor(cfg.test_fraction * cfg.n))
     perm = spawn_rng(rep_seed, "split").permutation(cfg.n)
     test_idx, rest_idx = perm[:n_test], perm[n_test:]
     data_rest = data.subset_rows(rest_idx)
     inner_val = cfg.validation_fraction / max(cfg.train_fraction + cfg.validation_fraction, 1e-12)
 
-    arch = NetworkArchitecture(cfg.p, cfg.hidden, cfg.activation, cfg.task)
-    dnp_cfg = _dnp_config(cfg, derive_seed(rep_seed, "train"), inner_val)
-    if cfg.method == "dnp":
-        selected = dnp_run(data_rest, arch, cfg.s0, dnp_cfg, derive_seed(rep_seed, "dnp"))
-    else:
-        enns_cfg = EnnsConfig(
-            target_s0=cfg.s0,
-            num_bags=cfg.bags,
-            appearance_proportion=cfg.ps,
-            bootstrap_size=cfg.bootstrap_size,
-            per_round=cfg.per_round,
-            dnp=dnp_cfg,
-            seed=derive_seed(rep_seed, "enns"),
-        )
-        selected = list(enns_select(data_rest, arch, enns_cfg).selected)
-    sel_metrics = selection_metrics(selected, truth.support)
-
+    report = _select(data_rest, cfg, derive_seed(rep_seed, cfg.method), derive_seed(rep_seed, "train"), inner_val)
+    selected = list(report.selected)
     if selected:
-        fit_arch = NetworkArchitecture(len(selected), cfg.hidden, cfg.activation, cfg.task)
-        fit_opts = _train_options(cfg, derive_seed(rep_seed, "fit"), inner_val)
-        data_fit = data_rest.subset_columns(selected)
-        if cfg.sparsity_mode == "none":
-            params = train(xavier_init(fit_arch, fit_opts.rng_seed), fit_arch, data_fit, fit_opts)
-        else:
-            params = fit_l1(data_fit, fit_arch, SparsitySpec(cfg.sparsity_mode, cfg.sparsity_values), fit_opts)
-        preds = forward_batch(params, fit_arch, data.x[test_idx][:, selected])
+        params, arch = _fit(data_rest.subset_columns(selected), cfg, derive_seed(rep_seed, "fit"), inner_val)
+        preds = forward_batch(params, arch, x[test_idx][:, selected])
     else:
-        preds = _constant_prediction(data_rest, len(test_idx))
-        if cfg.task == "classification":
-            preds = np.clip(preds, 0.0, 1.0)
-    y_test = data.y[test_idx]
-    if cfg.task == "regression":
-        pred_metrics = regression_metrics(y_test, preds)
-    else:
-        pred_metrics = classification_metrics(y_test, preds, threshold=0.5)
-
-    return {
-        "repetition": rep + 1,
-        "seed": rep_seed,
-        "status": "ok",
-        "n_selected": len(selected),
-        "correct_count": sel_metrics.correct_count,
-        "false_positive_rate": sel_metrics.false_positive_rate,
-        "metrics": pred_metrics,
-    }
+        # no features: predict the mean response (a share in [0, 1] for 0/1 labels)
+        preds = np.full(n_test, float(np.mean(data_rest.y)))
+    sel = selection_metrics(selected, truth.support)
+    pred = _prediction_metrics(cfg.task, y[test_idx], preds)
+    values = [getattr(pred, col) for col in metric_cols]
+    return [
+        float(len(selected)),
+        float(sel.true_positives),
+        float(sel.false_positive_rate),
+        *[float("nan") if v is None else float(v) for v in values],
+    ]
 
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[list[str], list[list[str]]]:
     """All repetition rows plus mean and standard-error aggregate rows."""
     metric_cols = _REG_METRIC_COLUMNS if cfg.task == "regression" else _CLF_METRIC_COLUMNS
-    header = [
-        "repetition",
-        "seed",
-        "status",
-        "n_selected",
-        "correct_count",
-        "false_positive_rate",
-        *metric_cols,
-    ]
+    header = ["repetition", "seed", "status", "n_selected", "correct_count", "false_positive_rate", *metric_cols]
     rows: list[list[str]] = []
     numeric: list[list[float]] = []
     for rep in range(cfg.repetitions):
+        rep_seed = derive_seed(cfg.seed, "rep", rep)
         try:
-            result = _experiment_repetition(cfg, rep)
+            record = _experiment_repetition(cfg, rep_seed, metric_cols)
         except NumericalError:
-            rows.append([str(rep + 1), str(derive_seed(cfg.seed, "rep", rep)), "failed"] + [""] * (3 + len(metric_cols)))
+            rows.append([str(rep + 1), str(rep_seed), "failed"] + [""] * (3 + len(metric_cols)))
             continue
-        metric_values = [getattr(result["metrics"], col) for col in metric_cols]
-        record = [
-            float(result["n_selected"]),
-            float(result["correct_count"]),
-            float(result["false_positive_rate"]),
-            *[float("nan") if v is None else float(v) for v in metric_values],
-        ]
         numeric.append(record)
-        rows.append(
-            [str(result["repetition"]), str(result["seed"]), "ok"]
-            + [_fmt(v) if not math.isnan(v) else "" for v in record]
-        )
+        rows.append([str(rep + 1), str(rep_seed), "ok", *map(_cell, record)])
     if numeric:
         means, stderr = _column_mean_stderr(np.asarray(numeric))
-        rows.append(["mean", "", ""] + [_fmt(v) if not math.isnan(v) else "" for v in means])
-        rows.append(["stderr", "", ""] + [_fmt(v) if not math.isnan(v) else "" for v in stderr])
+        rows.append(["mean", "", "", *map(_cell, means)])
+        rows.append(["stderr", "", "", *map(_cell, stderr)])
     return header, rows
 
 
@@ -609,11 +502,13 @@ def cmd_run_experiment(args) -> int:
     if out is None:
         raise UsageError("no output path: set 'output' in the config or pass --out")
     header, rows = run_experiment(cfg)
-    with open(out, "w", encoding="utf8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+    _write_csv(out, header, rows)
     return 0
+
+
+def _agreement(tol: float, analytic: float, mc: float, **case) -> dict:
+    delta = abs(analytic - mc)
+    return {**case, "analytic": analytic, "monte_carlo": mc, "abs_delta": delta, "pass": delta < tol}
 
 
 def cmd_verify_theory(args) -> int:
@@ -622,44 +517,20 @@ def cmd_verify_theory(args) -> int:
         for bj in args.pair_betas:
             for bk in args.pair_betas:
                 analytic = prob_select_over(bj, bk, sigma)
-                mc = mc_select_over(
-                    bj, bk, sigma, reps=args.reps,
-                    seed=derive_seed(args.seed, "pair", _fmt(bj), _fmt(bk), _fmt(sigma)),
-                )
-                delta = abs(analytic - mc)
-                pair_cases.append(
-                    {
-                        "beta_j": bj,
-                        "beta_k": bk,
-                        "sigma": sigma,
-                        "analytic": analytic,
-                        "monte_carlo": mc,
-                        "abs_delta": delta,
-                        "pass": delta < args.pair_tol,
-                    }
-                )
+                seed = derive_seed(args.seed, "pair", _fmt(bj), _fmt(bk), _fmt(sigma))
+                mc = mc_select_over(bj, bk, sigma, reps=args.reps, seed=seed)
+                pair_cases.append(_agreement(args.pair_tol, analytic, mc, beta_j=bj, beta_k=bk, sigma=sigma))
     first_cases = []
     for s, p in args.first_cases:
         betas = np.zeros(p)
         betas[:s] = args.beta_support
         profile = SignalProfile(betas, args.first_sigma, s)
         analytic = prob_first_correct(profile)
-        mc = mc_first_selection(
-            profile, n=p + 10, reps=args.reps, seed=derive_seed(args.seed, "first", s, p)
-        )
-        delta = abs(analytic - mc)
+        mc = mc_first_selection(profile, n=p + 10, reps=args.reps, seed=derive_seed(args.seed, "first", s, p))
         first_cases.append(
-            {
-                "s": s,
-                "p": p,
-                "beta": args.beta_support,
-                "sigma": args.first_sigma,
-                "n": p + 10,
-                "analytic": analytic,
-                "monte_carlo": mc,
-                "abs_delta": delta,
-                "pass": delta < args.first_tol,
-            }
+            _agreement(
+                args.first_tol, analytic, mc, s=s, p=p, beta=args.beta_support, sigma=args.first_sigma, n=p + 10
+            )
         )
     doc = {
         "seed": args.seed,

@@ -3,8 +3,7 @@ prediction and stage-wise refitting on the selected columns."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -15,11 +14,11 @@ from .network import (
     TrainOptions,
     dropout_mask,
     forward_batch,
+    train,
     xavier_init,
-    _train_loop,
 )
 from .seeding import derive_seed
-from .stagewise import DnpConfig, _stagewise_fit
+from .stagewise import DnpConfig, stagewise_fit
 
 
 def soft_threshold(v: np.ndarray, c: float) -> np.ndarray:
@@ -104,10 +103,6 @@ def fit_l1(
     with all-zero explicit lambdas the trajectory is identical to plain
     ``train`` from the same initialization.
     """
-    if data_selected.p != arch.input_dim:
-        raise ValueError("data does not match architecture input_dim")
-    if data_selected.task != arch.task:
-        raise ValueError("data task does not match architecture task")
     n_layers = arch.num_hidden_layers
     if len(spec.per_layer_values) != n_layers:
         raise ValueError(
@@ -126,7 +121,7 @@ def fit_l1(
         return params
 
     init = xavier_init(arch, opts.rng_seed)
-    return _train_loop(init, arch, data_selected, opts, range(arch.input_dim), threshold_epoch)
+    return train(init, arch, data_selected, opts, epoch_hook=threshold_epoch)
 
 
 def predict_bagged_dropout(
@@ -159,12 +154,7 @@ def fit_stagewise(
 ) -> NetworkParameters:
     """Stage-wise refit on already-selected columns: every column is admitted
     in gradient-norm order with warm-started weights, then trained once more."""
-    _, params = _stagewise_fit(
-        data_selected,
-        arch,
-        s_target=data_selected.p,
-        cfg=cfg,
-        seed=cfg.train_opts.rng_seed,
-        final_train=True,
-    )
-    return params
+    seed, p = cfg.train_opts.rng_seed, data_selected.p
+    _, params = stagewise_fit(data_selected, arch, p, cfg, seed)
+    opts = replace(cfg.train_opts, rng_seed=derive_seed(seed, "train", p))
+    return train(params, replace(arch, input_dim=p, task=data_selected.task), data_selected, opts)

@@ -15,7 +15,6 @@ class SelectionMetrics:
     true_positives: int
     false_positives: int
     false_positive_rate: float
-    correct_count: int
 
 
 @dataclass(frozen=True)
@@ -44,14 +43,13 @@ def selection_metrics(selected: Iterable[int], true_support: Iterable[int]) -> S
     tp = len(sel & sup)
     fp = len(sel - sup)
     fpr = fp / len(sel) if sel else 0.0
-    return SelectionMetrics(
-        true_positives=tp, false_positives=fp, false_positive_rate=fpr, correct_count=tp
-    )
+    return SelectionMetrics(true_positives=tp, false_positives=fp, false_positive_rate=fpr)
 
 
 def regression_metrics(y: np.ndarray, yhat: np.ndarray) -> PredictionMetrics:
     """RMSE, MAE and MAPE (MAPE averages |(y-yhat)/y| over nonzero y only;
-    NaN if every response is zero)."""
+    NaN if every response is zero, inf if a ratio overflows because some y is
+    tiny)."""
     y = np.asarray(y, dtype=np.float64).ravel()
     yhat = np.asarray(yhat, dtype=np.float64).ravel()
     if y.size == 0:
@@ -62,7 +60,8 @@ def regression_metrics(y: np.ndarray, yhat: np.ndarray) -> PredictionMetrics:
     rmse = float(np.sqrt(np.mean(err**2)))
     mae = float(np.mean(np.abs(err)))
     nonzero = y != 0.0
-    mape = float(np.mean(np.abs(err[nonzero] / y[nonzero]))) if np.any(nonzero) else float("nan")
+    with np.errstate(over="ignore"):
+        mape = float(np.mean(np.abs(err[nonzero] / y[nonzero]))) if np.any(nonzero) else float("nan")
     return PredictionMetrics(rmse=rmse, mae=mae, mape=mape)
 
 

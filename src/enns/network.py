@@ -28,7 +28,8 @@ class NumericalError(RuntimeError):
     """A training or evaluation step produced a non-finite loss."""
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    """Logistic function, evaluated without overflow for large |z|."""
     out = np.empty_like(z)
     pos = z >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
@@ -40,7 +41,7 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 def _activation(name: str, z: np.ndarray) -> np.ndarray:
     if name == "relu":
         return np.maximum(z, 0.0)
-    return _sigmoid(z)
+    return sigmoid(z)
 
 
 def _activation_grad(name: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -236,7 +237,7 @@ def forward_batch(params: NetworkParameters, arch: NetworkArchitecture, x: np.nd
         raise ValueError(f"input has {x.shape} but architecture expects {arch.input_dim} columns")
     _, _, out = _forward_internal(params, arch, x)
     if arch.task == "classification":
-        return np.clip(_sigmoid(out), EPS_CLIP, 1.0 - EPS_CLIP)
+        return np.clip(sigmoid(out), EPS_CLIP, 1.0 - EPS_CLIP)
     return out
 
 
@@ -275,7 +276,7 @@ def backward(params: NetworkParameters, arch: NetworkArchitecture, data: Dataset
     if data.task == "regression":
         delta = (2.0 / n) * (out - y)
     else:
-        delta = (_sigmoid(out) - y) / n
+        delta = (sigmoid(out) - y) / n
     delta = delta[:, None]  # (n, 1)
 
     m = arch.num_hidden_layers
@@ -330,16 +331,32 @@ def dropout_mask(params: NetworkParameters, rate: float, seed: int) -> NetworkPa
     )
 
 
-def _train_loop(
+def train(
     params: NetworkParameters,
     arch: NetworkArchitecture,
     data: Dataset,
     opts: TrainOptions,
-    trainable_input_rows: Sequence[int],
+    trainable_input_rows: Sequence[int] | None = None,
     epoch_hook: Callable[[NetworkParameters, int], NetworkParameters] | None = None,
 ) -> NetworkParameters:
-    """Shared Adagrad loop behind ``train`` and the l1 soft-threshold fit."""
+    """Adagrad training returning the best checkpoint.
+
+    Input rows outside ``trainable_input_rows`` must start at zero and remain
+    exactly zero; ``None`` makes every row trainable, while an empty sequence
+    freezes them all. ``epoch_hook(params, epoch)`` returns the parameters to
+    continue from: it runs once on the starting point (epoch -1) and after
+    every epoch, before the loss is checked, so every checkpoint is a
+    post-hook state (the l1 fit thresholds here). With validation_fraction > 0
+    the checkpoint with the lowest validation loss is returned, otherwise the
+    one with the lowest training loss; ties keep the earlier checkpoint.
+    """
+    if data.p != arch.input_dim:
+        raise ValueError("data does not match architecture input_dim")
+    if data.task != arch.task:
+        raise ValueError("data task does not match architecture task")
     params.validate_for(arch)
+    if trainable_input_rows is None:
+        trainable_input_rows = range(arch.input_dim)
     trainable_set = set(int(j) for j in trainable_input_rows)
     if trainable_set and (min(trainable_set) < 0 or max(trainable_set) >= arch.input_dim):
         raise ValueError("trainable_input_rows out of range")
@@ -361,7 +378,6 @@ def _train_loop(
 
     cur = params.copy()
     if epoch_hook is not None:
-        # checkpoints must all be post-hook states (e.g. thresholded)
         cur = epoch_hook(cur, -1)
     acc = GradientSet.zeros_like(cur)
     best_loss = empirical_loss(cur, arch, monitor_data)
@@ -399,29 +415,6 @@ def _train_loop(
             if opts.patience > 0 and stale >= opts.patience:
                 break
     return best
-
-
-def train(
-    params: NetworkParameters,
-    arch: NetworkArchitecture,
-    data: Dataset,
-    opts: TrainOptions,
-    trainable_input_rows: Sequence[int] | None = None,
-) -> NetworkParameters:
-    """Adagrad training returning the best checkpoint.
-
-    Input rows outside ``trainable_input_rows`` (default: all rows trainable)
-    must start at zero and remain exactly zero. With validation_fraction > 0
-    the checkpoint with the lowest validation loss is returned, otherwise the
-    one with the lowest training loss; ties keep the earlier checkpoint.
-    """
-    if trainable_input_rows is None:
-        trainable_input_rows = range(arch.input_dim)
-    if data.p != arch.input_dim:
-        raise ValueError("data does not match architecture input_dim")
-    if data.task != arch.task:
-        raise ValueError("data task does not match architecture task")
-    return _train_loop(params, arch, data, opts, trainable_input_rows)
 
 
 # --- model persistence ------------------------------------------------------

@@ -9,7 +9,7 @@ from typing import Optional
 
 import numpy as np
 
-from .network import NetworkArchitecture, NetworkParameters, forward_batch, _sigmoid
+from .network import NetworkArchitecture, NetworkParameters, forward_batch, sigmoid
 from .seeding import spawn_rng
 
 _KINDS = ("linear", "additive", "network")
@@ -160,7 +160,7 @@ def gen_response(x: np.ndarray, spec: ResponseSpec, seed: int) -> tuple[np.ndarr
     if spec.task == "regression":
         y = eta + n_rng.normal(0.0, spec.noise_sd, size=n)
     else:
-        prob = _sigmoid(eta)
+        prob = sigmoid(eta)
         y = (n_rng.random(n) < prob).astype(np.float64)
     truth = GroundTruth(
         support=tuple(range(spec.s)),

@@ -21,9 +21,9 @@ from .network import (
     TrainOptions,
     backward,
     dropout_mask,
+    train,
     xavier_init,
     xavier_row,
-    _train_loop,
 )
 from .seeding import derive_seed
 
@@ -122,19 +122,22 @@ def select_next(scores: Mapping[int, float]) -> int:
     return int(best)
 
 
-def _stagewise_fit(
+def stagewise_fit(
     data: Dataset,
     arch_template: NetworkArchitecture,
     s_target: int,
     cfg: DnpConfig,
     seed: int,
-    final_train: bool = False,
 ) -> tuple[list[int], NetworkParameters]:
-    """Shared admission engine: returns (admission order, current parameters).
+    """Admit ``s_target`` features one at a time; returns (admission order,
+    parameters after the last admission).
 
+    Before each admission the network is trained with the candidate input rows
+    frozen at zero (step k trains with seed ``derive_seed(seed, "train", k)``).
     Weights are warm-started between admissions; a freshly admitted feature's
     input row is re-drawn at the layer's Xavier scale so its next gradient is
-    not pinned at zero.
+    not pinned at zero. The returned parameters are not trained after the last
+    admission.
     """
     p = data.p
     if not 1 <= s_target <= p:
@@ -146,14 +149,11 @@ def _stagewise_fit(
 
     for step in range(s_target):
         opts = replace(cfg.train_opts, rng_seed=derive_seed(seed, "train", step))
-        params = _train_loop(params, arch, data, opts, state.selected)
+        params = train(params, arch, data, opts, state.selected)
         scores = candidate_scores(params, arch, data, state, cfg, derive_seed(seed, "score", step))
         j = select_next(scores)
         state = state.admit(j)
         params.weights[0][j] = xavier_row(arch, derive_seed(seed, "admit", step))
-    if final_train:
-        opts = replace(cfg.train_opts, rng_seed=derive_seed(seed, "train", s_target))
-        params = _train_loop(params, arch, data, opts, state.selected)
     return list(state.selected), params
 
 
@@ -166,5 +166,5 @@ def dnp_run(
 ) -> list[int]:
     """Run the stage-wise selector until ``s_target`` features are admitted;
     returns the admitted indices in admission order."""
-    order, _ = _stagewise_fit(data, arch_template, s_target, cfg, seed)
+    order, _ = stagewise_fit(data, arch_template, s_target, cfg, seed)
     return order

@@ -22,7 +22,6 @@ from .network import (
     train,
     xavier_init,
     xavier_row,
-    _train_loop,
 )
 from .seeding import derive_seed, spawn_rng
 from .simulate import ResponseSpec, gen_design_uniform, gen_response
@@ -72,7 +71,7 @@ def next_selection_hit_rate(
         for k, j in enumerate(pre):
             params.weights[0][j] = xavier_row(arch, derive_seed(rep_seed, "row", k))
         opts = replace(cfg.train_opts, rng_seed=derive_seed(rep_seed, "train"))
-        params = _train_loop(params, arch, data, opts, pre)
+        params = train(params, arch, data, opts, pre)
         state = SelectionState(tuple(pre), frozenset(set(range(p)) - set(pre)))
         scores = candidate_scores(params, arch, data, state, cfg, derive_seed(rep_seed, "score"))
         hits += select_next(scores) in set(truth.support) - set(pre)

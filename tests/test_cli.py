@@ -333,3 +333,115 @@ def test_unknown_subcommand_is_usage_error():
 
 def test_missing_required_flag_is_usage_error():
     assert run("select", "--s0", 2) == 1
+
+
+# --- golden outputs -------------------------------------------------------------------
+# SHA-256 digests of seeded CLI outputs on tiny shapes. Any refactor of the CLI
+# or the engine must reproduce them byte for byte; ``select`` reports are
+# hashed without their ``wall_clock_seconds`` field. The digests hold for a
+# fixed numpy version (recorded with numpy 2.4 on x86-64 Linux); re-record
+# them only for an intended output change or a numpy upgrade.
+
+GOLDEN_EXPERIMENT_CFG = """
+n = 60
+p = 8
+response = network
+task = {task}
+s = 2
+coef_mean = 5
+coef_sd = 1
+method = enns
+s0 = 2
+bags = 3
+ps = 0.5
+hidden = 6,3
+max_epochs = 12
+batch_size = 16
+sparsity_mode = percentile
+sparsity_values = 50,50
+repetitions = 2
+seed = 21
+"""
+
+GOLDEN_DIGESTS = {
+    "gen_uniform/X.csv": "ab4c9136bd4561f8c65100079c309df88fca54667672f6575cd3338473aed170",
+    "gen_uniform/y.csv": "dec5afd93a9a30d3c8711ad89877ccbe613fe4bb0523147778e1365e67c29c97",
+    "gen_uniform/truth.json": "7c04ab386aa36fdea26335a6b724d46fcc1548702d07177ff0b17466e40b4a22",
+    "gen_correlated/X.csv": "d07aab6fe42b19bd08125cbe7fff7e8dbc01c83359609bfe05b32a7750b0172d",
+    "gen_correlated/y.csv": "9dde1d5530202422da2b0744475fe334aae9fbcc40e6804cc194e7f53ee18f7b",
+    "gen_correlated/truth.json": "ceb7252701d90e2ef87ee989fff56e0eac0a044c4652941a21dee6807c0e350c",
+    "select_dnp.json": "174799b31272ca21b39cc5b7fb19b3c1673c970a72bca3a94b9c8105b621b57d",
+    "select_enns.json": "201418db57c6537b2cc9006b3afa10a05b8c823d28adde923fa1164fabbae62a",
+    "estimate_none/model.json": "99c97e2a22aa68f84ded1bbf60938bd09ffe18570893161b7e06484580860e26",
+    "estimate_none/metrics.json": "0d4d0602941e657786410f88fc8a3187732f555a52013a3ccbc0d56da75af407",
+    "estimate_percentile/model.json": "795f5b5cd49a4c72c3facb40f76579422ce01500f701a2eee1aaebea8a878808",
+    "estimate_percentile/metrics.json": "45fec9fe5277d24cc42981ca8cc366d5d42d4aafbf5011b2d96d7af154a68a59",
+    "experiment_regression.csv": "b5c463edfc072d9c78ac80931c1d5d61c9fe582688f8d719a735fd939aa72f38",
+    "experiment_classification.csv": "9ac1392184954c5cc3ded7edf4cd3f66e57d76745e99574f629425feb5a5e752",
+    "verify_theory.json": "dd45e360520146de88eb8dd255557e4b167583f3e58b429263de8045f98d32af",
+}
+
+
+@pytest.fixture(scope="module")
+def golden_outputs(tmp_path_factory):
+    import hashlib
+
+    root = tmp_path_factory.mktemp("golden")
+    uni = root / "gen_uniform"
+    assert run(
+        "gen-data", "--out-dir", uni, "--n", 60, "--p", 8, "--response", "network",
+        "--s", 2, "--coef-mean", 5, "--coef-sd", 1, "--seed", 11,
+    ) == 0
+    assert run(
+        "gen-data", "--out-dir", root / "gen_correlated", "--n", 40, "--p", 6,
+        "--design", "correlated", "--rho", 0.5, "--response", "linear",
+        "--task", "classification", "--s", 2, "--seed", 12,
+    ) == 0
+    xy = ["--x", uni / "X.csv", "--y", uni / "y.csv"]
+    for method in ("dnp", "enns"):
+        assert run(
+            "select", *xy, "--method", method, "--s0", 2, "--bags", 3, "--ps", 0.5,
+            "--epochs", 10, "--val-fraction", 0.2, "--seed", 13, "--out", root / f"select_{method}.json",
+        ) == 0
+    for mode, extra in (("none", []), ("percentile", ["--sparsity-values", "50,50"])):
+        out = root / f"estimate_{mode}"
+        out.mkdir()
+        assert run(
+            "estimate", *xy, "--selected", "1,2,5", "--hidden", "6,3", "--epochs", 12,
+            "--batch-size", 16, "--sparsity-mode", mode, *extra, "--seed", 14,
+            "--model-out", out / "model.json", "--metrics-out", out / "metrics.json",
+        ) == 0
+    for task in ("regression", "classification"):
+        cfg = root / f"{task}.cfg"
+        cfg.write_text(GOLDEN_EXPERIMENT_CFG.format(task=task))
+        assert run("run-experiment", "--config", cfg, "--out", root / f"experiment_{task}.csv") == 0
+    assert run(
+        "verify-theory", "--reps", 2000, "--pair-betas", "0,1", "--sigmas", "1",
+        "--first-cases", "1:2,2:5", "--seed", 15, "--out", root / "verify_theory.json",
+    ) == 0
+
+    digests = {}
+    for name in GOLDEN_DIGESTS:
+        raw = (root / name).read_bytes()
+        if name.startswith("select_"):
+            doc = json.loads(raw)
+            doc.pop("wall_clock_seconds")
+            raw = json.dumps(doc).encode()
+        digests[name] = hashlib.sha256(raw).hexdigest()
+    return digests
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
+def test_golden_cli_output(golden_outputs, name):
+    assert golden_outputs[name] == GOLDEN_DIGESTS[name]
+
+
+def test_failed_write_keeps_earlier_file_and_leaves_no_temp(tmp_path):
+    path = tmp_path / "m.csv"
+    write_matrix_csv(path, ["a"], np.array([[1.0], [2.0]]))
+    before = path.read_bytes()
+    # the second row cannot be formatted, so the write fails after its first row
+    with pytest.raises(TypeError):
+        write_matrix_csv(path, ["a"], np.array([[3.0], ["oops"]], dtype=object))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["m.csv"]

@@ -14,7 +14,7 @@ from _oracles import auc_by_pair_counting
 def test_selection_perfect():
     m = selection_metrics({1, 2, 3}, {1, 2, 3})
     assert m.false_positive_rate == 0.0
-    assert m.correct_count == 3
+    assert m.true_positives == 3
     assert m.false_positives == 0
 
 
@@ -34,7 +34,7 @@ def test_selection_counting():
 def test_selection_empty_selection_has_zero_fpr():
     m = selection_metrics(set(), {1, 2})
     assert m.false_positive_rate == 0.0
-    assert m.correct_count == 0
+    assert m.true_positives == 0
 
 
 @given(
@@ -66,6 +66,13 @@ def test_regression_hand_case():
 def test_regression_mape_skips_zero_targets():
     m = regression_metrics(np.array([0.0, 2.0]), np.array([1.0, 1.0]))
     assert m.mape == pytest.approx(0.5)
+
+
+@pytest.mark.filterwarnings("error")
+def test_regression_mape_overflow_is_inf_without_warning():
+    m = regression_metrics(np.array([1e-310, 2.0]), np.array([1.0, 1.0]))
+    assert m.mape == np.inf
+    assert m.rmse == pytest.approx(1.0)
 
 
 def test_regression_against_independent_implementation():

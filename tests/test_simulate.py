@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from enns.network import _sigmoid
+from enns.network import sigmoid
 from enns.simulate import (
     ResponseSpec,
     gen_design_correlated,
@@ -113,7 +113,7 @@ def test_classification_labels_are_calibrated_bernoulli():
     eta = (
         np.sin(x[:, 0]) + x[:, 1] + np.exp(x[:, 2]) + x[:, 3] ** 2 + np.log(x[:, 4] + 2.0) - 2.0
     )
-    prob = _sigmoid(eta)
+    prob = sigmoid(eta)
     for lo, hi in [(0.0, 0.3), (0.3, 0.5), (0.5, 0.7), (0.7, 1.0)]:
         bucket = (prob >= lo) & (prob < hi)
         if bucket.sum() < 50:

@@ -15,7 +15,7 @@ from enns.stagewise import (
     candidate_scores,
     dnp_run,
     select_next,
-    _stagewise_fit,
+    stagewise_fit,
 )
 
 
@@ -226,7 +226,7 @@ def test_dnp_deterministic():
 def test_engine_keeps_unselected_rows_zero():
     rng = np.random.default_rng(10)
     data = Dataset(rng.uniform(-1, 1, size=(40, 7)), rng.normal(size=40), "regression")
-    order, params = _stagewise_fit(data, NetworkArchitecture(7, (4,)), 3, run_cfg(epochs=15), seed=2)
+    order, params = stagewise_fit(data, NetworkArchitecture(7, (4,)), 3, run_cfg(epochs=15), seed=2)
     unselected = sorted(set(range(7)) - set(order))
     assert np.all(params.weights[0][unselected] == 0.0)
 
