@@ -5,7 +5,6 @@ a seeded simulation harness."""
 
 from .network import (
     Dataset,
-    GradientSet,
     NetworkArchitecture,
     NetworkParameters,
     NumericalError,
@@ -14,7 +13,6 @@ from .network import (
     backward,
     dropout_mask,
     empirical_loss,
-    forward,
     forward_batch,
     load_model,
     model_from_json,
@@ -23,7 +21,15 @@ from .network import (
     train,
     xavier_init,
 )
-from .stagewise import DnpConfig, SelectionState, candidate_scores, dnp_run, select_next, stagewise_fit
+from .stagewise import (
+    DnpConfig,
+    SelectionState,
+    candidate_scores,
+    dnp_run,
+    select_next,
+    stagewise_fit,
+    train_selected,
+)
 from .ensemble import (
     EnnsConfig,
     SelectionReport,

@@ -17,6 +17,7 @@ import os
 import sys
 import time
 import typing
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -110,28 +111,26 @@ def write_matrix_csv(path: Path, header: Sequence[str], matrix: np.ndarray) -> N
 
 
 def read_matrix_csv(path) -> tuple[list[str], np.ndarray]:
+    """Header and float64 matrix of a comma-separated file; blank lines are
+    skipped, and every other data line must have one field per header name."""
     try:
         with open(path, encoding="utf8") as fh:
-            lines = fh.read().splitlines()
+            header_line = fh.readline()
+            if not header_line:
+                raise DataError(f"{path}: empty file")
+            header = header_line.rstrip("\r\n").split(",")
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # loadtxt warns on no data rows
+                x = np.loadtxt(fh, dtype=np.float64, delimiter=",", ndmin=2, comments=None)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    if not lines:
-        raise DataError(f"{path}: empty file")
-    header = lines[0].split(",")
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        cells = line.split(",")
-        if len(cells) != len(header):
-            raise DataError(f"{path} line {lineno}: expected {len(header)} fields, got {len(cells)}")
-        try:
-            rows.append([float(c) for c in cells])
-        except ValueError as exc:
-            raise DataError(f"{path} line {lineno}: {exc}") from exc
-    if not rows:
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from exc
+    if x.shape[0] == 0:
         raise DataError(f"{path}: no data rows")
-    return header, np.asarray(rows, dtype=np.float64)
+    if x.shape[1] != len(header):
+        raise DataError(f"{path}: expected {len(header)} fields per row, got {x.shape[1]}")
+    return header, x
 
 
 def load_dataset(x_path, y_path, task: str) -> Dataset:
@@ -404,6 +403,8 @@ def cmd_estimate(args) -> int:
     for j in selected_1based:
         if not 1 <= j <= data.p:
             raise UsageError(f"selected column {j} outside 1..{data.p}")
+    if len(set(selected_1based)) != len(selected_1based):
+        raise UsageError(f"selected columns repeat: {selected_1based}")
     if not selected_1based:
         raise UsageError("no columns selected")
     selected = [j - 1 for j in selected_1based]

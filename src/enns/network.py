@@ -63,8 +63,8 @@ class NetworkArchitecture:
 
     def __post_init__(self):
         object.__setattr__(self, "hidden_sizes", tuple(int(h) for h in self.hidden_sizes))
-        if self.input_dim < 1:
-            raise ValueError("input_dim must be >= 1")
+        if self.input_dim < 0:
+            raise ValueError("input_dim must be >= 0")
         if not self.hidden_sizes or any(h < 1 for h in self.hidden_sizes):
             raise ValueError("hidden_sizes must be non-empty with positive entries")
         if self.hidden_activation not in _ACTIVATIONS:
@@ -84,11 +84,23 @@ class NetworkArchitecture:
 
 @dataclass
 class NetworkParameters:
-    """Weight matrices W_0..W_m, hidden intercepts t_1..t_m and output intercept."""
+    """Weight matrices W_0..W_m, hidden intercepts t_1..t_m and output intercept.
+
+    Gradients and Adagrad accumulators are parameter-shaped, so they use this
+    type too.
+    """
 
     weights: list[np.ndarray]
     hidden_intercepts: list[np.ndarray]
     output_intercept: float
+
+    @classmethod
+    def zeros_like(cls, params: "NetworkParameters") -> "NetworkParameters":
+        return cls(
+            [np.zeros_like(w) for w in params.weights],
+            [np.zeros_like(t) for t in params.hidden_intercepts],
+            0.0,
+        )
 
     def copy(self) -> "NetworkParameters":
         return NetworkParameters(
@@ -111,23 +123,6 @@ class NetworkParameters:
                 raise ValueError("non-finite parameter entries")
         if not np.isfinite(self.output_intercept):
             raise ValueError("non-finite output intercept")
-
-
-@dataclass
-class GradientSet:
-    """Gradients (or any parameter-shaped value set, e.g. Adagrad accumulators)."""
-
-    weights: list[np.ndarray]
-    hidden_intercepts: list[np.ndarray]
-    output_intercept: float
-
-    @classmethod
-    def zeros_like(cls, params: NetworkParameters) -> "GradientSet":
-        return cls(
-            [np.zeros_like(w) for w in params.weights],
-            [np.zeros_like(t) for t in params.hidden_intercepts],
-            0.0,
-        )
 
 
 @dataclass(frozen=True)
@@ -168,7 +163,8 @@ class Dataset:
         return Dataset(self.x[idx], self.y[idx], self.task)
 
     def subset_columns(self, cols: Sequence[int]) -> "Dataset":
-        return Dataset(self.x[:, list(cols)], self.y, self.task)
+        # x[:, cols] is column-major; row-major keeps all-column products bit-identical
+        return Dataset(np.ascontiguousarray(self.x[:, list(cols)]), self.y, self.task)
 
 
 @dataclass(frozen=True)
@@ -241,17 +237,10 @@ def forward_batch(params: NetworkParameters, arch: NetworkArchitecture, x: np.nd
     return out
 
 
-def forward(params: NetworkParameters, arch: NetworkArchitecture, x: np.ndarray) -> float:
-    """Scalar network output for a single input vector."""
-    x = np.asarray(x, dtype=np.float64).ravel()
-    if x.shape[0] != arch.input_dim:
-        raise ValueError(f"input length {x.shape[0]} != input_dim {arch.input_dim}")
-    return float(forward_batch(params, arch, x[None, :])[0])
-
-
 def empirical_loss(params: NetworkParameters, arch: NetworkArchitecture, data: Dataset) -> float:
     """Mean squared error (regression) or negative mean log-likelihood
-    (classification, probabilities clipped before logs)."""
+    (classification, probabilities clipped into [EPS_CLIP, 1 - EPS_CLIP]
+    before logs; ``backward`` differentiates the unclipped loss)."""
     eta = forward_batch(params, arch, data.x)
     if data.task == "regression":
         loss = float(np.mean((data.y - eta) ** 2))
@@ -262,11 +251,15 @@ def empirical_loss(params: NetworkParameters, arch: NetworkArchitecture, data: D
     return loss
 
 
-def backward(params: NetworkParameters, arch: NetworkArchitecture, data: Dataset) -> GradientSet:
+def backward(params: NetworkParameters, arch: NetworkArchitecture, data: Dataset) -> NetworkParameters:
     """Exact gradients of the empirical loss for every weight and intercept.
 
-    Gradients of zero-frozen input rows are computed like any other: they are
-    the selection criterion for candidate features.
+    Input rows that are exactly zero get their gradient like any other row:
+    it is the selection criterion for candidate features. Classification
+    differentiates the unclipped log-likelihood, while ``empirical_loss``
+    clips probabilities at ``EPS_CLIP``; the two differ only where the raw
+    output exceeds log(1/EPS_CLIP) ~ 27.6 in magnitude, where the clipped
+    loss is flat.
     """
     x, y = data.x, data.y
     if x.shape[1] != arch.input_dim:
@@ -289,15 +282,15 @@ def backward(params: NetworkParameters, arch: NetworkArchitecture, data: Dataset
         delta = (delta @ params.weights[layer].T) * dact
         g_weights[layer - 1] = acts[layer - 1].T @ delta
         g_intercepts[layer - 1] = delta.sum(axis=0)
-    return GradientSet(g_weights, g_intercepts, g_out)
+    return NetworkParameters(g_weights, g_intercepts, g_out)
 
 
 def adagrad_step(
     params: NetworkParameters,
-    grads: GradientSet,
-    accumulator: GradientSet,
+    grads: NetworkParameters,
+    accumulator: NetworkParameters,
     lr: float,
-) -> tuple[NetworkParameters, GradientSet]:
+) -> tuple[NetworkParameters, NetworkParameters]:
     """One Adagrad update: acc' = acc + g*g, theta' = theta - lr*g/(sqrt(acc') + eps)."""
     if lr <= 0:
         raise ValueError("learning rate must be positive")
@@ -313,7 +306,7 @@ def adagrad_step(
         new_t.append(t - lr * g / (np.sqrt(a2) + EPS_ADAGRAD))
     ab = accumulator.output_intercept + grads.output_intercept**2
     b = params.output_intercept - lr * grads.output_intercept / (np.sqrt(ab) + EPS_ADAGRAD)
-    return NetworkParameters(new_w, new_t, b), GradientSet(new_aw, new_at, ab)
+    return NetworkParameters(new_w, new_t, b), NetworkParameters(new_aw, new_at, ab)
 
 
 def dropout_mask(params: NetworkParameters, rate: float, seed: int) -> NetworkParameters:
@@ -336,50 +329,35 @@ def train(
     arch: NetworkArchitecture,
     data: Dataset,
     opts: TrainOptions,
-    trainable_input_rows: Sequence[int] | None = None,
     epoch_hook: Callable[[NetworkParameters, int], NetworkParameters] | None = None,
 ) -> NetworkParameters:
-    """Adagrad training returning the best checkpoint.
+    """Adagrad training of every parameter, returning the best checkpoint.
 
-    Input rows outside ``trainable_input_rows`` must start at zero and remain
-    exactly zero; ``None`` makes every row trainable, while an empty sequence
-    freezes them all. ``epoch_hook(params, epoch)`` returns the parameters to
-    continue from: it runs once on the starting point (epoch -1) and after
-    every epoch, before the loss is checked, so every checkpoint is a
-    post-hook state (the l1 fit thresholds here). With validation_fraction > 0
-    the checkpoint with the lowest validation loss is returned, otherwise the
-    one with the lowest training loss; ties keep the earlier checkpoint.
+    ``epoch_hook(params, epoch)`` returns the parameters to continue from: it
+    runs once on the starting point (epoch -1) and after every epoch, before
+    the loss is checked, so every checkpoint is a post-hook state (the l1 fit
+    thresholds here). With validation_fraction > 0 the checkpoint with the
+    lowest validation loss is returned, otherwise the one with the lowest
+    training loss; ties keep the earlier checkpoint.
     """
     if data.p != arch.input_dim:
         raise ValueError("data does not match architecture input_dim")
     if data.task != arch.task:
         raise ValueError("data task does not match architecture task")
     params.validate_for(arch)
-    if trainable_input_rows is None:
-        trainable_input_rows = range(arch.input_dim)
-    trainable_set = set(int(j) for j in trainable_input_rows)
-    if trainable_set and (min(trainable_set) < 0 or max(trainable_set) >= arch.input_dim):
-        raise ValueError("trainable_input_rows out of range")
-    frozen = np.array([j for j in range(arch.input_dim) if j not in trainable_set], dtype=int)
-    if frozen.size and np.any(params.weights[0][frozen] != 0.0):
-        raise ValueError("input rows outside trainable_input_rows must start at zero")
 
     rng = spawn_rng(opts.rng_seed, "train-loop")
-    n = data.n
-    n_val = int(np.floor(opts.validation_fraction * n))
+    n_val = int(np.floor(opts.validation_fraction * data.n))
+    fit_data = monitor_data = data
     if n_val > 0:
-        perm = rng.permutation(n)
-        val_data = data.subset_rows(perm[:n_val])
+        perm = rng.permutation(data.n)
+        monitor_data = data.subset_rows(perm[:n_val])
         fit_data = data.subset_rows(perm[n_val:])
-        monitor_data = val_data
-    else:
-        fit_data = data
-        monitor_data = data
 
     cur = params.copy()
     if epoch_hook is not None:
         cur = epoch_hook(cur, -1)
-    acc = GradientSet.zeros_like(cur)
+    acc = NetworkParameters.zeros_like(cur)
     best_loss = empirical_loss(cur, arch, monitor_data)
     best = cur.copy()
     stale = 0
@@ -394,12 +372,7 @@ def train(
             batches = [order[i : i + opts.batch_size] for i in range(0, n_fit, opts.batch_size)]
         for idx in batches:
             batch = fit_data if full_batch else fit_data.subset_rows(idx)
-            grads = backward(cur, arch, batch)
-            if frozen.size:
-                grads.weights[0][frozen] = 0.0
-            cur, acc = adagrad_step(cur, grads, acc, opts.learning_rate)
-            if frozen.size:
-                cur.weights[0][frozen] = 0.0
+            cur, acc = adagrad_step(cur, backward(cur, arch, batch), acc, opts.learning_rate)
         if epoch_hook is not None:
             cur = epoch_hook(cur, epoch)
         try:

@@ -1,16 +1,17 @@
 """Stage-wise greedy feature admission for feedforward networks.
 
-The model is trained with candidate input rows frozen at zero; candidates are
+The model is trained on the admitted columns only, which is the full-width
+network with every candidate input row held at zero; candidates are then
 scored by the (dropout-averaged) l_q norm of the loss gradient with respect
-to their input-layer weight rows, and the argmax is admitted. Repeating this
-until a target count is reached yields the deep-neural-pursuit style selector
-used both for screening and for stage-wise refitting.
+to their zero input-layer weight rows, and the argmax is admitted. Repeating
+this until a target count is reached yields the deep-neural-pursuit style
+selector used both for screening and for stage-wise refitting.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -78,6 +79,29 @@ class DnpConfig:
             raise ValueError("dropout_rate must be in [0, 1)")
 
 
+def train_selected(
+    params: NetworkParameters,
+    arch: NetworkArchitecture,
+    data: Dataset,
+    selected: Iterable[int],
+    opts: TrainOptions,
+) -> NetworkParameters:
+    """``train`` on the ``selected`` columns, returned at full width with every
+    other input row exactly 0.0. A zero row adds nothing to the forward pass or
+    to any other gradient, so this equals full-width training with those rows
+    held at zero. An empty selection trains the intercept-only network."""
+    if data.p != arch.input_dim:
+        raise ValueError("data does not match architecture input_dim")
+    rows = sorted(set(int(j) for j in selected))
+    narrow = NetworkParameters(
+        [params.weights[0][rows], *params.weights[1:]], params.hidden_intercepts, params.output_intercept
+    )
+    fitted = train(narrow, replace(arch, input_dim=len(rows)), data.subset_columns(rows), opts)
+    w0 = np.zeros_like(params.weights[0])
+    w0[rows] = fitted.weights[0]
+    return NetworkParameters([w0, *fitted.weights[1:]], fitted.hidden_intercepts, fitted.output_intercept)
+
+
 def _row_norms(matrix: np.ndarray, q: float) -> np.ndarray:
     if q == 2.0:
         return np.sqrt(np.sum(matrix * matrix, axis=1))
@@ -132,8 +156,8 @@ def stagewise_fit(
     """Admit ``s_target`` features one at a time; returns (admission order,
     parameters after the last admission).
 
-    Before each admission the network is trained with the candidate input rows
-    frozen at zero (step k trains with seed ``derive_seed(seed, "train", k)``).
+    Before each admission the network is trained on the admitted columns with
+    ``train_selected`` (step k trains with seed ``derive_seed(seed, "train", k)``).
     Weights are warm-started between admissions; a freshly admitted feature's
     input row is re-drawn at the layer's Xavier scale so its next gradient is
     not pinned at zero. The returned parameters are not trained after the last
@@ -143,13 +167,12 @@ def stagewise_fit(
     if not 1 <= s_target <= p:
         raise ValueError("s_target must be in 1..p")
     arch = replace(arch_template, input_dim=p, task=data.task)
-    params = xavier_init(arch, derive_seed(seed, "init"))
-    params.weights[0][:] = 0.0
+    params = xavier_init(arch, derive_seed(seed, "init"))  # train_selected zeroes the input rows
     state = SelectionState.initial(p)
 
     for step in range(s_target):
         opts = replace(cfg.train_opts, rng_seed=derive_seed(seed, "train", step))
-        params = train(params, arch, data, opts, state.selected)
+        params = train_selected(params, arch, data, state.selected, opts)
         scores = candidate_scores(params, arch, data, state, cfg, derive_seed(seed, "score", step))
         j = select_next(scores)
         state = state.admit(j)

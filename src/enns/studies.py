@@ -25,7 +25,7 @@ from .network import (
 )
 from .seeding import derive_seed, spawn_rng
 from .simulate import ResponseSpec, gen_design_uniform, gen_response
-from .stagewise import DnpConfig, SelectionState, candidate_scores, dnp_run, select_next
+from .stagewise import DnpConfig, SelectionState, candidate_scores, dnp_run, select_next, train_selected
 
 
 def selection_train_opts(epochs: int = 50) -> TrainOptions:
@@ -63,15 +63,11 @@ def next_selection_hit_rate(
         data = Dataset(x, y, "regression")
         arch = NetworkArchitecture(p, hidden)
         params = xavier_init(arch, derive_seed(rep_seed, "init"))
-        params.weights[0][:] = 0.0
-        if pre_included:
-            pre = sorted(spawn_rng(rep_seed, "pre").choice(s, size=pre_included, replace=False))
-        else:
-            pre = []
+        pre = sorted(spawn_rng(rep_seed, "pre").choice(s, size=pre_included, replace=False))
         for k, j in enumerate(pre):
             params.weights[0][j] = xavier_row(arch, derive_seed(rep_seed, "row", k))
         opts = replace(cfg.train_opts, rng_seed=derive_seed(rep_seed, "train"))
-        params = train(params, arch, data, opts, pre)
+        params = train_selected(params, arch, data, pre, opts)
         state = SelectionState(tuple(pre), frozenset(set(range(p)) - set(pre)))
         scores = candidate_scores(params, arch, data, state, cfg, derive_seed(rep_seed, "score"))
         hits += select_next(scores) in set(truth.support) - set(pre)

@@ -127,6 +127,29 @@ def test_select_malformed_csv_is_data_error(tmp_path):
     assert run("select", "--x", x, "--y", y, "--s0", 1) == 2
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["x1,x2\n0.1,0.2\n0.3,0.4,0.5\n", "x1,x2\n0.1\n0.3\n", "x1,x2\n", "x1,x2", ""],
+    ids=["long-row", "short-rows", "header-only", "header-only-no-newline", "empty"],
+)
+def test_malformed_csv_is_data_error_without_warning(tmp_path, text, recwarn, capsys):
+    x = tmp_path / "X.csv"
+    x.write_text(text)
+    y = tmp_path / "y.csv"
+    y.write_text("y\n1\n2\n")
+    assert run("select", "--x", x, "--y", y, "--s0", 1) == 2
+    assert str(x) in capsys.readouterr().err
+    assert len(recwarn) == 0
+
+
+def test_read_csv_skips_blank_lines(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("a,b\n1.5,-2\n\n3,4e-3\n\n")
+    header, x = read_matrix_csv(path)
+    assert header == ["a", "b"]
+    np.testing.assert_array_equal(x, [[1.5, -2.0], [3.0, 4e-3]])
+
+
 def test_select_missing_file_is_data_error(tmp_path):
     assert run("select", "--x", tmp_path / "no.csv", "--y", tmp_path / "no2.csv", "--s0", 1) == 2
 
@@ -176,10 +199,18 @@ def test_estimate_percentile_sparsity_contract(tmp_path):
 
 def test_estimate_rejects_out_of_range_selection(tmp_path):
     data = gen_small(tmp_path, p=4, s=2)
+    for selected in ("1,9", "1,1,2"):
+        assert run(
+            "estimate", "--x", data / "X.csv", "--y", data / "y.csv", "--selected", selected,
+            "--model-out", tmp_path / "m.json",
+        ) == 1
+    sel = tmp_path / "sel.json"
+    sel.write_text(json.dumps({"selected": [2, 2]}))
     assert run(
-        "estimate", "--x", data / "X.csv", "--y", data / "y.csv", "--selected", "1,9",
+        "estimate", "--x", data / "X.csv", "--y", data / "y.csv", "--selection-json", sel,
         "--model-out", tmp_path / "m.json",
     ) == 1
+    assert not (tmp_path / "m.json").exists()
 
 
 def test_estimate_accepts_selection_json(tmp_path):

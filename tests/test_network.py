@@ -1,9 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from enns.network import (
     Dataset,
-    GradientSet,
     NetworkArchitecture,
     NetworkParameters,
     NumericalError,
@@ -12,7 +13,6 @@ from enns.network import (
     backward,
     dropout_mask,
     empirical_loss,
-    forward,
     forward_batch,
     load_model,
     model_from_json,
@@ -21,12 +21,17 @@ from enns.network import (
     train,
     xavier_init,
 )
+from enns.stagewise import train_selected
 
 from _oracles import loss_by_loops, max_relative_gradient_error
 
 
 def small_arch(task="regression", hidden=(4, 2), p=3, activation="relu"):
     return NetworkArchitecture(p, hidden, activation, task)
+
+
+def forward_row(params, arch, x):
+    return forward_batch(params, arch, np.asarray(x, dtype=np.float64)[None, :])[0]
 
 
 def random_dataset(arch, n=8, seed=0):
@@ -82,7 +87,7 @@ def test_forward_constant_regression():
     for w in params.weights:
         w[:] = 0.0
     params.output_intercept = 0.5
-    assert forward(params, arch, np.array([1.0, -2.0])) == 0.5
+    assert forward_row(params, arch, np.array([1.0, -2.0])) == 0.5
 
 
 def test_forward_constant_classification_is_half():
@@ -90,7 +95,7 @@ def test_forward_constant_classification_is_half():
     params = xavier_init(arch, 0)
     for w in params.weights:
         w[:] = 0.0
-    assert forward(params, arch, np.array([0.3, 0.7])) == pytest.approx(0.5, abs=1e-15)
+    assert forward_row(params, arch, np.array([0.3, 0.7])) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_forward_hand_computed_single_unit():
@@ -100,14 +105,14 @@ def test_forward_hand_computed_single_unit():
         hidden_intercepts=[np.array([-1.0])],
         output_intercept=0.5,
     )
-    assert forward(params, arch, np.array([1.0])) == pytest.approx(3.5)
+    assert forward_row(params, arch, np.array([1.0])) == pytest.approx(3.5)
 
 
 def test_forward_dimension_mismatch():
     arch = small_arch()
     params = xavier_init(arch, 0)
     with pytest.raises(ValueError):
-        forward(params, arch, np.zeros(arch.input_dim + 1))
+        forward_batch(params, arch, np.zeros((1, arch.input_dim + 1)))
 
 
 def test_forward_classification_strictly_inside_unit_interval():
@@ -117,8 +122,8 @@ def test_forward_classification_strictly_inside_unit_interval():
         hidden_intercepts=[np.array([0.0])],
         output_intercept=0.0,
     )
-    hi = forward(params, arch, np.array([10.0]))
-    lo = forward(params, arch, np.array([-10.0]))
+    hi = forward_row(params, arch, np.array([10.0]))
+    lo = forward_row(params, arch, np.array([-10.0]))
     assert 0.0 < lo < hi < 1.0
 
 
@@ -206,8 +211,8 @@ def test_backward_computes_gradients_for_frozen_rows():
 def test_adagrad_zero_gradient_is_noop():
     arch = small_arch()
     params = xavier_init(arch, 0)
-    grads = GradientSet.zeros_like(params)
-    acc = GradientSet.zeros_like(params)
+    grads = NetworkParameters.zeros_like(params)
+    acc = NetworkParameters.zeros_like(params)
     new_params, new_acc = adagrad_step(params, grads, acc, lr=0.5)
     for a, b in zip(params.weights, new_params.weights):
         assert np.array_equal(a, b)
@@ -218,8 +223,8 @@ def test_adagrad_zero_gradient_is_noop():
 def test_adagrad_first_step_normalizes():
     arch = NetworkArchitecture(1, (1,))
     params = NetworkParameters([np.zeros((1, 1)), np.zeros((1, 1))], [np.zeros(1)], 0.0)
-    grads = GradientSet([np.full((1, 1), 2.0), np.zeros((1, 1))], [np.zeros(1)], 0.0)
-    acc = GradientSet.zeros_like(params)
+    grads = NetworkParameters([np.full((1, 1), 2.0), np.zeros((1, 1))], [np.zeros(1)], 0.0)
+    acc = NetworkParameters.zeros_like(params)
     new_params, _ = adagrad_step(params, grads, acc, lr=1.0)
     assert new_params.weights[0][0, 0] == pytest.approx(-1.0, abs=1e-7)
 
@@ -228,8 +233,8 @@ def test_adagrad_two_identical_steps():
     # accumulators 1 then 2: step sizes 1 and 1/sqrt(2)
     arch = NetworkArchitecture(1, (1,))
     params = NetworkParameters([np.zeros((1, 1)), np.zeros((1, 1))], [np.zeros(1)], 0.0)
-    grads = GradientSet([np.ones((1, 1)), np.zeros((1, 1))], [np.zeros(1)], 0.0)
-    acc = GradientSet.zeros_like(params)
+    grads = NetworkParameters([np.ones((1, 1)), np.zeros((1, 1))], [np.zeros(1)], 0.0)
+    acc = NetworkParameters.zeros_like(params)
     p1, acc = adagrad_step(params, grads, acc, lr=1.0)
     step1 = -p1.weights[0][0, 0]
     p2, acc = adagrad_step(p1, grads, acc, lr=1.0)
@@ -291,17 +296,20 @@ def test_train_frozen_rows_stay_bit_zero():
     params.weights[0][frozen] = 0.0
     data = random_dataset(arch, n=30, seed=5)
     opts = TrainOptions(learning_rate=0.2, max_epochs=100, patience=0)
-    out = train(params, arch, data, opts, trainable_input_rows=trainable)
+    out = train_selected(params, arch, data, trainable, opts)
     assert np.all(out.weights[0][frozen] == 0.0)
     assert np.any(out.weights[0][trainable] != 0.0)
 
 
 def test_train_rejects_nonzero_frozen_start():
+    # nonzero rows outside the selection come back exactly zero
     arch = small_arch()
     params = xavier_init(arch, 0)
+    assert np.all(params.weights[0][1:] != 0.0)
     data = random_dataset(arch, seed=0)
-    with pytest.raises(ValueError):
-        train(params, arch, data, TrainOptions(max_epochs=1, patience=0), trainable_input_rows=[0])
+    out = train_selected(params, arch, data, [0], TrainOptions(max_epochs=1, patience=0))
+    assert np.all(out.weights[0][1:] == 0.0)
+    assert np.any(out.weights[0][0] != 0.0)
 
 
 def test_train_fits_separable_classification():
@@ -377,7 +385,7 @@ def test_dataset_validation():
 
 def test_architecture_validation():
     with pytest.raises(ValueError):
-        NetworkArchitecture(0, (3,))
+        NetworkArchitecture(-1, (3,))
     with pytest.raises(ValueError):
         NetworkArchitecture(2, ())
     with pytest.raises(ValueError):
@@ -400,6 +408,22 @@ def test_model_json_round_trip(tmp_path):
     np.testing.assert_array_equal(
         forward_batch(params, arch, x), forward_batch(loaded_params, loaded_arch, x)
     )
+
+
+@pytest.mark.parametrize("task", ["regression", "classification"])
+def test_zero_input_network_predicts_constant_and_round_trips(task):
+    arch = NetworkArchitecture(0, (3, 2), "sigmoid", task)
+    params = xavier_init(arch, 5)
+    params.hidden_intercepts[0][:] = [0.5, -1.0, 2.0]
+    params.output_intercept = -0.25
+    x = np.zeros((6, 0))
+    preds = forward_batch(params, arch, x)
+    assert preds.shape == (6,)
+    assert np.all(preds == preds[0])
+    loaded_params, loaded_arch = model_from_json(json.loads(json.dumps(model_to_json(params, arch))))
+    assert loaded_arch == arch
+    assert loaded_params.weights[0].shape == (0, 3)
+    np.testing.assert_array_equal(forward_batch(loaded_params, loaded_arch, x), preds)
 
 
 def test_model_json_rejects_unknown_version():

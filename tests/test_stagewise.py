@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 from collections import Counter
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from enns.network import (
     Dataset,
     NetworkArchitecture,
     TrainOptions,
     backward,
+    train,
     xavier_init,
 )
 from enns.stagewise import (
@@ -16,6 +19,7 @@ from enns.stagewise import (
     dnp_run,
     select_next,
     stagewise_fit,
+    train_selected,
 )
 
 
@@ -236,3 +240,58 @@ def test_dnp_rejects_bad_target():
     data = Dataset(rng.uniform(-1, 1, size=(20, 4)), rng.normal(size=20), "regression")
     with pytest.raises(ValueError):
         dnp_run(data, NetworkArchitecture(4, (3,)), 5, run_cfg(epochs=5), seed=0)
+
+
+# --- train_selected ------------------------------------------------------------------
+
+
+@st.composite
+def selected_training_cases(draw):
+    n = draw(st.integers(4, 24))
+    p = draw(st.integers(1, 8))
+    hidden = tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=2)))
+    activation = draw(st.sampled_from(["relu", "sigmoid"]))
+    task = draw(st.sampled_from(["regression", "classification"]))
+    selected = draw(st.sets(st.integers(0, p - 1)))
+    opts = TrainOptions(
+        learning_rate=draw(st.sampled_from([0.05, 0.1, 0.3])),
+        max_epochs=draw(st.integers(0, 6)),
+        batch_size=draw(st.one_of(st.none(), st.integers(1, n))),
+        patience=0,
+        validation_fraction=draw(st.sampled_from([0.0, 0.25, 0.5])),
+        rng_seed=draw(st.integers(0, 1000)),
+    )
+    return n, p, hidden, activation, task, selected, opts, draw(st.integers(0, 1000))
+
+
+@settings(deadline=None, max_examples=60)
+@given(case=selected_training_cases())
+def test_train_selected_matches_full_width_training_on_zeroed_columns(case):
+    # full-width training with the unselected columns zeroed is what held-at-zero rows compute
+    n, p, hidden, activation, task, selected, opts, seed = case
+    arch = NetworkArchitecture(p, hidden, activation, task)
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1, 1, size=(n, p))
+    y = rng.normal(size=n) if task == "regression" else (rng.random(n) < 0.5).astype(float)
+    params = xavier_init(arch, seed)
+    unselected = sorted(set(range(p)) - selected)
+    x_zeroed = x.copy()
+    x_zeroed[:, unselected] = 0.0
+    start = params.copy()
+    start.weights[0][unselected] = 0.0
+
+    got = train_selected(params, arch, Dataset(x, y, task), selected, opts)
+    want = train(start, arch, Dataset(x_zeroed, y, task), opts)
+
+    assert np.all(got.weights[0][unselected] == 0.0)
+    assert np.all(want.weights[0][unselected] == 0.0)
+    pairs = [
+        *zip(got.weights, want.weights),
+        *zip(got.hidden_intercepts, want.hidden_intercepts),
+        (np.array(got.output_intercept), np.array(want.output_intercept)),
+    ]
+    for a, b in pairs:
+        if not selected or len(selected) == p:
+            np.testing.assert_array_equal(a, b)
+        else:
+            np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-9)
