@@ -14,6 +14,7 @@ from .network import (
     dropout_mask,
     empirical_loss,
     forward_batch,
+    layer_deltas,
     load_model,
     model_from_json,
     model_to_json,
@@ -28,7 +29,6 @@ from .stagewise import (
     dnp_run,
     select_next,
     stagewise_fit,
-    train_selected,
 )
 from .ensemble import (
     EnnsConfig,

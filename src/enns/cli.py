@@ -259,8 +259,10 @@ def _validate_experiment_config(cfg: ExperimentConfig) -> None:
         raise UsageError(f"unknown method {cfg.method!r}")
     if cfg.s0 > cfg.p:
         raise UsageError("s0 cannot exceed p")
-    fractions = cfg.train_fraction + cfg.validation_fraction + cfg.test_fraction
-    if abs(fractions - 1.0) > 1e-9:
+    fractions = (cfg.train_fraction, cfg.validation_fraction, cfg.test_fraction)
+    if not all(0.0 <= f <= 1.0 for f in fractions):
+        raise UsageError("train/validation/test fractions must each be in [0, 1]")
+    if abs(sum(fractions) - 1.0) > 1e-9:
         raise UsageError("train/validation/test fractions must sum to 1")
     if cfg.repetitions < 1:
         raise UsageError("repetitions must be >= 1")
@@ -389,13 +391,18 @@ def cmd_select(args) -> int:
 
 
 def cmd_estimate(args) -> int:
+    if not 0.0 <= args.test_fraction < 1.0:
+        raise UsageError(f"--test-fraction must be in [0, 1), got {args.test_fraction}")
     data = load_dataset(args.x, args.y, args.task)
     if args.selection_json is not None:
         try:
             with open(args.selection_json, encoding="utf8") as fh:
                 selected_1based = json.load(fh)["selected"]
-        except (OSError, KeyError, json.JSONDecodeError) as exc:
+        except (OSError, KeyError, TypeError, json.JSONDecodeError) as exc:
             raise DataError(f"cannot read selection from {args.selection_json}: {exc}") from exc
+        # bool is an int subclass, so compare types exactly
+        if not isinstance(selected_1based, list) or any(type(j) is not int for j in selected_1based):
+            raise DataError(f"{args.selection_json}: 'selected' must be a list of integers")
     elif args.selected is not None:
         selected_1based = list(args.selected)
     else:

@@ -99,7 +99,7 @@ def enns_round(
     s_j: int,
     cfg: EnnsConfig,
     arch_template: NetworkArchitecture,
-    seed: int | None = None,
+    seed: int,
 ) -> tuple[list[int], dict[int, int]]:
     """One bagged round over ``active_features``: run ``num_bags`` seeded
     stage-wise selections of ``s_j`` features each on independent bootstrap
@@ -111,8 +111,6 @@ def enns_round(
     active = sorted(int(j) for j in active_features)
     if s_j < 1 or s_j > len(active):
         raise ValueError("s_j must be in 1..len(active_features)")
-    if seed is None:
-        seed = cfg.seed
     n_r = cfg.bootstrap_size if cfg.bootstrap_size is not None else data.n
     sub = data.subset_columns(active)
 

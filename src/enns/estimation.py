@@ -155,6 +155,6 @@ def fit_stagewise(
     """Stage-wise refit on already-selected columns: every column is admitted
     in gradient-norm order with warm-started weights, then trained once more."""
     seed, p = cfg.train_opts.rng_seed, data_selected.p
-    _, params = stagewise_fit(data_selected, arch, p, cfg, seed)
+    _, params = stagewise_fit(data_selected, arch, p, cfg, seed)  # all p admitted: W_0 rows in column order
     opts = replace(cfg.train_opts, rng_seed=derive_seed(seed, "train", p))
     return train(params, replace(arch, input_dim=p, task=data_selected.task), data_selected, opts)

@@ -251,15 +251,15 @@ def empirical_loss(params: NetworkParameters, arch: NetworkArchitecture, data: D
     return loss
 
 
-def backward(params: NetworkParameters, arch: NetworkArchitecture, data: Dataset) -> NetworkParameters:
-    """Exact gradients of the empirical loss for every weight and intercept.
-
-    Input rows that are exactly zero get their gradient like any other row:
-    it is the selection criterion for candidate features. Classification
-    differentiates the unclipped log-likelihood, while ``empirical_loss``
-    clips probabilities at ``EPS_CLIP``; the two differ only where the raw
-    output exceeds log(1/EPS_CLIP) ~ 27.6 in magnitude, where the clipped
-    loss is flat.
+def layer_deltas(
+    params: NetworkParameters, arch: NetworkArchitecture, data: Dataset
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Activations a_0..a_m (a_0 = x) and per-row deltas d_0..d_m of one pass:
+    d_i is the gradient of the empirical loss with respect to the layer-i
+    output a_i @ W_i + t_i, so dL/dW_i = a_i' d_i, and the gradient of a zero
+    input row for a column x_j outside ``data`` is x_j' d_0. Classification
+    differentiates the unclipped log-likelihood, while ``empirical_loss`` clips
+    at ``EPS_CLIP``; they differ only where |raw output| > log(1/EPS_CLIP) ~ 27.6.
     """
     x, y = data.x, data.y
     if x.shape[1] != arch.input_dim:
@@ -270,19 +270,27 @@ def backward(params: NetworkParameters, arch: NetworkArchitecture, data: Dataset
         delta = (2.0 / n) * (out - y)
     else:
         delta = (sigmoid(out) - y) / n
-    delta = delta[:, None]  # (n, 1)
+    m = arch.num_hidden_layers
+    deltas: list[np.ndarray] = [None] * (m + 1)  # type: ignore[list-item]
+    deltas[m] = delta = delta[:, None]  # (n, 1)
+    for layer in range(m, 0, -1):
+        dact = _activation_grad(arch.hidden_activation, zs[layer - 1], acts[layer])
+        deltas[layer - 1] = delta = (delta @ params.weights[layer].T) * dact
+    return acts, deltas
 
+
+def backward(params: NetworkParameters, arch: NetworkArchitecture, data: Dataset) -> NetworkParameters:
+    """Exact gradients of the empirical loss for every weight and intercept
+    (see ``layer_deltas``); an all-zero input row gets its gradient too."""
+    acts, deltas = layer_deltas(params, arch, data)
     m = arch.num_hidden_layers
     g_weights: list[np.ndarray] = [None] * (m + 1)  # type: ignore[list-item]
     g_intercepts: list[np.ndarray] = [None] * m  # type: ignore[list-item]
-    g_weights[m] = acts[m].T @ delta
-    g_out = float(delta.sum())
-    for layer in range(m, 0, -1):
-        dact = _activation_grad(arch.hidden_activation, zs[layer - 1], acts[layer])
-        delta = (delta @ params.weights[layer].T) * dact
-        g_weights[layer - 1] = acts[layer - 1].T @ delta
-        g_intercepts[layer - 1] = delta.sum(axis=0)
-    return NetworkParameters(g_weights, g_intercepts, g_out)
+    g_weights[m] = acts[m].T @ deltas[m]
+    for layer in range(m - 1, -1, -1):
+        g_weights[layer] = acts[layer].T @ deltas[layer]
+        g_intercepts[layer] = deltas[layer].sum(axis=0)
+    return NetworkParameters(g_weights, g_intercepts, float(deltas[m].sum()))
 
 
 def adagrad_step(

@@ -1,17 +1,20 @@
 """Stage-wise greedy feature admission for feedforward networks.
 
-The model is trained on the admitted columns only, which is the full-width
-network with every candidate input row held at zero; candidates are then
-scored by the (dropout-averaged) l_q norm of the loss gradient with respect
-to their zero input-layer weight rows, and the argmax is admitted. Repeating
-this until a target count is reached yields the deep-neural-pursuit style
-selector used both for screening and for stage-wise refitting.
+The network has input rows for the admitted columns only; it equals the
+full-width network with every candidate input row held at zero. Candidates are
+scored by the (dropout-averaged) l_q norm of the loss gradient with respect to
+their zero input-layer rows, which is x_j' d_0 for the first-hidden-layer delta
+d_0 of the narrow network, so every candidate is scored in one product; the
+argmax is admitted. Repeating this until a target count is reached yields the
+deep-neural-pursuit style selector used both for screening and for stage-wise
+refitting.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -20,8 +23,8 @@ from .network import (
     NetworkArchitecture,
     NetworkParameters,
     TrainOptions,
-    backward,
     dropout_mask,
+    layer_deltas,
     train,
     xavier_init,
     xavier_row,
@@ -79,35 +82,6 @@ class DnpConfig:
             raise ValueError("dropout_rate must be in [0, 1)")
 
 
-def train_selected(
-    params: NetworkParameters,
-    arch: NetworkArchitecture,
-    data: Dataset,
-    selected: Iterable[int],
-    opts: TrainOptions,
-) -> NetworkParameters:
-    """``train`` on the ``selected`` columns, returned at full width with every
-    other input row exactly 0.0. A zero row adds nothing to the forward pass or
-    to any other gradient, so this equals full-width training with those rows
-    held at zero. An empty selection trains the intercept-only network."""
-    if data.p != arch.input_dim:
-        raise ValueError("data does not match architecture input_dim")
-    rows = sorted(set(int(j) for j in selected))
-    narrow = NetworkParameters(
-        [params.weights[0][rows], *params.weights[1:]], params.hidden_intercepts, params.output_intercept
-    )
-    fitted = train(narrow, replace(arch, input_dim=len(rows)), data.subset_columns(rows), opts)
-    w0 = np.zeros_like(params.weights[0])
-    w0[rows] = fitted.weights[0]
-    return NetworkParameters([w0, *fitted.weights[1:]], fitted.hidden_intercepts, fitted.output_intercept)
-
-
-def _row_norms(matrix: np.ndarray, q: float) -> np.ndarray:
-    if q == 2.0:
-        return np.sqrt(np.sum(matrix * matrix, axis=1))
-    return np.sum(np.abs(matrix) ** q, axis=1) ** (1.0 / q)
-
-
 def candidate_scores(
     params: NetworkParameters,
     arch: NetworkArchitecture,
@@ -118,20 +92,24 @@ def candidate_scores(
 ) -> dict[int, float]:
     """Dropout-averaged gradient-norm score for every candidate feature.
 
-    With num_dropouts=1 and dropout_rate=0 this reduces to the plain l_q norm
-    of the input-layer gradient rows.
+    ``params`` and ``arch`` are the narrow network: one input row per admitted
+    column, in ``sorted(state.selected)`` order; ``data`` has every column.
+    The score of candidate j is the mean over the dropout copies of
+    ||x_j' d_0||_q, the gradient norm of its zero input row in the full-width
+    network. With num_dropouts=1 and dropout_rate=0 this reduces to the plain
+    l_q norm of those gradient rows.
     """
     if not state.candidates:
         raise ValueError("candidate set is empty")
+    rows = sorted(state.selected)
+    if params.weights[0].shape[0] != len(rows) or data.p != len(rows) + len(state.candidates):
+        raise ValueError("params must have one input row per selected column of data")
+    narrow = data.subset_columns(rows)
+    masked = [dropout_mask(params, cfg.dropout_rate, derive_seed(seed, "dropout", b)) for b in range(cfg.num_dropouts)]
+    first_deltas = np.hstack([layer_deltas(m, arch, narrow)[1][0] for m in masked])  # (n, h * num_dropouts)
     cand = np.array(sorted(state.candidates), dtype=int)
-    if np.any(params.weights[0][cand] != 0.0):
-        raise ValueError("candidate input rows must be frozen at zero when scoring")
-    totals = np.zeros(cand.shape[0])
-    for b in range(cfg.num_dropouts):
-        masked = dropout_mask(params, cfg.dropout_rate, derive_seed(seed, "dropout", b))
-        grads = backward(masked, arch, data)
-        totals += _row_norms(grads.weights[0][cand], cfg.norm_q)
-    totals /= cfg.num_dropouts
+    grads = (data.x.T @ first_deltas)[cand].reshape(cand.size, cfg.num_dropouts, -1)
+    totals = np.linalg.norm(grads, cfg.norm_q, axis=2).mean(axis=1)
     return {int(j): float(v) for j, v in zip(cand, totals)}
 
 
@@ -156,27 +134,32 @@ def stagewise_fit(
     """Admit ``s_target`` features one at a time; returns (admission order,
     parameters after the last admission).
 
-    Before each admission the network is trained on the admitted columns with
-    ``train_selected`` (step k trains with seed ``derive_seed(seed, "train", k)``).
-    Weights are warm-started between admissions; a freshly admitted feature's
-    input row is re-drawn at the layer's Xavier scale so its next gradient is
-    not pinned at zero. The returned parameters are not trained after the last
-    admission.
+    The parameters are the narrow network throughout: W_0 has one row per
+    admitted column, in ``sorted(order)`` column order. Before each admission
+    the network is trained on the admitted columns (step k trains with seed
+    ``derive_seed(seed, "train", k)``). Weights are warm-started between
+    admissions; a freshly admitted feature's input row is drawn at the
+    full-width input layer's Xavier scale, so its next gradient is not pinned
+    at zero. The returned parameters are not trained after the last admission.
     """
     p = data.p
     if not 1 <= s_target <= p:
         raise ValueError("s_target must be in 1..p")
     arch = replace(arch_template, input_dim=p, task=data.task)
-    params = xavier_init(arch, derive_seed(seed, "init"))  # train_selected zeroes the input rows
+    params = xavier_init(arch, derive_seed(seed, "init"))  # full width: later layers match the full network
+    params.weights[0] = params.weights[0][:0]  # no column admitted yet
     state = SelectionState.initial(p)
 
     for step in range(s_target):
+        rows = sorted(state.selected)
+        narrow = replace(arch, input_dim=len(rows))
         opts = replace(cfg.train_opts, rng_seed=derive_seed(seed, "train", step))
-        params = train_selected(params, arch, data, state.selected, opts)
-        scores = candidate_scores(params, arch, data, state, cfg, derive_seed(seed, "score", step))
+        params = train(params, narrow, data.subset_columns(rows), opts)
+        scores = candidate_scores(params, narrow, data, state, cfg, derive_seed(seed, "score", step))
         j = select_next(scores)
         state = state.admit(j)
-        params.weights[0][j] = xavier_row(arch, derive_seed(seed, "admit", step))
+        row = xavier_row(arch, derive_seed(seed, "admit", step))
+        params.weights[0] = np.insert(params.weights[0], bisect(rows, j), row, axis=0)
     return list(state.selected), params
 
 

@@ -25,7 +25,7 @@ from .network import (
 )
 from .seeding import derive_seed, spawn_rng
 from .simulate import ResponseSpec, gen_design_uniform, gen_response
-from .stagewise import DnpConfig, SelectionState, candidate_scores, dnp_run, select_next, train_selected
+from .stagewise import DnpConfig, SelectionState, candidate_scores, dnp_run, select_next
 
 
 def selection_train_opts(epochs: int = 50) -> TrainOptions:
@@ -62,14 +62,15 @@ def next_selection_hit_rate(
         y, truth = gen_response(x, spec, seed=derive_seed(rep_seed, "y"))
         data = Dataset(x, y, "regression")
         arch = NetworkArchitecture(p, hidden)
-        params = xavier_init(arch, derive_seed(rep_seed, "init"))
+        params = xavier_init(arch, derive_seed(rep_seed, "init"))  # full width, as in stagewise_fit
         pre = sorted(spawn_rng(rep_seed, "pre").choice(s, size=pre_included, replace=False))
-        for k, j in enumerate(pre):
-            params.weights[0][j] = xavier_row(arch, derive_seed(rep_seed, "row", k))
+        rows = [xavier_row(arch, derive_seed(rep_seed, "row", k)) for k in range(pre_included)]
+        params.weights[0] = np.array(rows).reshape(pre_included, hidden[0])
+        narrow = replace(arch, input_dim=pre_included)
         opts = replace(cfg.train_opts, rng_seed=derive_seed(rep_seed, "train"))
-        params = train_selected(params, arch, data, pre, opts)
+        params = train(params, narrow, data.subset_columns(pre), opts)
         state = SelectionState(tuple(pre), frozenset(set(range(p)) - set(pre)))
-        scores = candidate_scores(params, arch, data, state, cfg, derive_seed(rep_seed, "score"))
+        scores = candidate_scores(params, narrow, data, state, cfg, derive_seed(rep_seed, "score"))
         hits += select_next(scores) in set(truth.support) - set(pre)
     return hits / reps
 

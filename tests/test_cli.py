@@ -213,6 +213,33 @@ def test_estimate_rejects_out_of_range_selection(tmp_path):
     assert not (tmp_path / "m.json").exists()
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [{"selected": ["1"]}, {"selected": [1.5]}, {"selected": [True, 2]}, {"selected": 2}, [1, 2]],
+    ids=["string", "float", "bool", "scalar", "top-level-list"],
+)
+def test_estimate_rejects_non_integer_selection_json(tmp_path, capsys, doc):
+    data = gen_small(tmp_path, p=4, s=2)
+    sel = tmp_path / "sel.json"
+    sel.write_text(json.dumps(doc))
+    assert run(
+        "estimate", "--x", data / "X.csv", "--y", data / "y.csv", "--selection-json", sel,
+        "--model-out", tmp_path / "m.json",
+    ) == 2
+    assert capsys.readouterr().err.startswith("data error:")
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_estimate_rejects_test_fraction_outside_unit_interval(tmp_path):
+    data = gen_small(tmp_path, n=40, p=4, s=2)
+    for fraction in (-0.25, 1.0, 1.5):
+        assert run(
+            "estimate", "--x", data / "X.csv", "--y", data / "y.csv", "--selected", "1,2",
+            "--test-fraction", fraction, "--model-out", tmp_path / "m.json",
+        ) == 1
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_estimate_accepts_selection_json(tmp_path):
     data = gen_small(tmp_path, n=80, p=5, s=2, seed=7)
     sel = tmp_path / "sel.json"
@@ -319,10 +346,13 @@ def test_config_parser_details():
 
 
 def test_config_fraction_validation(tmp_path):
-    text = BASE_CFG + "train_fraction = 0.5\nvalidation_fraction = 0.1\ntest_fraction = 0.1\n"
-    cfg = tmp_path / "exp.cfg"
-    cfg.write_text(text)
-    assert run("run-experiment", "--config", cfg, "--out", tmp_path / "r.csv") == 1
+    # a sum other than 1, then sums of 1 with a fraction outside [0, 1]
+    names = ("train_fraction", "validation_fraction", "test_fraction")
+    for fractions in ((0.5, 0.1, 0.1), (1.25, 0.0, -0.25), (0.0, 1.5, -0.5)):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(BASE_CFG + "".join(f"{k} = {v}\n" for k, v in zip(names, fractions)))
+        assert run("run-experiment", "--config", cfg, "--out", tmp_path / "r.csv") == 1
+    assert not (tmp_path / "r.csv").exists()
 
 
 # --- verify-theory -------------------------------------------------------------------

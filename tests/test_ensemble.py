@@ -146,7 +146,7 @@ def test_round_validates_s_j():
     arch = NetworkArchitecture(data.p, (4,))
     cfg = EnnsConfig(target_s0=2, num_bags=2, appearance_proportion=0.5, dnp=fast_dnp(5))
     with pytest.raises(ValueError):
-        enns_round(data, [0, 1], 3, cfg, arch)
+        enns_round(data, [0, 1], 3, cfg, arch, seed=0)
 
 
 # --- enns_select -------------------------------------------------------------------

@@ -21,7 +21,6 @@ from enns.network import (
     train,
     xavier_init,
 )
-from enns.stagewise import train_selected
 
 from _oracles import loss_by_loops, max_relative_gradient_error
 
@@ -286,30 +285,6 @@ def test_train_zero_epochs_returns_input_unchanged():
     out = train(params, arch, data, opts)
     for a, b in zip(params.weights, out.weights):
         assert np.array_equal(a, b)
-
-
-def test_train_frozen_rows_stay_bit_zero():
-    arch = NetworkArchitecture(6, (4,), "relu", "regression")
-    params = xavier_init(arch, 1)
-    frozen = [1, 3, 5]
-    trainable = [0, 2, 4]
-    params.weights[0][frozen] = 0.0
-    data = random_dataset(arch, n=30, seed=5)
-    opts = TrainOptions(learning_rate=0.2, max_epochs=100, patience=0)
-    out = train_selected(params, arch, data, trainable, opts)
-    assert np.all(out.weights[0][frozen] == 0.0)
-    assert np.any(out.weights[0][trainable] != 0.0)
-
-
-def test_train_rejects_nonzero_frozen_start():
-    # nonzero rows outside the selection come back exactly zero
-    arch = small_arch()
-    params = xavier_init(arch, 0)
-    assert np.all(params.weights[0][1:] != 0.0)
-    data = random_dataset(arch, seed=0)
-    out = train_selected(params, arch, data, [0], TrainOptions(max_epochs=1, patience=0))
-    assert np.all(out.weights[0][1:] == 0.0)
-    assert np.any(out.weights[0][0] != 0.0)
 
 
 def test_train_fits_separable_classification():

@@ -1,17 +1,22 @@
 import numpy as np
 import pytest
 from collections import Counter
+from dataclasses import replace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enns.network import (
     Dataset,
     NetworkArchitecture,
+    NetworkParameters,
     TrainOptions,
     backward,
+    dropout_mask,
     train,
     xavier_init,
+    xavier_row,
 )
+from enns.seeding import derive_seed
 from enns.stagewise import (
     DnpConfig,
     SelectionState,
@@ -19,15 +24,21 @@ from enns.stagewise import (
     dnp_run,
     select_next,
     stagewise_fit,
-    train_selected,
 )
 
 
+def narrow(params, arch, selected):
+    """The input rows of ``selected``, in column order, of a full-width network."""
+    rows = sorted(selected)
+    weights = [params.weights[0][rows], *params.weights[1:]]
+    sub = NetworkParameters(weights, params.hidden_intercepts, params.output_intercept)
+    return sub, replace(arch, input_dim=len(rows))
+
+
 def null_model(p, hidden=(6,), seed=1, task="regression"):
+    # no column admitted yet: the narrow network has no input rows
     arch = NetworkArchitecture(p, hidden, "relu", task)
-    params = xavier_init(arch, seed)
-    params.weights[0][:] = 0.0
-    return params, arch
+    return narrow(xavier_init(arch, seed), arch, ())
 
 
 def plain_cfg(**kw):
@@ -116,28 +127,36 @@ def test_scores_reduce_to_backward_norms():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(30, 6))
     data = Dataset(x, rng.normal(size=30), "regression")
-    params, arch = null_model(6, hidden=(5, 3))
+    arch = NetworkArchitecture(6, (5, 3))
+    params = xavier_init(arch, 1)
+    params.weights[0][:] = 0.0
     state = SelectionState.initial(6)
-    scores = candidate_scores(params, arch, data, state, plain_cfg(), seed=8)
+    scores = candidate_scores(*narrow(params, arch, ()), data, state, plain_cfg(), seed=8)
     grads = backward(params, arch, data)
     for j in range(6):
         expected = np.linalg.norm(grads.weights[0][j])
         assert scores[j] == pytest.approx(expected, abs=1e-12)
 
 
-def test_scores_require_frozen_candidates():
+def test_scores_reject_width_mismatch():
     rng = np.random.default_rng(4)
     data = Dataset(rng.normal(size=(10, 3)), rng.normal(size=10), "regression")
     arch = NetworkArchitecture(3, (2,))
-    params = xavier_init(arch, 0)  # candidate rows not zero
+    params = xavier_init(arch, 0)  # full width, but no column is selected
     with pytest.raises(ValueError):
         candidate_scores(params, arch, data, SelectionState.initial(3), plain_cfg(), seed=0)
+    sub, sub_arch = narrow(params, arch, (0,))
+    with pytest.raises(ValueError):  # one input row, but the state selects two columns
+        candidate_scores(sub, sub_arch, data, SelectionState((0, 1), frozenset({2})), plain_cfg(), seed=0)
+    with pytest.raises(ValueError):  # the state covers two of the three columns of data
+        candidate_scores(sub, sub_arch, data, SelectionState((0,), frozenset({1})), plain_cfg(), seed=0)
 
 
 def test_scores_reject_empty_candidates():
     rng = np.random.default_rng(5)
     data = Dataset(rng.normal(size=(10, 2)), rng.normal(size=10), "regression")
-    params, arch = null_model(2)
+    arch = NetworkArchitecture(2, (6,))
+    params, arch = narrow(xavier_init(arch, 1), arch, (0, 1))
     state = SelectionState((0, 1), frozenset())
     with pytest.raises(ValueError):
         candidate_scores(params, arch, data, state, plain_cfg(), seed=0)
@@ -227,12 +246,22 @@ def test_dnp_deterministic():
     assert a == b
 
 
-def test_engine_keeps_unselected_rows_zero():
+def test_engine_returns_admitted_rows_in_column_order():
+    # the returned parameters are untrained after the last admission, so the
+    # newest row is the fresh Xavier draw, at its column's sorted position
     rng = np.random.default_rng(10)
-    data = Dataset(rng.uniform(-1, 1, size=(40, 7)), rng.normal(size=40), "regression")
-    order, params = stagewise_fit(data, NetworkArchitecture(7, (4,)), 3, run_cfg(epochs=15), seed=2)
-    unselected = sorted(set(range(7)) - set(order))
-    assert np.all(params.weights[0][unselected] == 0.0)
+    x = rng.uniform(-1, 1, size=(40, 7))
+    y = 4.0 * x[:, 5] - 2.0 * x[:, 1] + x[:, 3] + rng.normal(0, 0.1, size=40)
+    data = Dataset(x, y, "regression")
+    arch = NetworkArchitecture(7, (4,))
+    order, _ = stagewise_fit(data, arch, 3, run_cfg(epochs=15), seed=2)
+    assert order != sorted(order)  # a later admission lands between earlier rows
+    for k in range(3):
+        got, params = stagewise_fit(data, arch, k + 1, run_cfg(epochs=15), seed=2)
+        assert got == order[: k + 1]
+        assert params.weights[0].shape == (k + 1, 4)
+        newest = params.weights[0][sorted(got).index(got[-1])]
+        np.testing.assert_array_equal(newest, xavier_row(arch, derive_seed(2, "admit", k)))
 
 
 def test_dnp_rejects_bad_target():
@@ -242,16 +271,29 @@ def test_dnp_rejects_bad_target():
         dnp_run(data, NetworkArchitecture(4, (3,)), 5, run_cfg(epochs=5), seed=0)
 
 
-# --- train_selected ------------------------------------------------------------------
+# --- narrow network against the full-width zero-row network --------------------------
+
+
+def random_data(n, p, task, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1, 1, size=(n, p))
+    y = rng.normal(size=n) if task == "regression" else (rng.random(n) < 0.5).astype(float)
+    return x, y
 
 
 @st.composite
-def selected_training_cases(draw):
+def network_cases(draw):
     n = draw(st.integers(4, 24))
     p = draw(st.integers(1, 8))
     hidden = tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=2)))
     activation = draw(st.sampled_from(["relu", "sigmoid"]))
     task = draw(st.sampled_from(["regression", "classification"]))
+    return n, p, NetworkArchitecture(p, hidden, activation, task), draw(st.integers(0, 1000))
+
+
+@st.composite
+def selected_training_cases(draw):
+    n, p, arch, seed = draw(network_cases())
     selected = draw(st.sets(st.integers(0, p - 1)))
     opts = TrainOptions(
         learning_rate=draw(st.sampled_from([0.05, 0.1, 0.3])),
@@ -261,18 +303,15 @@ def selected_training_cases(draw):
         validation_fraction=draw(st.sampled_from([0.0, 0.25, 0.5])),
         rng_seed=draw(st.integers(0, 1000)),
     )
-    return n, p, hidden, activation, task, selected, opts, draw(st.integers(0, 1000))
+    return n, p, arch, selected, opts, seed
 
 
 @settings(deadline=None, max_examples=60)
 @given(case=selected_training_cases())
-def test_train_selected_matches_full_width_training_on_zeroed_columns(case):
+def test_narrow_training_matches_full_width_training_on_zeroed_columns(case):
     # full-width training with the unselected columns zeroed is what held-at-zero rows compute
-    n, p, hidden, activation, task, selected, opts, seed = case
-    arch = NetworkArchitecture(p, hidden, activation, task)
-    rng = np.random.default_rng(seed)
-    x = rng.uniform(-1, 1, size=(n, p))
-    y = rng.normal(size=n) if task == "regression" else (rng.random(n) < 0.5).astype(float)
+    n, p, arch, selected, opts, seed = case
+    x, y = random_data(n, p, arch.task, seed)
     params = xavier_init(arch, seed)
     unselected = sorted(set(range(p)) - selected)
     x_zeroed = x.copy()
@@ -280,13 +319,14 @@ def test_train_selected_matches_full_width_training_on_zeroed_columns(case):
     start = params.copy()
     start.weights[0][unselected] = 0.0
 
-    got = train_selected(params, arch, Dataset(x, y, task), selected, opts)
-    want = train(start, arch, Dataset(x_zeroed, y, task), opts)
+    data_selected = Dataset(x, y, arch.task).subset_columns(sorted(selected))
+    got = train(*narrow(params, arch, selected), data_selected, opts)
+    want = train(start, arch, Dataset(x_zeroed, y, arch.task), opts)
 
-    assert np.all(got.weights[0][unselected] == 0.0)
     assert np.all(want.weights[0][unselected] == 0.0)
     pairs = [
-        *zip(got.weights, want.weights),
+        (got.weights[0], want.weights[0][sorted(selected)]),
+        *zip(got.weights[1:], want.weights[1:]),
         *zip(got.hidden_intercepts, want.hidden_intercepts),
         (np.array(got.output_intercept), np.array(want.output_intercept)),
     ]
@@ -295,3 +335,38 @@ def test_train_selected_matches_full_width_training_on_zeroed_columns(case):
             np.testing.assert_array_equal(a, b)
         else:
             np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-9)
+
+
+@st.composite
+def scoring_cases(draw):
+    n, p, arch, seed = draw(network_cases())
+    selected = draw(st.lists(st.integers(0, p - 1), unique=True, max_size=p - 1))  # in admission order
+    cfg = DnpConfig(
+        norm_q=draw(st.sampled_from([1.0, 2.0, 3.0])),
+        num_dropouts=draw(st.integers(1, 3)),
+        dropout_rate=draw(st.sampled_from([0.0, 0.5])),
+    )
+    return n, p, arch, selected, cfg, seed
+
+
+@settings(deadline=None, max_examples=100)
+@given(case=scoring_cases())
+def test_scores_match_full_width_backward_on_zero_rows(case):
+    # dropout_mask never masks W_0, so both widths draw the same dropout masks
+    n, p, arch, selected, cfg, seed = case
+    x, y = random_data(n, p, arch.task, seed)
+    data = Dataset(x, y, arch.task)
+    params = xavier_init(arch, seed)
+    cand = sorted(set(range(p)) - set(selected))
+    params.weights[0][cand] = 0.0
+    state = SelectionState(tuple(selected), frozenset(cand))
+
+    scores = candidate_scores(*narrow(params, arch, selected), data, state, cfg, seed)
+
+    want = np.zeros(len(cand))
+    for b in range(cfg.num_dropouts):
+        masked = dropout_mask(params, cfg.dropout_rate, derive_seed(seed, "dropout", b))
+        rows = backward(masked, arch, data).weights[0][cand]
+        want += np.sum(np.abs(rows) ** cfg.norm_q, axis=1) ** (1.0 / cfg.norm_q)
+    want /= cfg.num_dropouts
+    np.testing.assert_allclose([scores[j] for j in cand], want, rtol=1e-12, atol=0.0)

@@ -1,0 +1,73 @@
+"""The benchmark's tracer (``bench/tracing.py``) wraps public enns functions by
+module and attribute name. These tests run it over tiny CLI calls, so a
+refactor that renames, drops or stops calling a traced function fails in the
+tier-1 suite and not only in the benchmark's own tests."""
+
+import importlib.util
+from pathlib import Path
+
+import enns
+import enns.cli
+
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("enns_bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def home(module_name, attr_path):
+    """(owner, attribute) where a target is defined, e.g. (Dataset, "subset_rows")."""
+    owner = getattr(enns, module_name)
+    *class_path, attr = attr_path.split(".")
+    for part in class_path:
+        owner = getattr(owner, part)
+    return owner, attr
+
+
+def enns_modules():
+    return [enns] + [m for m in vars(enns).values() if type(m) is type(enns)]
+
+
+def test_tracer_binds_every_target_and_restores(tmp_path):
+    tracing = load_tracing()
+    originals = {name: getattr(*home(module, path)) for name, module, path, _ in tracing.TARGETS}
+    data = tmp_path / "data"
+    assert enns.cli.main([
+        "gen-data", "--out-dir", str(data), "--n", "40", "--p", "6", "--response", "linear",
+        "--s", "2", "--seed", "3",
+    ]) == 0
+    xy = ["--x", str(data / "X.csv"), "--y", str(data / "y.csv")]
+    calls = [
+        ["select", *xy, "--method", "enns", "--s0", "2", "--bags", "2", "--ps", "0.5", "--epochs", "5",
+         "--out", str(tmp_path / "enns.json")],
+        ["select", *xy, "--method", "dnp", "--s0", "2", "--epochs", "5", "--out", str(tmp_path / "dnp.json")],
+        ["estimate", *xy, "--selected", "1,2", "--hidden", "4,3", "--epochs", "5",
+         "--sparsity-mode", "percentile", "--sparsity-values", "50,50", "--model-out", str(tmp_path / "m.json")],
+    ]
+
+    tracer = tracing.Tracer()
+    tracer.install(enns)
+    try:
+        for name, module, path, _ in tracing.TARGETS:
+            assert getattr(*home(module, path)).__wrapped__ is originals[name], name
+        for argv in calls:
+            assert enns.cli.main(argv) == 0, argv[0]
+    finally:
+        tracer.restore()
+
+    assert tracer.counts["stagewise.candidates_scored"] > 0
+    assert tracer.counts["network.backward.gflop"] > 0
+    for name, module, path, _ in tracing.TARGETS:
+        assert getattr(*home(module, path)) is originals[name], name
+    traced = {id(fn) for fn in originals.values()}
+    left = [
+        (m.__name__, attr)
+        for m in enns_modules()
+        for attr, v in vars(m).items()
+        if id(getattr(v, "__wrapped__", None)) in traced
+    ]
+    assert left == []
