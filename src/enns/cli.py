@@ -264,6 +264,9 @@ def _validate_experiment_config(cfg: ExperimentConfig) -> None:
         raise UsageError("train/validation/test fractions must each be in [0, 1]")
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise UsageError("train/validation/test fractions must sum to 1")
+    for key in ("train_fraction", "test_fraction"):
+        if math.floor(getattr(cfg, key) * cfg.n) == 0:
+            raise UsageError(f"{key} leaves no rows: floor({key} * n) is 0 for n = {cfg.n}")
     if cfg.repetitions < 1:
         raise UsageError("repetitions must be >= 1")
     if cfg.sparsity_mode not in ("none", "percentile", "explicit_lambda"):

@@ -84,45 +84,33 @@ class NetworkArchitecture:
 
 @dataclass
 class NetworkParameters:
-    """Weight matrices W_0..W_m, hidden intercepts t_1..t_m and output intercept.
+    """Layers (W_0, t_0)..(W_m, t_m) of the affine maps a_i -> a_i @ W_i + t_i;
+    ``intercepts[i]`` has shape (fan_out_i,), so ``intercepts[-1]`` is the
+    length-1 output intercept.
 
     Gradients and Adagrad accumulators are parameter-shaped, so they use this
     type too.
     """
 
     weights: list[np.ndarray]
-    hidden_intercepts: list[np.ndarray]
-    output_intercept: float
+    intercepts: list[np.ndarray]
 
     @classmethod
     def zeros_like(cls, params: "NetworkParameters") -> "NetworkParameters":
-        return cls(
-            [np.zeros_like(w) for w in params.weights],
-            [np.zeros_like(t) for t in params.hidden_intercepts],
-            0.0,
-        )
+        return cls([np.zeros_like(w) for w in params.weights], [np.zeros_like(t) for t in params.intercepts])
 
     def copy(self) -> "NetworkParameters":
-        return NetworkParameters(
-            [w.copy() for w in self.weights],
-            [t.copy() for t in self.hidden_intercepts],
-            float(self.output_intercept),
-        )
+        return NetworkParameters([w.copy() for w in self.weights], [t.copy() for t in self.intercepts])
 
     def validate_for(self, arch: NetworkArchitecture) -> None:
         shapes = [w.shape for w in self.weights]
         if shapes != arch.weight_shapes:
             raise ValueError(f"weight shapes {shapes} do not match architecture {arch.weight_shapes}")
-        if len(self.hidden_intercepts) != arch.num_hidden_layers:
-            raise ValueError("wrong number of hidden intercept vectors")
-        for t, h in zip(self.hidden_intercepts, arch.hidden_sizes):
-            if t.shape != (h,):
-                raise ValueError(f"intercept shape {t.shape} does not match layer size {h}")
-        for arr in (*self.weights, *self.hidden_intercepts):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError("non-finite parameter entries")
-        if not np.isfinite(self.output_intercept):
-            raise ValueError("non-finite output intercept")
+        t_shapes = [t.shape for t in self.intercepts]
+        if t_shapes != [(fan_out,) for _, fan_out in arch.weight_shapes]:
+            raise ValueError(f"intercept shapes {t_shapes} do not match architecture {arch.weight_shapes}")
+        if not all(np.all(np.isfinite(arr)) for arr in (*self.weights, *self.intercepts)):
+            raise ValueError("non-finite parameter entries")
 
 
 @dataclass(frozen=True)
@@ -196,12 +184,12 @@ class TrainOptions:
 def xavier_init(arch: NetworkArchitecture, seed: int) -> NetworkParameters:
     """Uniform(-a, a) weights with a = sqrt(6 / (fan_in + fan_out)); zero intercepts."""
     rng = np.random.default_rng(seed)
-    weights = []
+    weights, intercepts = [], []
     for fan_in, fan_out in arch.weight_shapes:
         bound = np.sqrt(6.0 / (fan_in + fan_out))
         weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-    intercepts = [np.zeros(h) for h in arch.hidden_sizes]
-    return NetworkParameters(weights, intercepts, 0.0)
+        intercepts.append(np.zeros(fan_out))
+    return NetworkParameters(weights, intercepts)
 
 
 def xavier_row(arch: NetworkArchitecture, seed: int) -> np.ndarray:
@@ -217,11 +205,11 @@ def _forward_internal(params: NetworkParameters, arch: NetworkArchitecture, x: n
     zs = []
     a = x
     for i in range(arch.num_hidden_layers):
-        z = a @ params.weights[i] + params.hidden_intercepts[i]
+        z = a @ params.weights[i] + params.intercepts[i]
         a = _activation(arch.hidden_activation, z)
         zs.append(z)
         acts.append(a)
-    out = (a @ params.weights[-1]).ravel() + params.output_intercept
+    out = (a @ params.weights[-1] + params.intercepts[-1]).ravel()
     return acts, zs, out
 
 
@@ -285,12 +273,11 @@ def backward(params: NetworkParameters, arch: NetworkArchitecture, data: Dataset
     acts, deltas = layer_deltas(params, arch, data)
     m = arch.num_hidden_layers
     g_weights: list[np.ndarray] = [None] * (m + 1)  # type: ignore[list-item]
-    g_intercepts: list[np.ndarray] = [None] * m  # type: ignore[list-item]
-    g_weights[m] = acts[m].T @ deltas[m]
-    for layer in range(m - 1, -1, -1):
+    g_intercepts: list[np.ndarray] = [None] * (m + 1)  # type: ignore[list-item]
+    for layer in range(m, -1, -1):
         g_weights[layer] = acts[layer].T @ deltas[layer]
         g_intercepts[layer] = deltas[layer].sum(axis=0)
-    return NetworkParameters(g_weights, g_intercepts, float(deltas[m].sum()))
+    return NetworkParameters(g_weights, g_intercepts)
 
 
 def adagrad_step(
@@ -302,19 +289,17 @@ def adagrad_step(
     """One Adagrad update: acc' = acc + g*g, theta' = theta - lr*g/(sqrt(acc') + eps)."""
     if lr <= 0:
         raise ValueError("learning rate must be positive")
-    new_w, new_aw = [], []
-    for w, g, a in zip(params.weights, grads.weights, accumulator.weights):
+    new_theta, new_acc = [], []
+    for theta, g, a in zip(
+        (*params.weights, *params.intercepts),
+        (*grads.weights, *grads.intercepts),
+        (*accumulator.weights, *accumulator.intercepts),
+    ):
         a2 = a + g * g
-        new_aw.append(a2)
-        new_w.append(w - lr * g / (np.sqrt(a2) + EPS_ADAGRAD))
-    new_t, new_at = [], []
-    for t, g, a in zip(params.hidden_intercepts, grads.hidden_intercepts, accumulator.hidden_intercepts):
-        a2 = a + g * g
-        new_at.append(a2)
-        new_t.append(t - lr * g / (np.sqrt(a2) + EPS_ADAGRAD))
-    ab = accumulator.output_intercept + grads.output_intercept**2
-    b = params.output_intercept - lr * grads.output_intercept / (np.sqrt(ab) + EPS_ADAGRAD)
-    return NetworkParameters(new_w, new_t, b), NetworkParameters(new_aw, new_at, ab)
+        new_acc.append(a2)
+        new_theta.append(theta - lr * g / (np.sqrt(a2) + EPS_ADAGRAD))
+    m = len(params.weights)
+    return NetworkParameters(new_theta[:m], new_theta[m:]), NetworkParameters(new_acc[:m], new_acc[m:])
 
 
 def dropout_mask(params: NetworkParameters, rate: float, seed: int) -> NetworkParameters:
@@ -327,9 +312,7 @@ def dropout_mask(params: NetworkParameters, rate: float, seed: int) -> NetworkPa
     for w in params.weights[1:]:
         keep = rng.random(w.shape) >= rate
         weights.append(w * keep)
-    return NetworkParameters(
-        weights, [t.copy() for t in params.hidden_intercepts], float(params.output_intercept)
-    )
+    return NetworkParameters(weights, [t.copy() for t in params.intercepts])
 
 
 def train(
@@ -415,8 +398,8 @@ def model_to_json(params: NetworkParameters, arch: NetworkArchitecture) -> dict:
             {"shape": list(w.shape), "data": [float(v) for v in w.ravel(order="C")]}
             for w in params.weights
         ],
-        "hidden_intercepts": [[float(v) for v in t] for t in params.hidden_intercepts],
-        "output_intercept": float(params.output_intercept),
+        "hidden_intercepts": [[float(v) for v in t] for t in params.intercepts[:-1]],
+        "output_intercept": float(params.intercepts[-1][0]),
     }
 
 
@@ -434,8 +417,8 @@ def model_from_json(doc: dict) -> tuple[NetworkParameters, NetworkArchitecture]:
         np.asarray(block["data"], dtype=np.float64).reshape(block["shape"], order="C")
         for block in doc["weights"]
     ]
-    intercepts = [np.asarray(t, dtype=np.float64) for t in doc["hidden_intercepts"]]
-    params = NetworkParameters(weights, intercepts, float(doc["output_intercept"]))
+    intercepts = [np.asarray(t, dtype=np.float64) for t in (*doc["hidden_intercepts"], [doc["output_intercept"]])]
+    params = NetworkParameters(weights, intercepts)
     params.validate_for(arch)
     return params, arch
 

@@ -49,16 +49,10 @@ class ResponseSpec:
             raise ValueError("network responses need at least one hidden layer")
 
     def resolved_coefs(self) -> tuple[float, float]:
-        if self.coef_mean is not None and self.coef_sd is not None:
-            return float(self.coef_mean), float(self.coef_sd)
-        if self.kind == "network" and self.task == "regression":
-            mean, sd = 1.0, 1.0
-        else:
-            mean, sd = 0.0, 1.0
-        return (
-            float(self.coef_mean) if self.coef_mean is not None else mean,
-            float(self.coef_sd) if self.coef_sd is not None else sd,
-        )
+        network_regression = self.kind == "network" and self.task == "regression"
+        mean = self.coef_mean if self.coef_mean is not None else (1.0 if network_regression else 0.0)
+        sd = self.coef_sd if self.coef_sd is not None else 1.0
+        return float(mean), float(sd)
 
 
 @dataclass(frozen=True)
@@ -118,14 +112,10 @@ def _network_generator(
         input_dim=p, hidden_sizes=spec.net_hidden, hidden_activation="relu", task="regression"
     )
     mean, sd = spec.resolved_coefs()
-    weights = []
     w0 = np.zeros(arch.weight_shapes[0])
     w0[: spec.s] = rng.normal(mean, sd, size=(spec.s, arch.weight_shapes[0][1]))
-    weights.append(w0)
-    for shape in arch.weight_shapes[1:]:
-        weights.append(rng.standard_normal(shape))
-    intercepts = [np.zeros(h) for h in arch.hidden_sizes]
-    return NetworkParameters(weights, intercepts, 0.0), arch
+    weights = [w0, *(rng.standard_normal(shape) for shape in arch.weight_shapes[1:])]
+    return NetworkParameters(weights, [np.zeros(fan_out) for _, fan_out in arch.weight_shapes]), arch
 
 
 def gen_response(x: np.ndarray, spec: ResponseSpec, seed: int) -> tuple[np.ndarray, GroundTruth]:

@@ -43,10 +43,6 @@ class SignalProfile:
         return self.betas.size
 
 
-def _norm_cdf(x) -> np.ndarray:
-    return special.ndtr(x)
-
-
 def folded_normal_cdf(x, mu: float, sigma: float):
     """CDF of |N(mu, sigma^2)| at x >= 0:
     (erf((x+|mu|)/sqrt(2 sigma^2)) + erf((x-|mu|)/sqrt(2 sigma^2))) / 2."""
@@ -89,7 +85,7 @@ def orthant_prob(a: float, b: float, rho: float) -> float:
     scale = np.sqrt(1.0 - rho * rho)
 
     def integrand(x: float) -> float:
-        return float(np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi) * _norm_cdf((rho * x - b) / scale))
+        return float(np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi) * special.ndtr((rho * x - b) / scale))
 
     lower = max(a, -40.0)
     val, _ = integrate.quad(integrand, lower, 40.0, epsabs=1e-12, epsrel=1e-12, limit=200)
@@ -111,8 +107,8 @@ def prob_select_over(beta_j: float, beta_k: float, sigma: float) -> float:
     val = (
         2.0 * orthant_prob(diff, -bk / sigma, rho)
         + 2.0 * orthant_prob(summ, bk / sigma, rho)
-        + float(_norm_cdf(diff))
-        + float(_norm_cdf(summ))
+        + float(special.ndtr(diff))
+        + float(special.ndtr(summ))
         - 2.0
     )
     return float(min(max(val, 0.0), 1.0))
@@ -145,12 +141,6 @@ def prob_first_correct(profile: SignalProfile) -> float:
     return float(min(max(total, 0.0), 1.0))
 
 
-def _orthonormal_columns(g: np.ndarray) -> np.ndarray:
-    """Batched orthonormalization of Gaussian matrices (reps, n, p)."""
-    q, _ = np.linalg.qr(g)
-    return q
-
-
 def mc_first_selection(
     profile: SignalProfile, n: int, reps: int, seed: int, chunk: int = 20000
 ) -> float:
@@ -169,7 +159,7 @@ def mc_first_selection(
     while done < reps:
         c = min(chunk, reps - done)
         g = rng.standard_normal((c, n, profile.p))
-        q = _orthonormal_columns(g)
+        q = np.linalg.qr(g)[0]
         eps = rng.standard_normal((c, n))
         y = np.einsum("cnp,p->cn", q, betas) + profile.sigma * eps
         scores = np.abs(np.einsum("cnp,cn->cp", q, y))

@@ -26,7 +26,7 @@ def loss_by_loops(params: NetworkParameters, arch, x_rows, y_vals, task: str) ->
         a = list(row)
         for layer in range(len(arch.hidden_sizes)):
             w = params.weights[layer]
-            t = params.hidden_intercepts[layer]
+            t = params.intercepts[layer]
             nxt = []
             for k in range(w.shape[1]):
                 z = t[k]
@@ -34,7 +34,7 @@ def loss_by_loops(params: NetworkParameters, arch, x_rows, y_vals, task: str) ->
                     z += a[i] * w[i, k]
                 nxt.append(act(arch.hidden_activation, z))
             a = nxt
-        out = params.output_intercept
+        out = params.intercepts[-1][0]
         for i in range(len(a)):
             out += a[i] * params.weights[-1][i, 0]
         if task == "regression":
@@ -49,41 +49,22 @@ def loss_by_loops(params: NetworkParameters, arch, x_rows, y_vals, task: str) ->
 def finite_difference_gradients(
     params: NetworkParameters, arch: NetworkArchitecture, data: Dataset, step: float = 1e-5
 ):
-    """Central finite differences of the empirical loss for every parameter.
+    """Central finite differences of the empirical loss for every parameter,
+    returned as parameter-shaped ``NetworkParameters``."""
 
-    Returns (weight grads, intercept grads, output intercept grad) with the
-    same shapes as the parameters.
-    """
+    def arrays(p: NetworkParameters) -> list[np.ndarray]:
+        return [*p.weights, *p.intercepts]
 
-    def loss_with(p: NetworkParameters) -> float:
-        return empirical_loss(p, arch, data)
-
-    g_weights = []
-    for layer in range(len(params.weights)):
-        g = np.zeros_like(params.weights[layer])
-        for idx in np.ndindex(*params.weights[layer].shape):
+    grads = [np.zeros_like(arr) for arr in arrays(params)]
+    for k, g in enumerate(grads):
+        for idx in np.ndindex(*g.shape):
             plus = params.copy()
-            plus.weights[layer][idx] += step
+            arrays(plus)[k][idx] += step
             minus = params.copy()
-            minus.weights[layer][idx] -= step
-            g[idx] = (loss_with(plus) - loss_with(minus)) / (2 * step)
-        g_weights.append(g)
-    g_intercepts = []
-    for layer in range(len(params.hidden_intercepts)):
-        g = np.zeros_like(params.hidden_intercepts[layer])
-        for k in range(g.shape[0]):
-            plus = params.copy()
-            plus.hidden_intercepts[layer][k] += step
-            minus = params.copy()
-            minus.hidden_intercepts[layer][k] -= step
-            g[k] = (loss_with(plus) - loss_with(minus)) / (2 * step)
-        g_intercepts.append(g)
-    plus = params.copy()
-    plus.output_intercept += step
-    minus = params.copy()
-    minus.output_intercept -= step
-    g_out = (loss_with(plus) - loss_with(minus)) / (2 * step)
-    return g_weights, g_intercepts, g_out
+            arrays(minus)[k][idx] -= step
+            g[idx] = (empirical_loss(plus, arch, data) - empirical_loss(minus, arch, data)) / (2 * step)
+    m = len(params.weights)
+    return NetworkParameters(grads[:m], grads[m:])
 
 
 def max_relative_gradient_error(
@@ -93,18 +74,14 @@ def max_relative_gradient_error(
     from enns.network import backward
 
     analytic = backward(params, arch, data)
-    fd_w, fd_t, fd_b = finite_difference_gradients(params, arch, data, step)
+    fd = finite_difference_gradients(params, arch, data, step)
 
     def rel(a: np.ndarray, b: np.ndarray) -> float:
         denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-4)
         return float(np.max(np.abs(a - b) / denom))
 
-    worst = rel(np.array([analytic.output_intercept]), np.array([fd_b]))
-    for ga, gf in zip(analytic.weights, fd_w):
-        worst = max(worst, rel(ga, gf))
-    for ga, gf in zip(analytic.hidden_intercepts, fd_t):
-        worst = max(worst, rel(ga, gf))
-    return worst
+    pairs = zip((*analytic.weights, *analytic.intercepts), (*fd.weights, *fd.intercepts))
+    return max(rel(ga, gf) for ga, gf in pairs)
 
 
 def auc_by_pair_counting(y, scores) -> float:

@@ -59,7 +59,7 @@ def _draw_differentiable_case(rng, step):
         task = ["regression", "classification"][int(rng.integers(0, 2))]
         arch = NetworkArchitecture(p, hidden, activation, task)
         params = xavier_init(arch, int(rng.integers(0, 2**31)))
-        for t in params.hidden_intercepts:
+        for t in params.intercepts[:-1]:
             t[:] = rng.normal(0.0, 0.3, size=t.shape)
         x = rng.normal(size=(n, p))
         y = rng.normal(size=n) if task == "regression" else (rng.random(n) < 0.5).astype(float)
@@ -238,9 +238,7 @@ def test_criterion_9_bagged_dropout_contract():
         res = predict_bagged_dropout(clf_params, clf_arch, xc, BaggedDropoutSpec(8, 0.3, threshold=pc), seed=96)
         flips_ok = flips_ok and np.array_equal(res.labels, (res.prediction > pc).astype(int))
     # boundary: constant p_hat exactly at the threshold predicts the negative class
-    const = NetworkParameters(
-        [np.zeros((2, 5)), np.zeros((5, 1))], [np.zeros(5)], 0.0
-    )
+    const = NetworkParameters([np.zeros((2, 5)), np.zeros((5, 1))], [np.zeros(5), np.zeros(1)])
     at = predict_bagged_dropout(const, clf_arch, xc, BaggedDropoutSpec(4, 0.2, threshold=0.5), seed=97)
     flips_ok = flips_ok and np.all(at.labels == 0)
 

@@ -345,13 +345,24 @@ def test_config_parser_details():
         parse_experiment_config(BASE_CFG.replace("ps = 0.5", "train_fraction = 0.9"))
 
 
-def test_config_fraction_validation(tmp_path):
-    # a sum other than 1, then sums of 1 with a fraction outside [0, 1]
+def test_config_fraction_validation(tmp_path, capsys):
+    # a sum other than 1, sums of 1 with a fraction outside [0, 1], then
+    # train or test shares that leave no rows at n = 100
     names = ("train_fraction", "validation_fraction", "test_fraction")
-    for fractions in ((0.5, 0.1, 0.1), (1.25, 0.0, -0.25), (0.0, 1.5, -0.5)):
+    cases = (
+        ((0.5, 0.1, 0.1), "fractions"),
+        ((1.25, 0.0, -0.25), "fractions"),
+        ((0.0, 1.5, -0.5), "fractions"),
+        ((0.8, 0.2, 0.0), "test_fraction"),
+        ((0.795, 0.2, 0.005), "test_fraction"),
+        ((0.0, 0.5, 0.5), "train_fraction"),
+        ((0.005, 0.495, 0.5), "train_fraction"),
+    )
+    for fractions, key in cases:
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(BASE_CFG + "".join(f"{k} = {v}\n" for k, v in zip(names, fractions)))
         assert run("run-experiment", "--config", cfg, "--out", tmp_path / "r.csv") == 1
+        assert key in capsys.readouterr().err
     assert not (tmp_path / "r.csv").exists()
 
 

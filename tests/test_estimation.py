@@ -114,9 +114,8 @@ def test_fit_l1_zero_lambda_identical_to_plain_train():
     )
     via_l1 = fit_l1(data, arch, SparsitySpec("explicit_lambda", (0.0, 0.0)), opts)
     plain = train(xavier_init(arch, opts.rng_seed), arch, data, opts)
-    for a, b in zip(via_l1.weights, plain.weights):
+    for a, b in zip((*via_l1.weights, *via_l1.intercepts), (*plain.weights, *plain.intercepts)):
         assert np.array_equal(a, b)
-    assert via_l1.output_intercept == plain.output_intercept
 
 
 def test_fit_l1_requires_one_value_per_layer():
@@ -144,7 +143,7 @@ def constant_net(b=0.7, task="regression"):
     params = xavier_init(arch, 0)
     for w in params.weights:
         w[:] = 0.0
-    params.output_intercept = b
+    params.intercepts[-1][:] = b
     return params, arch
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -21,6 +22,8 @@ from enns.network import (
     train,
     xavier_init,
 )
+from enns.estimation import SparsitySpec, fit_l1, fit_stagewise
+from enns.stagewise import DnpConfig, stagewise_fit
 
 from _oracles import loss_by_loops, max_relative_gradient_error
 
@@ -59,14 +62,16 @@ def test_xavier_deterministic():
     b = xavier_init(arch, 42)
     for wa, wb in zip(a.weights, b.weights):
         assert np.array_equal(wa, wb)
-    assert a.output_intercept == b.output_intercept
+    for ta, tb in zip(a.intercepts, b.intercepts):
+        assert np.array_equal(ta, tb)
 
 
 def test_xavier_intercepts_zero():
-    params = xavier_init(small_arch(), 1)
-    for t in params.hidden_intercepts:
+    arch = small_arch()
+    params = xavier_init(arch, 1)
+    assert [t.shape for t in params.intercepts] == [(4,), (2,), (1,)]
+    for t in params.intercepts:
         assert np.all(t == 0.0)
-    assert params.output_intercept == 0.0
 
 
 def test_xavier_layer0_variance_monte_carlo():
@@ -85,7 +90,7 @@ def test_forward_constant_regression():
     params = xavier_init(arch, 0)
     for w in params.weights:
         w[:] = 0.0
-    params.output_intercept = 0.5
+    params.intercepts[-1][:] = 0.5
     assert forward_row(params, arch, np.array([1.0, -2.0])) == 0.5
 
 
@@ -101,8 +106,7 @@ def test_forward_hand_computed_single_unit():
     arch = NetworkArchitecture(1, (1,), "relu", "regression")
     params = NetworkParameters(
         weights=[np.array([[2.0]]), np.array([[3.0]])],
-        hidden_intercepts=[np.array([-1.0])],
-        output_intercept=0.5,
+        intercepts=[np.array([-1.0]), np.array([0.5])],
     )
     assert forward_row(params, arch, np.array([1.0])) == pytest.approx(3.5)
 
@@ -118,8 +122,7 @@ def test_forward_classification_strictly_inside_unit_interval():
     arch = NetworkArchitecture(1, (1,), "relu", "classification")
     params = NetworkParameters(
         weights=[np.array([[100.0]]), np.array([[100.0]])],
-        hidden_intercepts=[np.array([0.0])],
-        output_intercept=0.0,
+        intercepts=[np.array([0.0]), np.array([0.0])],
     )
     hi = forward_row(params, arch, np.array([10.0]))
     lo = forward_row(params, arch, np.array([-10.0]))
@@ -164,11 +167,11 @@ def test_backward_zero_output_layer_hand_derived():
     arch = NetworkArchitecture(2, (3,), "relu", "regression")
     params = xavier_init(arch, 7)
     params.weights[-1][:] = 0.0
-    params.output_intercept = 0.25
+    params.intercepts[-1][:] = 0.25
     data = random_dataset(arch, n=12, seed=1)
-    z = data.x @ params.weights[0] + params.hidden_intercepts[0]
+    z = data.x @ params.weights[0] + params.intercepts[0]
     a = np.maximum(z, 0.0)
-    expected = -(2.0 / data.n) * a.T @ (data.y - params.output_intercept)
+    expected = -(2.0 / data.n) * a.T @ (data.y - 0.25)
     got = backward(params, arch, data)
     np.testing.assert_allclose(got.weights[-1].ravel(), expected, atol=1e-12)
 
@@ -221,8 +224,8 @@ def test_adagrad_zero_gradient_is_noop():
 
 def test_adagrad_first_step_normalizes():
     arch = NetworkArchitecture(1, (1,))
-    params = NetworkParameters([np.zeros((1, 1)), np.zeros((1, 1))], [np.zeros(1)], 0.0)
-    grads = NetworkParameters([np.full((1, 1), 2.0), np.zeros((1, 1))], [np.zeros(1)], 0.0)
+    params = NetworkParameters([np.zeros((1, 1)), np.zeros((1, 1))], [np.zeros(1), np.zeros(1)])
+    grads = NetworkParameters([np.full((1, 1), 2.0), np.zeros((1, 1))], [np.zeros(1), np.zeros(1)])
     acc = NetworkParameters.zeros_like(params)
     new_params, _ = adagrad_step(params, grads, acc, lr=1.0)
     assert new_params.weights[0][0, 0] == pytest.approx(-1.0, abs=1e-7)
@@ -231,8 +234,8 @@ def test_adagrad_first_step_normalizes():
 def test_adagrad_two_identical_steps():
     # accumulators 1 then 2: step sizes 1 and 1/sqrt(2)
     arch = NetworkArchitecture(1, (1,))
-    params = NetworkParameters([np.zeros((1, 1)), np.zeros((1, 1))], [np.zeros(1)], 0.0)
-    grads = NetworkParameters([np.ones((1, 1)), np.zeros((1, 1))], [np.zeros(1)], 0.0)
+    params = NetworkParameters([np.zeros((1, 1)), np.zeros((1, 1))], [np.zeros(1), np.zeros(1)])
+    grads = NetworkParameters([np.ones((1, 1)), np.zeros((1, 1))], [np.zeros(1), np.zeros(1)])
     acc = NetworkParameters.zeros_like(params)
     p1, acc = adagrad_step(params, grads, acc, lr=1.0)
     step1 = -p1.weights[0][0, 0]
@@ -240,6 +243,20 @@ def test_adagrad_two_identical_steps():
     step2 = p1.weights[0][0, 0] - p2.weights[0][0, 0]
     assert step1 == pytest.approx(1.0, abs=1e-6)
     assert step2 == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-6)
+
+
+def test_adagrad_updates_t_m_like_every_parameter():
+    arch = small_arch()
+    params = xavier_init(arch, 0)
+    grads = backward(params, arch, random_dataset(arch, seed=1))
+    acc = NetworkParameters.zeros_like(params)
+    new_params, new_acc = adagrad_step(params, grads, acc, lr=0.3)
+    pairs = zip((*params.weights, *params.intercepts), (*grads.weights, *grads.intercepts),
+                (*new_params.weights, *new_params.intercepts), (*new_acc.weights, *new_acc.intercepts))
+    for theta, g, new_theta, new_a in pairs:
+        np.testing.assert_array_equal(new_a, g * g)
+        np.testing.assert_array_equal(new_theta, theta - 0.3 * g / (np.sqrt(g * g) + 1e-8))
+    assert new_params.intercepts[-1].shape == (1,) and grads.intercepts[-1][0] != 0.0
 
 
 # --- dropout_mask -------------------------------------------------------------
@@ -307,9 +324,8 @@ def test_train_deterministic():
     opts = TrainOptions(learning_rate=0.1, max_epochs=30, patience=5, validation_fraction=0.25, rng_seed=11)
     a = train(params, arch, data, opts)
     b = train(params, arch, data, opts)
-    for wa, wb in zip(a.weights, b.weights):
+    for wa, wb in zip((*a.weights, *a.intercepts), (*b.weights, *b.intercepts)):
         assert np.array_equal(wa, wb)
-    assert a.output_intercept == b.output_intercept
 
 
 def test_train_training_loss_non_increasing_checkpoints():
@@ -358,6 +374,20 @@ def test_dataset_validation():
         Dataset(np.zeros((3, 2)), np.zeros(4), "regression")
 
 
+def test_parameters_validate_every_intercept():
+    arch = small_arch()
+    params = xavier_init(arch, 0)
+    params.validate_for(arch)
+    bad = [
+        NetworkParameters(params.weights, params.intercepts[:-1]),  # no output intercept
+        NetworkParameters(params.weights, [*params.intercepts[:-1], np.zeros(())]),
+        NetworkParameters(params.weights, [*params.intercepts[:-1], np.array([np.nan])]),
+    ]
+    for candidate in bad:
+        with pytest.raises(ValueError):
+            candidate.validate_for(arch)
+
+
 def test_architecture_validation():
     with pytest.raises(ValueError):
         NetworkArchitecture(-1, (3,))
@@ -389,8 +419,8 @@ def test_model_json_round_trip(tmp_path):
 def test_zero_input_network_predicts_constant_and_round_trips(task):
     arch = NetworkArchitecture(0, (3, 2), "sigmoid", task)
     params = xavier_init(arch, 5)
-    params.hidden_intercepts[0][:] = [0.5, -1.0, 2.0]
-    params.output_intercept = -0.25
+    params.intercepts[0][:] = [0.5, -1.0, 2.0]
+    params.intercepts[-1][:] = -0.25
     x = np.zeros((6, 0))
     preds = forward_batch(params, arch, x)
     assert preds.shape == (6,)
@@ -407,3 +437,54 @@ def test_model_json_rejects_unknown_version():
     doc["format_version"] = 99
     with pytest.raises(ValueError):
         model_from_json(doc)
+
+
+# --- golden final parameters ------------------------------------------------------
+# SHA-256 of the float64 bytes of W_0..W_m, then every intercept t_0..t_m
+# (stagewise_fit: the admission order as int64 first). A refactor of the engine
+# that claims bit-identity must leave these unchanged.
+
+
+def _golden_run(name):
+    reg, cls = small_arch(), small_arch("classification", hidden=(5, 3), activation="sigmoid")
+    l1_arch = NetworkArchitecture(2, (6, 4))
+    l1_opts = TrainOptions(learning_rate=0.1, max_epochs=60, batch_size=10, patience=0, rng_seed=7)
+    dnp = DnpConfig(num_dropouts=2, train_opts=TrainOptions(max_epochs=10, patience=0, rng_seed=8))
+    if name == "train_full_batch":
+        opts = TrainOptions(learning_rate=0.1, max_epochs=100, patience=0, rng_seed=5)
+        return [], train(xavier_init(reg, 3), reg, random_dataset(reg, n=20, seed=1), opts)
+    if name == "train_minibatch_validation":
+        opts = TrainOptions(
+            learning_rate=0.05, max_epochs=80, batch_size=7, patience=10, validation_fraction=0.25, rng_seed=6
+        )
+        return [], train(xavier_init(cls, 4), cls, random_dataset(cls, n=40, seed=2), opts)
+    if name == "fit_l1_explicit_lambda":
+        spec = SparsitySpec("explicit_lambda", (0.3, 0.8))
+        return [], fit_l1(random_dataset(l1_arch, n=30, seed=3), l1_arch, spec, l1_opts)
+    if name == "fit_l1_percentile":
+        spec = SparsitySpec("percentile", (50.0, 30.0))
+        return [], fit_l1(random_dataset(l1_arch, n=30, seed=3), l1_arch, spec, l1_opts)
+    if name == "fit_stagewise":
+        return [], fit_stagewise(random_dataset(reg, n=20, seed=4), reg, dnp)
+    wide = NetworkArchitecture(8, (4,))
+    order, params = stagewise_fit(random_dataset(wide, n=25, seed=5), wide, 3, dnp, 9)
+    return [np.asarray(order, dtype=np.int64)], params
+
+
+GOLDEN_PARAMETERS = {
+    "fit_l1_explicit_lambda": "87116464e92cbb7c046bf4005e0f3e8f37985bc740de21ae60a7875cff875e78",
+    "fit_l1_percentile": "aa71be96bf6dfacb5c3defcb19b6d29614ab6d01c2589e842582d59224c6b903",
+    "fit_stagewise": "d574b41b56716f0393cb5263de0aed18fd876fcf57876939a3fb7f2cf1fbc6ca",
+    "stagewise_fit": "97b470d4a6184d31a5fd373f1bf3afd9da6392fed86cb5a9e7c60b7d18765f81",
+    "train_full_batch": "11599839896c83bdfce122c918df868f19c4d6849b75510f92205b13600a22c9",
+    "train_minibatch_validation": "9a2209c32ab7642aea5e77b16ba2cfaee191a84d2dae0e6c2d171bbf72be7d23",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_PARAMETERS))
+def test_golden_final_parameters(name):
+    prefix, params = _golden_run(name)
+    h = hashlib.sha256()
+    for arr in (*prefix, *params.weights, *params.intercepts):
+        h.update(arr.tobytes())
+    assert h.hexdigest() == GOLDEN_PARAMETERS[name]

@@ -31,7 +31,7 @@ def narrow(params, arch, selected):
     """The input rows of ``selected``, in column order, of a full-width network."""
     rows = sorted(selected)
     weights = [params.weights[0][rows], *params.weights[1:]]
-    sub = NetworkParameters(weights, params.hidden_intercepts, params.output_intercept)
+    sub = NetworkParameters(weights, params.intercepts)
     return sub, replace(arch, input_dim=len(rows))
 
 
@@ -327,8 +327,7 @@ def test_narrow_training_matches_full_width_training_on_zeroed_columns(case):
     pairs = [
         (got.weights[0], want.weights[0][sorted(selected)]),
         *zip(got.weights[1:], want.weights[1:]),
-        *zip(got.hidden_intercepts, want.hidden_intercepts),
-        (np.array(got.output_intercept), np.array(want.output_intercept)),
+        *zip(got.intercepts, want.intercepts),
     ]
     for a, b in pairs:
         if not selected or len(selected) == p:
