@@ -27,7 +27,6 @@ from .stagewise import (
     SelectionState,
     candidate_scores,
     dnp_run,
-    select_next,
     stagewise_fit,
 )
 from .ensemble import (

@@ -249,16 +249,14 @@ def parse_experiment_config(text: str) -> ExperimentConfig:
 def _validate_experiment_config(cfg: ExperimentConfig) -> None:
     if cfg.design not in ("uniform", "correlated"):
         raise UsageError(f"unknown design {cfg.design!r}")
-    if cfg.design == "correlated" and cfg.rho is None:
-        raise UsageError("correlated design needs rho")
     if cfg.response not in ("linear", "additive", "network"):
         raise UsageError(f"unknown response {cfg.response!r}")
     if cfg.task not in ("regression", "classification"):
         raise UsageError(f"unknown task {cfg.task!r}")
     if cfg.method not in ("enns", "dnp"):
         raise UsageError(f"unknown method {cfg.method!r}")
-    if cfg.s0 > cfg.p:
-        raise UsageError("s0 cannot exceed p")
+    if not 1 <= cfg.s0 <= cfg.p:
+        raise UsageError(f"s0 must be in 1..p, got s0 = {cfg.s0} with p = {cfg.p}")
     fractions = (cfg.train_fraction, cfg.validation_fraction, cfg.test_fraction)
     if not all(0.0 <= f <= 1.0 for f in fractions):
         raise UsageError("train/validation/test fractions must each be in [0, 1]")
@@ -282,6 +280,8 @@ def _validate_experiment_config(cfg: ExperimentConfig) -> None:
 def _generate(src, seed: int) -> tuple[np.ndarray, np.ndarray, GroundTruth]:
     """Design matrix, response and ground truth for one seeded dataset."""
     if src.design == "correlated":
+        if src.rho is None:
+            raise UsageError("the correlated design needs rho")
         x = gen_design_correlated(src.n, src.p, src.rho, derive_seed(seed, "design"))
     else:
         x = gen_design_uniform(src.n, src.p, derive_seed(seed, "design"))
@@ -322,7 +322,7 @@ def _select(data: Dataset, src, seed: int, train_seed: int, validation_fraction:
     )
     if src.method == "dnp":
         order = dnp_run(data, arch, src.s0, dnp_cfg, seed)
-        return SelectionReport(tuple(order), per_round_appearances=(), rounds_executed=0, complete=True)
+        return SelectionReport(tuple(order), per_round_appearances=(), complete=True)
     cfg = EnnsConfig(
         target_s0=src.s0,
         num_bags=src.bags,
@@ -358,11 +358,9 @@ def _prediction_metrics(task: str, y: np.ndarray, preds: np.ndarray) -> Predicti
 
 
 def cmd_gen_data(args) -> int:
-    if args.design == "correlated" and args.rho is None:
-        raise UsageError("--rho is required for the correlated design")
+    x, y, truth = _generate(args, args.seed)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    x, y, truth = _generate(args, args.seed)
     write_matrix_csv(out / "X.csv", [f"x{j + 1}" for j in range(args.p)], x)
     write_matrix_csv(out / "y.csv", ["y"], y[:, None])
     keys = ("n", "p", "design", "rho", "response", "task", "s", "noise_sd")
@@ -372,6 +370,8 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_select(args) -> int:
+    if args.s0 < 1:
+        raise UsageError(f"s0 must be positive, got {args.s0}")
     data = load_dataset(args.x, args.y, args.task)
     if args.s0 > data.p:
         raise UsageError(f"s0={args.s0} exceeds the number of columns ({data.p})")

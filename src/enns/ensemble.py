@@ -54,8 +54,7 @@ class SelectionReport:
     """Outcome of ensemble selection."""
 
     selected: tuple[int, ...]
-    per_round_appearances: tuple[dict[int, int], ...]
-    rounds_executed: int
+    per_round_appearances: tuple[dict[int, int], ...]  # one entry per round executed
     complete: bool
 
 
@@ -72,15 +71,16 @@ def bootstrap_indices(n: int, n_r: int, seed: int, with_replacement: bool = True
 
 
 def filter_appearances(
-    bag_results: Sequence[Sequence[int]], num_bags: int, proportion: float
+    bag_results: Sequence[Sequence[int]], proportion: float
 ) -> tuple[list[int], dict[int, int]]:
-    """Consensus filter: features appearing in >= floor(num_bags * proportion)
-    bags, ranked by appearance count, then mean admission position, then index.
+    """Consensus filter: features appearing in >= floor(bags * proportion) of
+    the bags that ran (at least one), ranked by appearance count, then mean
+    admission position, then index.
 
     The reduction is order-independent: permuting ``bag_results`` leaves the
     outcome unchanged.
     """
-    threshold = max(1, math.floor(num_bags * proportion))
+    threshold = max(1, math.floor(len(bag_results) * proportion))
     counts: dict[int, int] = {}
     pos_sum: dict[int, float] = {}
     for bag in bag_results:
@@ -136,8 +136,7 @@ def enns_round(
             bag_results.append(result)
     if not bag_results:
         raise NumericalError("every bag of the ensemble round failed")
-    survivors, counts = filter_appearances(bag_results, len(bag_results), cfg.appearance_proportion)
-    return survivors, counts
+    return filter_appearances(bag_results, cfg.appearance_proportion)
 
 
 def enns_select(
@@ -158,21 +157,18 @@ def enns_select(
 
     selected: list[int] = []
     appearances: list[dict[int, int]] = []
-    rounds = 0
-    while len(selected) < cfg.target_s0 and rounds < round_limit:
+    while len(selected) < cfg.target_s0 and len(appearances) < round_limit:
         remaining = cfg.target_s0 - len(selected)
         taken = set(selected)
         active = [j for j in range(p) if j not in taken]
         s_j = min(base_step, remaining, len(active))
         survivors, counts = enns_round(
-            data, active, s_j, cfg, arch_template, seed=derive_seed(cfg.seed, "round", rounds)
+            data, active, s_j, cfg, arch_template, seed=derive_seed(cfg.seed, "round", len(appearances))
         )
         appearances.append(counts)
         selected.extend(survivors[:remaining])
-        rounds += 1
     return SelectionReport(
         selected=tuple(selected),
         per_round_appearances=tuple(appearances),
-        rounds_executed=rounds,
         complete=len(selected) == cfg.target_s0,
     )

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from bisect import bisect
 from dataclasses import dataclass, field, replace
-from typing import Mapping
 
 import numpy as np
 
@@ -34,34 +33,32 @@ from .seeding import derive_seed
 
 @dataclass(frozen=True)
 class SelectionState:
-    """Partition of feature indices into selected (ordered) and candidates.
+    """Admitted feature indices (in admission order) out of 0..p-1; every
+    other index is a candidate.
 
     The intercept is always in the model implicitly and is not indexed.
     """
 
     selected: tuple[int, ...]
-    candidates: frozenset[int]
+    p: int
 
     def __post_init__(self):
         object.__setattr__(self, "selected", tuple(int(j) for j in self.selected))
-        object.__setattr__(self, "candidates", frozenset(int(j) for j in self.candidates))
-        sel = set(self.selected)
-        if len(sel) != len(self.selected):
+        if len(set(self.selected)) != len(self.selected):
             raise ValueError("selected contains duplicates")
-        if sel & self.candidates:
-            raise ValueError("selected and candidates must be disjoint")
-        universe = sel | self.candidates
-        if universe != set(range(len(universe))):
-            raise ValueError("selected and candidates must partition 0..p-1")
+        if not all(0 <= j < self.p for j in self.selected):
+            raise ValueError("selected indices must be in 0..p-1")
+
+    @property
+    def candidates(self) -> frozenset[int]:
+        return frozenset(range(self.p)).difference(self.selected)
 
     @classmethod
     def initial(cls, p: int) -> "SelectionState":
-        return cls(selected=(), candidates=frozenset(range(p)))
+        return cls((), p)
 
     def admit(self, j: int) -> "SelectionState":
-        if j not in self.candidates:
-            raise ValueError(f"feature {j} is not a candidate")
-        return SelectionState(self.selected + (j,), self.candidates - {j})
+        return SelectionState(self.selected + (j,), self.p)
 
 
 @dataclass(frozen=True)
@@ -89,39 +86,30 @@ def candidate_scores(
     state: SelectionState,
     cfg: DnpConfig,
     seed: int,
-) -> dict[int, float]:
-    """Dropout-averaged gradient-norm score for every candidate feature.
+) -> np.ndarray:
+    """Dropout-averaged gradient-norm score of every column of ``data``.
 
     ``params`` and ``arch`` are the narrow network: one input row per admitted
     column, in ``sorted(state.selected)`` order; ``data`` has every column.
-    The score of candidate j is the mean over the dropout copies of
-    ||x_j' d_0||_q, the gradient norm of its zero input row in the full-width
-    network. With num_dropouts=1 and dropout_rate=0 this reduces to the plain
-    l_q norm of those gradient rows.
+    Entry j of the returned length-p array is the mean over the dropout copies
+    of ||x_j' d_0||_q, the gradient norm of candidate j's zero input row in the
+    full-width network; admitted columns score -inf, so ``np.argmax`` is the
+    next admission (the smallest index on an exact tie). With num_dropouts=1
+    and dropout_rate=0 this reduces to the plain l_q norm of those gradient
+    rows.
     """
-    if not state.candidates:
-        raise ValueError("candidate set is empty")
     rows = sorted(state.selected)
-    if params.weights[0].shape[0] != len(rows) or data.p != len(rows) + len(state.candidates):
+    if len(rows) == state.p:
+        raise ValueError("candidate set is empty")
+    if params.weights[0].shape[0] != len(rows) or data.p != state.p:
         raise ValueError("params must have one input row per selected column of data")
     narrow = data.subset_columns(rows)
     masked = [dropout_mask(params, cfg.dropout_rate, derive_seed(seed, "dropout", b)) for b in range(cfg.num_dropouts)]
     first_deltas = np.hstack([layer_deltas(m, arch, narrow)[1][0] for m in masked])  # (n, h * num_dropouts)
-    cand = np.array(sorted(state.candidates), dtype=int)
-    grads = (data.x.T @ first_deltas)[cand].reshape(cand.size, cfg.num_dropouts, -1)
-    totals = np.linalg.norm(grads, cfg.norm_q, axis=2).mean(axis=1)
-    return {int(j): float(v) for j, v in zip(cand, totals)}
-
-
-def select_next(scores: Mapping[int, float]) -> int:
-    """Key with the maximal score; exact ties broken by the smallest index."""
-    if not scores:
-        raise ValueError("empty score map")
-    best = None
-    for j in sorted(scores):
-        if best is None or scores[j] > scores[best]:
-            best = j
-    return int(best)
+    grads = (data.x.T @ first_deltas).reshape(data.p, cfg.num_dropouts, -1)
+    scores = np.linalg.norm(grads, cfg.norm_q, axis=2).mean(axis=1)
+    scores[rows] = -np.inf
+    return scores
 
 
 def stagewise_fit(
@@ -156,7 +144,7 @@ def stagewise_fit(
         opts = replace(cfg.train_opts, rng_seed=derive_seed(seed, "train", step))
         params = train(params, narrow, data.subset_columns(rows), opts)
         scores = candidate_scores(params, narrow, data, state, cfg, derive_seed(seed, "score", step))
-        j = select_next(scores)
+        j = int(np.argmax(scores))
         state = state.admit(j)
         row = xavier_row(arch, derive_seed(seed, "admit", step))
         params.weights[0] = np.insert(params.weights[0], bisect(rows, j), row, axis=0)

@@ -25,7 +25,7 @@ from .network import (
 )
 from .seeding import derive_seed, spawn_rng
 from .simulate import ResponseSpec, gen_design_uniform, gen_response
-from .stagewise import DnpConfig, SelectionState, candidate_scores, dnp_run, select_next
+from .stagewise import DnpConfig, SelectionState, candidate_scores, dnp_run
 
 
 def selection_train_opts(epochs: int = 50) -> TrainOptions:
@@ -69,9 +69,9 @@ def next_selection_hit_rate(
         narrow = replace(arch, input_dim=pre_included)
         opts = replace(cfg.train_opts, rng_seed=derive_seed(rep_seed, "train"))
         params = train(params, narrow, data.subset_columns(pre), opts)
-        state = SelectionState(tuple(pre), frozenset(set(range(p)) - set(pre)))
+        state = SelectionState(tuple(pre), p)
         scores = candidate_scores(params, narrow, data, state, cfg, derive_seed(rep_seed, "score"))
-        hits += select_next(scores) in set(truth.support) - set(pre)
+        hits += int(np.argmax(scores)) in set(truth.support) - set(pre)
     return hits / reps
 
 

@@ -1,9 +1,11 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import enns.cli
 from enns.cli import (
     ExperimentConfig,
     main,
@@ -114,9 +116,13 @@ def test_select_strong_signal_finds_support(tmp_path):
     assert hits >= 5
 
 
-def test_select_rejects_oversized_s0(tmp_path):
+def test_select_rejects_oversized_s0(tmp_path, capsys):
     data = gen_small(tmp_path, p=4, s=2)
     assert run("select", "--x", data / "X.csv", "--y", data / "y.csv", "--s0", 9) == 1
+    for s0 in (0, -1):
+        # a usage error naming s0, raised before the (missing) CSVs are read
+        assert run("select", "--x", tmp_path / "no.csv", "--y", tmp_path / "no2.csv", "--s0", s0) == 1
+        assert re.search(r"\bs0\b", capsys.readouterr().err)
 
 
 def test_select_malformed_csv_is_data_error(tmp_path):
@@ -364,6 +370,31 @@ def test_config_fraction_validation(tmp_path, capsys):
         assert run("run-experiment", "--config", cfg, "--out", tmp_path / "r.csv") == 1
         assert key in capsys.readouterr().err
     assert not (tmp_path / "r.csv").exists()
+
+
+def test_config_rejects_nonpositive_s0(tmp_path, capsys, monkeypatch):
+    def no_data(*args, **kwargs):
+        raise AssertionError("data generated before the config was validated")
+
+    monkeypatch.setattr(enns.cli, "gen_design_uniform", no_data)
+    cfg = tmp_path / "exp.cfg"
+    for s0 in (0, -1):
+        cfg.write_text(BASE_CFG.replace("s0 = 2", f"s0 = {s0}"))
+        assert run("run-experiment", "--config", cfg, "--out", tmp_path / "r.csv") == 1
+        assert re.search(r"\bs0\b", capsys.readouterr().err)  # the config key, not target_s0
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_correlated_design_without_rho_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "d"
+    argv = ["--n", 10, "--p", 4, "--design", "correlated", "--response", "linear", "--s", 2]
+    assert run("gen-data", "--out-dir", out, *argv) == 1
+    assert "rho" in capsys.readouterr().err
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(BASE_CFG + "design = correlated\n")
+    assert run("run-experiment", "--config", cfg, "--out", tmp_path / "r.csv") == 1
+    assert "rho" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == [cfg]
 
 
 # --- verify-theory -------------------------------------------------------------------

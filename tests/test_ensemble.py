@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from enns import ensemble
 from enns.ensemble import (
     EnnsConfig,
     bootstrap_indices,
@@ -10,7 +11,7 @@ from enns.ensemble import (
     enns_select,
     filter_appearances,
 )
-from enns.network import Dataset, NetworkArchitecture, TrainOptions
+from enns.network import Dataset, NetworkArchitecture, NumericalError, TrainOptions
 from enns.seeding import derive_seed
 from enns.simulate import ResponseSpec, gen_design_uniform, gen_response
 from enns.stagewise import DnpConfig, dnp_run
@@ -55,20 +56,20 @@ def test_bootstrap_without_replacement_is_subsample():
 
 
 def test_filter_degenerate_single_bag():
-    survivors, counts = filter_appearances([[3, 1, 4]], 1, 1.0)
+    survivors, counts = filter_appearances([[3, 1, 4]], 1.0)
     assert set(survivors) == {1, 3, 4}
     assert counts == {3: 1, 1: 1, 4: 1}
 
 
 def test_filter_kills_non_consensus():
     bags = [[0, 1], [2, 3], [4, 5]]
-    survivors, _ = filter_appearances(bags, 3, 0.9)  # threshold floor(2.7) = 2
+    survivors, _ = filter_appearances(bags, 0.9)  # threshold floor(3 * 0.9) = 2
     assert survivors == []
 
 
 def test_filter_ranks_by_count_then_position_then_index():
     bags = [[7, 2], [2, 7], [2, 9], [9, 2]]
-    survivors, counts = filter_appearances(bags, 4, 0.5)
+    survivors, counts = filter_appearances(bags, 0.5)
     assert counts[2] == 4 and counts[7] == 2 and counts[9] == 2
     # 7 and 9 tie on count and mean position; smaller index wins
     assert survivors == [2, 7, 9]
@@ -83,18 +84,18 @@ bag_lists = st.lists(
 @given(bags=bag_lists, p1=st.floats(0.05, 1.0), p2=st.floats(0.05, 1.0))
 def test_filter_monotone_in_proportion(bags, p1, p2):
     lo, hi = min(p1, p2), max(p1, p2)
-    s_lo, _ = filter_appearances(bags, len(bags), lo)
-    s_hi, _ = filter_appearances(bags, len(bags), hi)
+    s_lo, _ = filter_appearances(bags, lo)
+    s_hi, _ = filter_appearances(bags, hi)
     assert set(s_hi) <= set(s_lo)
 
 
 @settings(deadline=None)
 @given(bags=bag_lists, prop=st.floats(0.05, 1.0), seed=st.integers(0, 100))
 def test_filter_bag_order_invariance(bags, prop, seed):
-    base, base_counts = filter_appearances(bags, len(bags), prop)
+    base, base_counts = filter_appearances(bags, prop)
     rng = np.random.default_rng(seed)
     shuffled = [bags[i] for i in rng.permutation(len(bags))]
-    perm, perm_counts = filter_appearances(shuffled, len(bags), prop)
+    perm, perm_counts = filter_appearances(shuffled, prop)
     assert set(base) == set(perm)
     assert base_counts == perm_counts
 
@@ -139,6 +140,26 @@ def test_round_high_signal_consensus():
     _, counts = enns_round(data, range(500), 2, cfg, arch, seed=99)
     assert counts.get(0, 0) >= 9
     assert counts.get(1, 0) >= 9
+
+
+def test_round_threshold_counts_only_bags_that_ran(monkeypatch):
+    # bags 0 and 1 fail twice and are dropped; the two that run disagree, so
+    # they pass only the threshold floor(2 * 0.5) = 1, not floor(4 * 0.5) = 2
+    calls = []
+
+    def fake_dnp_run(data, arch, s_target, cfg, seed):
+        calls.append(seed)
+        if len(calls) <= 4:
+            raise NumericalError("diverged")
+        return [len(calls) % 2]
+
+    monkeypatch.setattr(ensemble, "dnp_run", fake_dnp_run)
+    data = small_noise_data()
+    cfg = EnnsConfig(target_s0=1, num_bags=4, appearance_proportion=0.5, dnp=fast_dnp(5))
+    survivors, counts = enns_round(data, range(data.p), 1, cfg, NetworkArchitecture(data.p, (4,)), seed=0)
+    assert len(calls) == 6
+    assert counts == {1: 1, 0: 1}
+    assert survivors == [0, 1]
 
 
 def test_round_validates_s_j():
@@ -195,7 +216,7 @@ def test_select_flags_incomplete_on_starved_consensus():
     )
     report = enns_select(data, arch, cfg)
     assert not report.complete
-    assert report.rounds_executed == 5  # round limit 5 * ceil(3/3)
+    assert len(report.per_round_appearances) == 5  # round limit 5 * ceil(3/3)
     assert len(report.selected) < 3
 
 

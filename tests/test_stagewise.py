@@ -22,7 +22,6 @@ from enns.stagewise import (
     SelectionState,
     candidate_scores,
     dnp_run,
-    select_next,
     stagewise_fit,
 )
 
@@ -58,14 +57,13 @@ def test_state_partition_invariants():
     assert 2 not in nxt.candidates
 
 
-def test_state_rejects_overlap():
+def test_state_rejects_invalid_selected():
     with pytest.raises(ValueError):
-        SelectionState((1,), frozenset({0, 1, 2}))
-
-
-def test_state_rejects_gaps():
+        SelectionState((1, 1), 3)  # a feature admitted twice
     with pytest.raises(ValueError):
-        SelectionState((0,), frozenset({2}))
+        SelectionState((0, 3), 3)  # outside 0..p-1
+    with pytest.raises(ValueError):
+        SelectionState((-1,), 3)
 
 
 def test_admit_requires_candidate():
@@ -120,7 +118,7 @@ def test_scores_zero_residual_all_zero():
     params, arch = null_model(4)
     params.weights[-1][:] = 0.0  # zero output layer: eta == 0 == y
     scores = candidate_scores(params, arch, data, SelectionState.initial(4), plain_cfg(), seed=1)
-    assert all(v == 0.0 for v in scores.values())
+    assert np.all(scores == 0.0)
 
 
 def test_scores_reduce_to_backward_norms():
@@ -147,9 +145,9 @@ def test_scores_reject_width_mismatch():
         candidate_scores(params, arch, data, SelectionState.initial(3), plain_cfg(), seed=0)
     sub, sub_arch = narrow(params, arch, (0,))
     with pytest.raises(ValueError):  # one input row, but the state selects two columns
-        candidate_scores(sub, sub_arch, data, SelectionState((0, 1), frozenset({2})), plain_cfg(), seed=0)
+        candidate_scores(sub, sub_arch, data, SelectionState((0, 1), 3), plain_cfg(), seed=0)
     with pytest.raises(ValueError):  # the state covers two of the three columns of data
-        candidate_scores(sub, sub_arch, data, SelectionState((0,), frozenset({1})), plain_cfg(), seed=0)
+        candidate_scores(sub, sub_arch, data, SelectionState((0,), 2), plain_cfg(), seed=0)
 
 
 def test_scores_reject_empty_candidates():
@@ -157,28 +155,41 @@ def test_scores_reject_empty_candidates():
     data = Dataset(rng.normal(size=(10, 2)), rng.normal(size=10), "regression")
     arch = NetworkArchitecture(2, (6,))
     params, arch = narrow(xavier_init(arch, 1), arch, (0, 1))
-    state = SelectionState((0, 1), frozenset())
+    state = SelectionState((0, 1), 2)
     with pytest.raises(ValueError):
         candidate_scores(params, arch, data, state, plain_cfg(), seed=0)
 
 
-# --- select_next -----------------------------------------------------------------
+# --- admission: the argmax of the score array -------------------------------------
 
 
-def test_select_next_argmax():
-    assert select_next({3: 0.1, 7: 0.9}) == 7
+def test_admitted_columns_score_minus_infinity():
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=(30, 6))
+    data = Dataset(x, rng.normal(size=30), "regression")
+    arch = NetworkArchitecture(6, (4,))
+    selected = (4, 1)
+    state = SelectionState(selected, 6)
+    scores = candidate_scores(*narrow(xavier_init(arch, 3), arch, selected), data, state, plain_cfg(), seed=1)
+    assert scores.shape == (6,) and scores.dtype == np.float64
+    assert np.all(scores[list(selected)] == -np.inf)
+    assert np.all(np.isfinite(scores[sorted(state.candidates)]))
+    assert int(np.argmax(scores)) in state.candidates
 
 
-def test_select_next_tie_prefers_smaller_index():
-    assert select_next({5: 0.5, 2: 0.5}) == 2
+def test_exact_tie_admits_smaller_index_first():
+    # the data of test_scores_duplicate_columns_equal: columns 2 and 4 are
+    # identical, so their scores tie exactly at every step until one is admitted
+    rng = np.random.default_rng(0)
+    x = rng.uniform(-1, 1, size=(40, 5))
+    x[:, 4] = x[:, 2]
+    data = Dataset(x, rng.normal(size=40), "regression")
+    order, _ = stagewise_fit(data, NetworkArchitecture(5, (6,)), 5, run_cfg(epochs=10), seed=3)
+    assert sorted(order) == list(range(5))
+    assert order.index(2) < order.index(4)
 
 
-def test_select_next_empty_errors():
-    with pytest.raises(ValueError):
-        select_next({})
-
-
-def test_select_next_null_model_matches_correlation_argmax():
+def test_argmax_admission_null_model_matches_correlation_argmax():
     rng = np.random.default_rng(6)
     x = rng.normal(size=(80, 10))
     y = rng.normal(size=80)
@@ -186,7 +197,7 @@ def test_select_next_null_model_matches_correlation_argmax():
     data = Dataset(x, y, "regression")
     params, arch = null_model(10)
     scores = candidate_scores(params, arch, data, SelectionState.initial(10), plain_cfg(), seed=2)
-    assert select_next(scores) == int(np.argmax(np.abs(x.T @ y)))
+    assert int(np.argmax(scores)) == int(np.argmax(np.abs(x.T @ y)))
 
 
 # --- dnp_run ----------------------------------------------------------------------
@@ -358,7 +369,7 @@ def test_scores_match_full_width_backward_on_zero_rows(case):
     params = xavier_init(arch, seed)
     cand = sorted(set(range(p)) - set(selected))
     params.weights[0][cand] = 0.0
-    state = SelectionState(tuple(selected), frozenset(cand))
+    state = SelectionState(tuple(selected), p)
 
     scores = candidate_scores(*narrow(params, arch, selected), data, state, cfg, seed)
 
@@ -368,4 +379,5 @@ def test_scores_match_full_width_backward_on_zero_rows(case):
         rows = backward(masked, arch, data).weights[0][cand]
         want += np.sum(np.abs(rows) ** cfg.norm_q, axis=1) ** (1.0 / cfg.norm_q)
     want /= cfg.num_dropouts
-    np.testing.assert_allclose([scores[j] for j in cand], want, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(scores[cand], want, rtol=1e-12, atol=0.0)
+    assert np.all(scores[selected] == -np.inf)

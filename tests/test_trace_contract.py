@@ -54,12 +54,15 @@ def test_tracer_binds_every_target_and_restores(tmp_path):
     try:
         for name, module, path, _ in tracing.TARGETS:
             assert getattr(*home(module, path)).__wrapped__ is originals[name], name
+        scored = []
         for argv in calls:
             assert enns.cli.main(argv) == 0, argv[0]
+            scored.append(tracer.counts["stagewise.candidates_scored"])
     finally:
         tracer.restore()
 
-    assert tracer.counts["stagewise.candidates_scored"] > 0
+    # the dnp call (p=6, s0=2) scores 6 candidates, then 5
+    assert scored[1] - scored[0] == 6 + 5
     assert tracer.counts["network.backward.gflop"] > 0
     for name, module, path, _ in tracing.TARGETS:
         assert getattr(*home(module, path)) is originals[name], name
