@@ -110,15 +110,14 @@ def fit_l1(
             f"got {len(spec.per_layer_values)}"
         )
 
-    def threshold_epoch(params: NetworkParameters, epoch: int) -> NetworkParameters:
+    def threshold_epoch(params: NetworkParameters, epoch: int) -> None:
         for layer, value in enumerate(spec.per_layer_values, start=1):
             w = params.weights[layer]
             if spec.mode == "explicit_lambda":
                 c = value * opts.learning_rate
             else:
                 c = nearest_rank_percentile(np.abs(w), value)
-            params.weights[layer] = soft_threshold(w, c)
-        return params
+            w[...] = soft_threshold(w, c)
 
     init = xavier_init(arch, opts.rng_seed)
     return train(init, arch, data_selected, opts, epoch_hook=threshold_epoch)

@@ -3,13 +3,15 @@ Adagrad training with early stopping, Xavier initialization and connection
 dropout.
 
 Everything is plain numpy with float64 arrays. Functions never mutate their
-arguments; training works on private copies, so parameter containers behave
-as immutable values and independent calls are safe to run concurrently.
+arguments, except ``adagrad_step``; training works on private copies, so
+parameter containers behave as immutable values and independent calls are safe
+to run concurrently.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -88,16 +90,12 @@ class NetworkParameters:
     ``intercepts[i]`` has shape (fan_out_i,), so ``intercepts[-1]`` is the
     length-1 output intercept.
 
-    Gradients and Adagrad accumulators are parameter-shaped, so they use this
-    type too.
+    Gradients from ``backward`` use this type too; Adagrad accumulators do
+    not: ``train`` keeps its accumulator as one flat vector.
     """
 
     weights: list[np.ndarray]
     intercepts: list[np.ndarray]
-
-    @classmethod
-    def zeros_like(cls, params: "NetworkParameters") -> "NetworkParameters":
-        return cls([np.zeros_like(w) for w in params.weights], [np.zeros_like(t) for t in params.intercepts])
 
     def copy(self) -> "NetworkParameters":
         return NetworkParameters([w.copy() for w in self.weights], [t.copy() for t in self.intercepts])
@@ -113,9 +111,22 @@ class NetworkParameters:
             raise ValueError("non-finite parameter entries")
 
 
+def _check_shapes(x: np.ndarray, y: np.ndarray) -> None:
+    if x.ndim != 2:
+        raise ValueError("x must be a 2-D matrix")
+    if y.shape != (x.shape[0],):
+        raise ValueError("y length must equal number of rows of x")
+    if x.shape[0] < 1:
+        raise ValueError("need at least one observation")
+
+
 @dataclass(frozen=True)
 class Dataset:
-    """Design matrix, response vector and task kind."""
+    """Design matrix, response vector and task kind.
+
+    The constructor checks every value; ``subset_rows`` and ``subset_columns``
+    take values from a checked ``Dataset``, so they check only shapes.
+    """
 
     x: np.ndarray
     y: np.ndarray
@@ -124,12 +135,7 @@ class Dataset:
     def __post_init__(self):
         x = np.asarray(self.x, dtype=np.float64)
         y = np.asarray(self.y, dtype=np.float64)
-        if x.ndim != 2:
-            raise ValueError("x must be a 2-D matrix")
-        if y.shape != (x.shape[0],):
-            raise ValueError("y length must equal number of rows of x")
-        if x.shape[0] < 1:
-            raise ValueError("need at least one observation")
+        _check_shapes(x, y)
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
             raise ValueError("non-finite entries in data")
         if self.task not in _TASKS:
@@ -147,12 +153,20 @@ class Dataset:
     def p(self) -> int:
         return self.x.shape[1]
 
+    def _part(self, x: np.ndarray, y: np.ndarray) -> "Dataset":
+        _check_shapes(x, y)
+        part = object.__new__(Dataset)
+        object.__setattr__(part, "x", x)
+        object.__setattr__(part, "y", y)
+        object.__setattr__(part, "task", self.task)
+        return part
+
     def subset_rows(self, idx: np.ndarray) -> "Dataset":
-        return Dataset(self.x[idx], self.y[idx], self.task)
+        return self._part(self.x[idx], self.y[idx])
 
     def subset_columns(self, cols: Sequence[int]) -> "Dataset":
         # x[:, cols] is column-major; row-major keeps all-column products bit-identical
-        return Dataset(np.ascontiguousarray(self.x[:, list(cols)]), self.y, self.task)
+        return self._part(np.ascontiguousarray(self.x[:, list(cols)]), self.y)
 
 
 @dataclass(frozen=True)
@@ -280,26 +294,15 @@ def backward(params: NetworkParameters, arch: NetworkArchitecture, data: Dataset
     return NetworkParameters(g_weights, g_intercepts)
 
 
-def adagrad_step(
-    params: NetworkParameters,
-    grads: NetworkParameters,
-    accumulator: NetworkParameters,
-    lr: float,
-) -> tuple[NetworkParameters, NetworkParameters]:
-    """One Adagrad update: acc' = acc + g*g, theta' = theta - lr*g/(sqrt(acc') + eps)."""
+def adagrad_step(theta: np.ndarray, grad: np.ndarray, acc: np.ndarray, lr: float) -> None:
+    """One Adagrad update of flat float64 vectors, in place: acc += g*g, then
+    theta -= lr*g / (sqrt(acc) + eps). ``grad`` is left holding the step taken."""
     if lr <= 0:
         raise ValueError("learning rate must be positive")
-    new_theta, new_acc = [], []
-    for theta, g, a in zip(
-        (*params.weights, *params.intercepts),
-        (*grads.weights, *grads.intercepts),
-        (*accumulator.weights, *accumulator.intercepts),
-    ):
-        a2 = a + g * g
-        new_acc.append(a2)
-        new_theta.append(theta - lr * g / (np.sqrt(a2) + EPS_ADAGRAD))
-    m = len(params.weights)
-    return NetworkParameters(new_theta[:m], new_theta[m:]), NetworkParameters(new_acc[:m], new_acc[m:])
+    acc += grad * grad
+    grad *= lr
+    grad /= np.sqrt(acc) + EPS_ADAGRAD
+    theta -= grad
 
 
 def dropout_mask(params: NetworkParameters, rate: float, seed: int) -> NetworkParameters:
@@ -315,21 +318,34 @@ def dropout_mask(params: NetworkParameters, rate: float, seed: int) -> NetworkPa
     return NetworkParameters(weights, [t.copy() for t in params.intercepts])
 
 
+def _layer_views(flat: np.ndarray, arch: NetworkArchitecture) -> NetworkParameters:
+    """Views of a vector laid out as W_0..W_m (row-major), then t_0..t_m."""
+    shapes = [*arch.weight_shapes, *((fan_out,) for _, fan_out in arch.weight_shapes)]
+    arrays, start = [], 0
+    for shape in shapes:
+        stop = start + math.prod(shape)
+        arrays.append(flat[start:stop].reshape(shape))
+        start = stop
+    m = len(arch.weight_shapes)
+    return NetworkParameters(arrays[:m], arrays[m:])
+
+
 def train(
     params: NetworkParameters,
     arch: NetworkArchitecture,
     data: Dataset,
     opts: TrainOptions,
-    epoch_hook: Callable[[NetworkParameters, int], NetworkParameters] | None = None,
+    epoch_hook: Callable[[NetworkParameters, int], None] | None = None,
 ) -> NetworkParameters:
     """Adagrad training of every parameter, returning the best checkpoint.
 
-    ``epoch_hook(params, epoch)`` returns the parameters to continue from: it
-    runs once on the starting point (epoch -1) and after every epoch, before
-    the loss is checked, so every checkpoint is a post-hook state (the l1 fit
-    thresholds here). With validation_fraction > 0 the checkpoint with the
-    lowest validation loss is returned, otherwise the one with the lowest
-    training loss; ties keep the earlier checkpoint.
+    ``epoch_hook(params, epoch)`` writes into the arrays of ``params`` and
+    returns None: it runs once on the starting point (epoch -1) and after
+    every epoch, before the loss is checked, so every checkpoint is a
+    post-hook state (the l1 fit thresholds here). With validation_fraction > 0
+    the checkpoint with the lowest validation loss is returned, otherwise the
+    one with the lowest training loss; ties keep the earlier checkpoint. The
+    result shares no memory with ``params``.
     """
     if data.p != arch.input_dim:
         raise ValueError("data does not match architecture input_dim")
@@ -345,12 +361,15 @@ def train(
         monitor_data = data.subset_rows(perm[:n_val])
         fit_data = data.subset_rows(perm[n_val:])
 
-    cur = params.copy()
+    # theta, its Adagrad accumulator and the gradient are flat vectors; cur views theta
+    theta = np.concatenate([*params.weights, *params.intercepts], axis=None)
+    cur = _layer_views(theta, arch)
     if epoch_hook is not None:
-        cur = epoch_hook(cur, -1)
-    acc = NetworkParameters.zeros_like(cur)
+        epoch_hook(cur, -1)
+    acc = np.zeros_like(theta)
+    grad = np.empty_like(theta)
     best_loss = empirical_loss(cur, arch, monitor_data)
-    best = cur.copy()
+    best = theta.copy()
     stale = 0
 
     n_fit = fit_data.n
@@ -363,22 +382,24 @@ def train(
             batches = [order[i : i + opts.batch_size] for i in range(0, n_fit, opts.batch_size)]
         for idx in batches:
             batch = fit_data if full_batch else fit_data.subset_rows(idx)
-            cur, acc = adagrad_step(cur, backward(cur, arch, batch), acc, opts.learning_rate)
+            g = backward(cur, arch, batch)
+            np.concatenate([*g.weights, *g.intercepts], axis=None, out=grad)
+            adagrad_step(theta, grad, acc, opts.learning_rate)
         if epoch_hook is not None:
-            cur = epoch_hook(cur, epoch)
+            epoch_hook(cur, epoch)
         try:
             loss = empirical_loss(cur, arch, monitor_data)
         except NumericalError as exc:
             raise NumericalError(f"non-finite loss at epoch {epoch}") from exc
         if loss < best_loss:
             best_loss = loss
-            best = cur.copy()
+            best[:] = theta
             stale = 0
         else:
             stale += 1
             if opts.patience > 0 and stale >= opts.patience:
                 break
-    return best
+    return _layer_views(best, arch)
 
 
 # --- model persistence ------------------------------------------------------

@@ -1,7 +1,10 @@
 """Independent reference implementations used as test oracles.
 
 These deliberately avoid the package's own code paths: plain Python loops and
-finite differences only, so they stay independent of what they check.
+finite differences only, so they stay independent of what they check. The
+training references are the exception: they reuse ``backward`` and
+``empirical_loss`` and replace only the fast paths around them (flat
+parameter vectors, in-place updates, unchecked row subsets).
 """
 
 from __future__ import annotations
@@ -10,7 +13,8 @@ import math
 
 import numpy as np
 
-from enns.network import Dataset, NetworkArchitecture, NetworkParameters, empirical_loss
+from enns.network import EPS_ADAGRAD, Dataset, NetworkArchitecture, NetworkParameters, backward, empirical_loss
+from enns.seeding import spawn_rng
 
 
 def loss_by_loops(params: NetworkParameters, arch, x_rows, y_vals, task: str) -> float:
@@ -71,8 +75,6 @@ def max_relative_gradient_error(
     params: NetworkParameters, arch: NetworkArchitecture, data: Dataset, step: float = 1e-5
 ) -> float:
     """Worst relative disagreement between backprop and finite differences."""
-    from enns.network import backward
-
     analytic = backward(params, arch, data)
     fd = finite_difference_gradients(params, arch, data, step)
 
@@ -82,6 +84,72 @@ def max_relative_gradient_error(
 
     pairs = zip((*analytic.weights, *analytic.intercepts), (*fd.weights, *fd.intercepts))
     return max(rel(ga, gf) for ga, gf in pairs)
+
+
+def adagrad_by_layers(
+    params: NetworkParameters, grads: NetworkParameters, accumulator: NetworkParameters, lr: float
+) -> tuple[NetworkParameters, NetworkParameters]:
+    """One Adagrad update that builds new per-layer arrays:
+    acc' = acc + g*g, theta' = theta - lr*g/(sqrt(acc') + eps)."""
+    new_theta, new_acc = [], []
+    for theta, g, a in zip(
+        (*params.weights, *params.intercepts),
+        (*grads.weights, *grads.intercepts),
+        (*accumulator.weights, *accumulator.intercepts),
+    ):
+        a2 = a + g * g
+        new_acc.append(a2)
+        new_theta.append(theta - lr * g / (np.sqrt(a2) + EPS_ADAGRAD))
+    m = len(params.weights)
+    return NetworkParameters(new_theta[:m], new_theta[m:]), NetworkParameters(new_acc[:m], new_acc[m:])
+
+
+def train_reference(params: NetworkParameters, arch: NetworkArchitecture, data: Dataset, opts, epoch_hook=None):
+    """``train`` as a per-layer loop: a fully checked ``Dataset`` per batch,
+    ``adagrad_by_layers`` on fresh arrays, ``epoch_hook(params, epoch)`` that
+    returns the parameters to continue from, and a copy per checkpoint."""
+
+    def rows(d: Dataset, idx) -> Dataset:
+        return Dataset(d.x[idx], d.y[idx], d.task)
+
+    rng = spawn_rng(opts.rng_seed, "train-loop")
+    n_val = int(np.floor(opts.validation_fraction * data.n))
+    fit_data = monitor_data = data
+    if n_val > 0:
+        perm = rng.permutation(data.n)
+        monitor_data = rows(data, perm[:n_val])
+        fit_data = rows(data, perm[n_val:])
+
+    cur = params.copy()
+    if epoch_hook is not None:
+        cur = epoch_hook(cur, -1)
+    acc = NetworkParameters([np.zeros_like(w) for w in cur.weights], [np.zeros_like(t) for t in cur.intercepts])
+    best_loss = empirical_loss(cur, arch, monitor_data)
+    best = cur.copy()
+    stale = 0
+    n_fit = fit_data.n
+    full_batch = opts.batch_size is None or opts.batch_size >= n_fit
+    for epoch in range(opts.max_epochs):
+        if full_batch:
+            batches = [np.arange(n_fit)]
+        else:
+            order = rng.permutation(n_fit)
+            batches = [order[i : i + opts.batch_size] for i in range(0, n_fit, opts.batch_size)]
+        for idx in batches:
+            batch = fit_data if full_batch else rows(fit_data, idx)
+            cur, acc = adagrad_by_layers(cur, backward(cur, arch, batch), acc, opts.learning_rate)
+        if epoch_hook is not None:
+            cur = epoch_hook(cur, epoch)
+        loss = empirical_loss(cur, arch, monitor_data)
+        if loss < best_loss:
+            best_loss = loss
+            best = cur.copy()
+            stale = 0
+        else:
+            stale += 1
+            if opts.patience > 0 and stale >= opts.patience:
+                break
+    return best
 
 
 def auc_by_pair_counting(y, scores) -> float:

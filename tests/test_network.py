@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from enns.network import (
     Dataset,
@@ -22,10 +24,10 @@ from enns.network import (
     train,
     xavier_init,
 )
-from enns.estimation import SparsitySpec, fit_l1, fit_stagewise
+from enns.estimation import SparsitySpec, fit_l1, fit_stagewise, soft_threshold
 from enns.stagewise import DnpConfig, stagewise_fit
 
-from _oracles import loss_by_loops, max_relative_gradient_error
+from _oracles import adagrad_by_layers, loss_by_loops, max_relative_gradient_error, train_reference
 
 
 def small_arch(task="regression", hidden=(4, 2), p=3, activation="relu"):
@@ -34,6 +36,14 @@ def small_arch(task="regression", hidden=(4, 2), p=3, activation="relu"):
 
 def forward_row(params, arch, x):
     return forward_batch(params, arch, np.asarray(x, dtype=np.float64)[None, :])[0]
+
+
+def flat(params):
+    return np.concatenate([*params.weights, *params.intercepts], axis=None)
+
+
+def layers(params):
+    return [*params.weights, *params.intercepts]
 
 
 def random_dataset(arch, n=8, seed=0):
@@ -212,35 +222,34 @@ def test_backward_computes_gradients_for_frozen_rows():
 
 def test_adagrad_zero_gradient_is_noop():
     arch = small_arch()
-    params = xavier_init(arch, 0)
-    grads = NetworkParameters.zeros_like(params)
-    acc = NetworkParameters.zeros_like(params)
-    new_params, new_acc = adagrad_step(params, grads, acc, lr=0.5)
-    for a, b in zip(params.weights, new_params.weights):
-        assert np.array_equal(a, b)
-    for a, b in zip(acc.weights, new_acc.weights):
-        assert np.array_equal(a, b)
+    theta = flat(xavier_init(arch, 0))
+    before = theta.copy()
+    grad = np.zeros_like(theta)
+    acc = np.zeros_like(theta)
+    adagrad_step(theta, grad, acc, lr=0.5)
+    assert np.array_equal(theta, before)
+    assert np.array_equal(acc, np.zeros_like(theta))
 
 
 def test_adagrad_first_step_normalizes():
-    arch = NetworkArchitecture(1, (1,))
-    params = NetworkParameters([np.zeros((1, 1)), np.zeros((1, 1))], [np.zeros(1), np.zeros(1)])
-    grads = NetworkParameters([np.full((1, 1), 2.0), np.zeros((1, 1))], [np.zeros(1), np.zeros(1)])
-    acc = NetworkParameters.zeros_like(params)
-    new_params, _ = adagrad_step(params, grads, acc, lr=1.0)
-    assert new_params.weights[0][0, 0] == pytest.approx(-1.0, abs=1e-7)
+    # layout W_0, W_1, t_0, t_1
+    theta = flat(NetworkParameters([np.zeros((1, 1)), np.zeros((1, 1))], [np.zeros(1), np.zeros(1)]))
+    grad = flat(NetworkParameters([np.full((1, 1), 2.0), np.zeros((1, 1))], [np.zeros(1), np.zeros(1)]))
+    acc = np.zeros_like(theta)
+    adagrad_step(theta, grad, acc, lr=1.0)
+    assert theta[0] == pytest.approx(-1.0, abs=1e-7)
 
 
 def test_adagrad_two_identical_steps():
     # accumulators 1 then 2: step sizes 1 and 1/sqrt(2)
-    arch = NetworkArchitecture(1, (1,))
-    params = NetworkParameters([np.zeros((1, 1)), np.zeros((1, 1))], [np.zeros(1), np.zeros(1)])
+    theta = flat(NetworkParameters([np.zeros((1, 1)), np.zeros((1, 1))], [np.zeros(1), np.zeros(1)]))
     grads = NetworkParameters([np.ones((1, 1)), np.zeros((1, 1))], [np.zeros(1), np.zeros(1)])
-    acc = NetworkParameters.zeros_like(params)
-    p1, acc = adagrad_step(params, grads, acc, lr=1.0)
-    step1 = -p1.weights[0][0, 0]
-    p2, acc = adagrad_step(p1, grads, acc, lr=1.0)
-    step2 = p1.weights[0][0, 0] - p2.weights[0][0, 0]
+    acc = np.zeros_like(theta)
+    adagrad_step(theta, flat(grads), acc, lr=1.0)
+    step1 = -theta[0]
+    before = theta[0]
+    adagrad_step(theta, flat(grads), acc, lr=1.0)
+    step2 = before - theta[0]
     assert step1 == pytest.approx(1.0, abs=1e-6)
     assert step2 == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-6)
 
@@ -249,14 +258,38 @@ def test_adagrad_updates_t_m_like_every_parameter():
     arch = small_arch()
     params = xavier_init(arch, 0)
     grads = backward(params, arch, random_dataset(arch, seed=1))
-    acc = NetworkParameters.zeros_like(params)
-    new_params, new_acc = adagrad_step(params, grads, acc, lr=0.3)
-    pairs = zip((*params.weights, *params.intercepts), (*grads.weights, *grads.intercepts),
-                (*new_params.weights, *new_params.intercepts), (*new_acc.weights, *new_acc.intercepts))
-    for theta, g, new_theta, new_a in pairs:
-        np.testing.assert_array_equal(new_a, g * g)
-        np.testing.assert_array_equal(new_theta, theta - 0.3 * g / (np.sqrt(g * g) + 1e-8))
-    assert new_params.intercepts[-1].shape == (1,) and grads.intercepts[-1][0] != 0.0
+    theta, g = flat(params), flat(grads)
+    new_theta, grad = theta.copy(), g.copy()
+    new_acc = np.zeros_like(theta)
+    adagrad_step(new_theta, grad, new_acc, lr=0.3)
+    np.testing.assert_array_equal(new_acc, g * g)
+    np.testing.assert_array_equal(new_theta, theta - 0.3 * g / (np.sqrt(g * g) + 1e-8))
+    # t_m is the last entry of the flat layout
+    assert grads.intercepts[-1].shape == (1,) and g[-1] == grads.intercepts[-1][0] != 0.0
+    assert new_theta[-1] != theta[-1]
+
+
+def test_adagrad_step_matches_per_layer_update():
+    arch = small_arch(hidden=(5, 3))
+    rng = np.random.default_rng(4)
+    params = xavier_init(arch, 1)
+    grads = NetworkParameters([rng.normal(size=w.shape) for w in params.weights],
+                              [rng.normal(size=t.shape) for t in params.intercepts])
+    acc = NetworkParameters([rng.random(w.shape) for w in params.weights],
+                            [rng.random(t.shape) for t in params.intercepts])
+    theta, acc_flat = flat(params), flat(acc)
+    for _ in range(2):
+        params, acc = adagrad_by_layers(params, grads, acc, 0.07)
+        adagrad_step(theta, flat(grads), acc_flat, 0.07)
+        assert theta.tobytes() == flat(params).tobytes()
+        assert acc_flat.tobytes() == flat(acc).tobytes()
+
+
+@pytest.mark.parametrize("lr", [0.0, -0.1])
+def test_adagrad_rejects_nonpositive_learning_rate(lr):
+    theta = np.zeros(3)
+    with pytest.raises(ValueError):
+        adagrad_step(theta, np.ones(3), np.zeros(3), lr)
 
 
 # --- dropout_mask -------------------------------------------------------------
@@ -300,7 +333,7 @@ def test_train_zero_epochs_returns_input_unchanged():
     data = random_dataset(arch, seed=0)
     opts = TrainOptions(max_epochs=0, patience=0)
     out = train(params, arch, data, opts)
-    for a, b in zip(params.weights, out.weights):
+    for a, b in zip(layers(params), layers(out), strict=True):
         assert np.array_equal(a, b)
 
 
@@ -341,6 +374,51 @@ def test_train_training_loss_non_increasing_checkpoints():
     assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    hidden=st.lists(st.integers(1, 4), min_size=1, max_size=2),
+    activation=st.sampled_from(["relu", "sigmoid"]),
+    task=st.sampled_from(["regression", "classification"]),
+    n=st.integers(4, 16),
+    p=st.integers(1, 3),
+    batch_size=st.one_of(st.none(), st.integers(1, 6)),
+    validation_fraction=st.sampled_from([0.0, 0.25]),
+    patience=st.sampled_from([0, 3]),
+    max_epochs=st.sampled_from([0, 3, 6]),
+    threshold=st.sampled_from([None, 0.02]),
+    seed=st.integers(0, 2**16),
+)
+def test_train_matches_per_layer_reference(
+    hidden, activation, task, n, p, batch_size, validation_fraction, patience, max_epochs, threshold, seed
+):
+    arch = NetworkArchitecture(p, tuple(hidden), activation, task)
+    data = random_dataset(arch, n=n, seed=seed)
+    params = xavier_init(arch, seed + 1)
+    before = params.copy()
+    opts = TrainOptions(
+        learning_rate=0.1, max_epochs=max_epochs, batch_size=batch_size, patience=patience,
+        validation_fraction=validation_fraction, rng_seed=seed + 2,
+    )
+    hook = reference_hook = None
+    if threshold is not None:
+        def hook(params, epoch):
+            for w in params.weights[1:]:
+                w[...] = soft_threshold(w, threshold)
+
+        def reference_hook(params, epoch):
+            return NetworkParameters(
+                [params.weights[0], *(soft_threshold(w, threshold) for w in params.weights[1:])], params.intercepts
+            )
+
+    out = train(params, arch, data, opts, epoch_hook=hook)
+    expected = train_reference(params, arch, data, opts, epoch_hook=reference_hook)
+    for a, b in zip(layers(out), layers(expected), strict=True):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    for a, b in zip(layers(params), layers(before), strict=True):
+        assert a.tobytes() == b.tobytes()
+    assert not any(np.shares_memory(a, b) for a in layers(params) for b in layers(out))
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_train_aborts_on_non_finite_loss():
     arch = small_arch()
@@ -369,9 +447,36 @@ def test_dataset_validation():
     with pytest.raises(ValueError):
         Dataset(np.zeros((3, 2)), np.array([0.0, 0.5, 1.0]), "classification")
     with pytest.raises(ValueError):
-        Dataset(np.array([[np.inf, 0.0]]), np.array([1.0]), "regression")
+        Dataset(np.zeros((3, 2)), np.array([0.0, 2.0, 1.0]), "classification")
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError):
+            Dataset(np.array([[bad, 0.0]]), np.array([1.0]), "regression")
+        with pytest.raises(ValueError):
+            Dataset(np.zeros((1, 2)), np.array([bad]), "regression")
     with pytest.raises(ValueError):
         Dataset(np.zeros((3, 2)), np.zeros(4), "regression")
+
+
+@pytest.mark.parametrize("task", ["regression", "classification"])
+def test_subsets_match_the_constructor(task):
+    data = random_dataset(small_arch(task, p=5), n=12, seed=8)
+    rows, cols = np.array([7, 0, 3, 3, 11]), [4, 1, 2]
+    pairs = [
+        (data.subset_rows(rows), Dataset(data.x[rows], data.y[rows], task)),
+        (data.subset_columns(cols), Dataset(np.ascontiguousarray(data.x[:, cols]), data.y, task)),
+        (
+            data.subset_columns(cols).subset_rows(rows),
+            Dataset(np.ascontiguousarray(data.x[rows][:, cols]), data.y[rows], task),
+        ),
+    ]
+    for part, checked in pairs:
+        assert part.task == checked.task
+        for a, b in ((part.x, checked.x), (part.y, checked.y)):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes() and a.dtype == b.dtype == np.float64
+            assert a.flags.c_contiguous == b.flags.c_contiguous
+    assert data.subset_columns(cols).x.flags.c_contiguous
+    with pytest.raises(ValueError):
+        data.subset_rows(np.array([], dtype=np.int64))
 
 
 def test_parameters_validate_every_intercept():

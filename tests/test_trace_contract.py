@@ -54,15 +54,19 @@ def test_tracer_binds_every_target_and_restores(tmp_path):
     try:
         for name, module, path, _ in tracing.TARGETS:
             assert getattr(*home(module, path)).__wrapped__ is originals[name], name
-        scored = []
+        scored, steps = [], []
         for argv in calls:
+            before = {name: len(tracer.durations(name)) for name in ("network.backward", "network.adagrad_step")}
             assert enns.cli.main(argv) == 0, argv[0]
             scored.append(tracer.counts["stagewise.candidates_scored"])
+            steps.append({name: len(tracer.durations(name)) - n for name, n in before.items()})
     finally:
         tracer.restore()
 
     # the dnp call (p=6, s0=2) scores 6 candidates, then 5
     assert scored[1] - scored[0] == 6 + 5
+    # every backward pass of the percentile estimate feeds one traced Adagrad step
+    assert steps[2]["network.adagrad_step"] == steps[2]["network.backward"] > 0
     assert tracer.counts["network.backward.gflop"] > 0
     for name, module, path, _ in tracing.TARGETS:
         assert getattr(*home(module, path)) is originals[name], name
