@@ -2,6 +2,11 @@
 Adagrad training with early stopping, Xavier initialization and connection
 dropout.
 
+``backward`` returns the empirical loss of the forward pass it runs together
+with the gradients, so a full-batch training epoch with no validation split
+runs the network forward once: each checkpoint is scored by the next epoch's
+``backward``.
+
 Everything is plain numpy with float64 arrays. Functions never mutate their
 arguments, except ``adagrad_step``; training works on private copies, so
 parameter containers behave as immutable values and independent calls are safe
@@ -46,14 +51,6 @@ def _activation(name: str, z: np.ndarray) -> np.ndarray:
     return sigmoid(z)
 
 
-def _activation_grad(name: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
-    # relu gradient at exactly 0 is taken as 1 so that cold-start layers
-    # (all-zero pre-activations) still pass gradient signal downward.
-    if name == "relu":
-        return (z >= 0.0).astype(np.float64)
-    return a * (1.0 - a)
-
-
 @dataclass(frozen=True)
 class NetworkArchitecture:
     """Shape and task of a feedforward net with scalar output."""
@@ -84,14 +81,15 @@ class NetworkArchitecture:
         return [(dims[i], dims[i + 1]) for i in range(len(dims) - 1)]
 
 
-@dataclass
+@dataclass(eq=False)
 class NetworkParameters:
     """Layers (W_0, t_0)..(W_m, t_m) of the affine maps a_i -> a_i @ W_i + t_i;
     ``intercepts[i]`` has shape (fan_out_i,), so ``intercepts[-1]`` is the
     length-1 output intercept.
 
     Gradients from ``backward`` use this type too; Adagrad accumulators do
-    not: ``train`` keeps its accumulator as one flat vector.
+    not: ``train`` keeps its accumulator as one flat vector. Instances compare
+    and hash by identity.
     """
 
     weights: list[np.ndarray]
@@ -120,12 +118,13 @@ def _check_shapes(x: np.ndarray, y: np.ndarray) -> None:
         raise ValueError("need at least one observation")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Design matrix, response vector and task kind.
 
     The constructor checks every value; ``subset_rows`` and ``subset_columns``
     take values from a checked ``Dataset``, so they check only shapes.
+    Instances compare and hash by identity.
     """
 
     x: np.ndarray
@@ -227,30 +226,71 @@ def _forward_internal(params: NetworkParameters, arch: NetworkArchitecture, x: n
     return acts, zs, out
 
 
+def _outputs(out: np.ndarray, task: str) -> np.ndarray:
+    if task == "classification":
+        return np.clip(sigmoid(out), EPS_CLIP, 1.0 - EPS_CLIP)
+    return out
+
+
 def forward_batch(params: NetworkParameters, arch: NetworkArchitecture, x: np.ndarray) -> np.ndarray:
     """Network outputs for every row of ``x``; classification outputs are
     sigmoid probabilities clipped into the open unit interval."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != arch.input_dim:
         raise ValueError(f"input has {x.shape} but architecture expects {arch.input_dim} columns")
-    _, _, out = _forward_internal(params, arch, x)
-    if arch.task == "classification":
-        return np.clip(sigmoid(out), EPS_CLIP, 1.0 - EPS_CLIP)
-    return out
+    return _outputs(_forward_internal(params, arch, x)[2], arch.task)
+
+
+def _loss(eta: np.ndarray, data: Dataset) -> float:
+    """Empirical loss of the network outputs ``eta`` on ``data``; raises
+    ``NumericalError`` when it is not finite."""
+    y = data.y
+    if data.task == "regression":
+        r = y - eta
+        loss = float(np.add.reduce(r * r)) / len(y)
+    else:
+        loss = -float(np.mean(y * np.log(eta) + (1.0 - y) * np.log(1.0 - eta)))
+    if not math.isfinite(loss):
+        raise NumericalError("non-finite empirical loss")
+    return loss
 
 
 def empirical_loss(params: NetworkParameters, arch: NetworkArchitecture, data: Dataset) -> float:
     """Mean squared error (regression) or negative mean log-likelihood
     (classification, probabilities clipped into [EPS_CLIP, 1 - EPS_CLIP]
     before logs; ``backward`` differentiates the unclipped loss)."""
-    eta = forward_batch(params, arch, data.x)
+    return _loss(forward_batch(params, arch, data.x), data)
+
+
+def _deltas(
+    params: NetworkParameters,
+    arch: NetworkArchitecture,
+    data: Dataset,
+    acts: list[np.ndarray],
+    zs: list[np.ndarray],
+    out: np.ndarray,
+) -> list[np.ndarray]:
+    """The deltas d_0..d_m of ``layer_deltas`` from one forward pass's values."""
+    n = data.n
     if data.task == "regression":
-        loss = float(np.mean((data.y - eta) ** 2))
+        delta = (2.0 / n) * (out - data.y)
     else:
-        loss = -float(np.mean(data.y * np.log(eta) + (1.0 - data.y) * np.log(1.0 - eta)))
-    if not np.isfinite(loss):
-        raise NumericalError("non-finite empirical loss")
-    return loss
+        delta = (sigmoid(out) - data.y) / n
+    m = arch.num_hidden_layers
+    deltas: list[np.ndarray] = [None] * (m + 1)  # type: ignore[list-item]
+    deltas[m] = delta = delta[:, None]  # (n, 1)
+    relu = arch.hidden_activation == "relu"
+    for layer in range(m, 0, -1):
+        delta = delta @ params.weights[layer].T
+        # relu gradient at exactly 0 is taken as 1 so that cold-start layers
+        # (all-zero pre-activations) still pass gradient signal downward.
+        if relu:
+            delta *= zs[layer - 1] >= 0.0
+        else:
+            a = acts[layer]
+            delta *= a * (1.0 - a)
+        deltas[layer - 1] = delta
+    return deltas
 
 
 def layer_deltas(
@@ -263,35 +303,32 @@ def layer_deltas(
     differentiates the unclipped log-likelihood, while ``empirical_loss`` clips
     at ``EPS_CLIP``; they differ only where |raw output| > log(1/EPS_CLIP) ~ 27.6.
     """
-    x, y = data.x, data.y
-    if x.shape[1] != arch.input_dim:
+    if data.p != arch.input_dim:
         raise ValueError("data does not match architecture input_dim")
-    n = x.shape[0]
-    acts, zs, out = _forward_internal(params, arch, x)
-    if data.task == "regression":
-        delta = (2.0 / n) * (out - y)
-    else:
-        delta = (sigmoid(out) - y) / n
-    m = arch.num_hidden_layers
-    deltas: list[np.ndarray] = [None] * (m + 1)  # type: ignore[list-item]
-    deltas[m] = delta = delta[:, None]  # (n, 1)
-    for layer in range(m, 0, -1):
-        dact = _activation_grad(arch.hidden_activation, zs[layer - 1], acts[layer])
-        deltas[layer - 1] = delta = (delta @ params.weights[layer].T) * dact
-    return acts, deltas
+    acts, zs, out = _forward_internal(params, arch, data.x)
+    return acts, _deltas(params, arch, data, acts, zs, out)
 
 
-def backward(params: NetworkParameters, arch: NetworkArchitecture, data: Dataset) -> NetworkParameters:
-    """Exact gradients of the empirical loss for every weight and intercept
-    (see ``layer_deltas``); an all-zero input row gets its gradient too."""
-    acts, deltas = layer_deltas(params, arch, data)
+def backward(
+    params: NetworkParameters, arch: NetworkArchitecture, data: Dataset
+) -> tuple[float, NetworkParameters]:
+    """``(empirical_loss, gradients)`` from one forward pass: the loss equals
+    ``empirical_loss(params, arch, data)`` exactly, and the gradients of every
+    weight and intercept are exact (see ``layer_deltas``); an all-zero input
+    row gets its gradient too. A non-finite loss raises ``NumericalError``
+    before any gradient arithmetic runs."""
+    if data.p != arch.input_dim:
+        raise ValueError("data does not match architecture input_dim")
+    acts, zs, out = _forward_internal(params, arch, data.x)
+    loss = _loss(_outputs(out, arch.task), data)
+    deltas = _deltas(params, arch, data, acts, zs, out)
     m = arch.num_hidden_layers
     g_weights: list[np.ndarray] = [None] * (m + 1)  # type: ignore[list-item]
     g_intercepts: list[np.ndarray] = [None] * (m + 1)  # type: ignore[list-item]
     for layer in range(m, -1, -1):
         g_weights[layer] = acts[layer].T @ deltas[layer]
-        g_intercepts[layer] = deltas[layer].sum(axis=0)
-    return NetworkParameters(g_weights, g_intercepts)
+        g_intercepts[layer] = np.add.reduce(deltas[layer], axis=0)
+    return loss, NetworkParameters(g_weights, g_intercepts)
 
 
 def adagrad_step(theta: np.ndarray, grad: np.ndarray, acc: np.ndarray, lr: float) -> None:
@@ -360,6 +397,10 @@ def train(
         perm = rng.permutation(data.n)
         monitor_data = data.subset_rows(perm[:n_val])
         fit_data = data.subset_rows(perm[n_val:])
+    n_fit = fit_data.n
+    full_batch = opts.batch_size is None or opts.batch_size >= n_fit
+    # a full-batch pass on the monitored rows scores the checkpoint it starts from
+    fused = full_batch and n_val == 0
 
     # theta, its Adagrad accumulator and the gradient are flat vectors; cur views theta
     theta = np.concatenate([*params.weights, *params.intercepts], axis=None)
@@ -368,37 +409,55 @@ def train(
         epoch_hook(cur, -1)
     acc = np.zeros_like(theta)
     grad = np.empty_like(theta)
-    best_loss = empirical_loss(cur, arch, monitor_data)
-    best = theta.copy()
-    stale = 0
+    best = np.empty_like(theta)
+    best_loss, stale = math.inf, 0
 
-    n_fit = fit_data.n
-    full_batch = opts.batch_size is None or opts.batch_size >= n_fit
-    for epoch in range(opts.max_epochs):
-        if full_batch:
-            batches = [np.arange(n_fit)]
-        else:
-            order = rng.permutation(n_fit)
-            batches = [order[i : i + opts.batch_size] for i in range(0, n_fit, opts.batch_size)]
-        for idx in batches:
-            batch = fit_data if full_batch else fit_data.subset_rows(idx)
-            g = backward(cur, arch, batch)
-            np.concatenate([*g.weights, *g.intercepts], axis=None, out=grad)
-            adagrad_step(theta, grad, acc, opts.learning_rate)
-        if epoch_hook is not None:
-            epoch_hook(cur, epoch)
-        try:
-            loss = empirical_loss(cur, arch, monitor_data)
-        except NumericalError as exc:
-            raise NumericalError(f"non-finite loss at epoch {epoch}") from exc
+    def record(loss: float) -> bool:
+        """Scores checkpoint ``cur`` with ``loss``; False once patience runs out."""
+        nonlocal best_loss, stale
         if loss < best_loss:
             best_loss = loss
             best[:] = theta
             stale = 0
         else:
             stale += 1
-            if opts.patience > 0 and stale >= opts.patience:
-                break
+        return not (opts.patience > 0 and stale >= opts.patience)
+
+    def checked(evaluate: Callable, part: Dataset, epoch: int):
+        """``evaluate(cur, arch, part)``, with a non-finite loss reported at ``epoch``."""
+        try:
+            return evaluate(cur, arch, part)
+        except NumericalError as exc:
+            raise NumericalError(f"non-finite loss at epoch {epoch}") from exc
+
+    def step(g: NetworkParameters) -> None:
+        np.concatenate([*g.weights, *g.intercepts], axis=None, out=grad)
+        adagrad_step(theta, grad, acc, opts.learning_rate)
+
+    # loss holds the score of checkpoint epoch - 1, the starting point at epoch 0;
+    # on the fused path the backward pass of epoch ``epoch`` computes it
+    loss = None if fused else checked(empirical_loss, monitor_data, -1)
+    for epoch in range(opts.max_epochs):
+        if fused:
+            loss, g = checked(backward, fit_data, epoch - 1)
+        if not record(loss):
+            break
+        if fused:
+            step(g)
+        elif full_batch:
+            step(checked(backward, fit_data, epoch)[1])
+        else:
+            order = rng.permutation(n_fit)
+            for i in range(0, n_fit, opts.batch_size):
+                step(checked(backward, fit_data.subset_rows(order[i : i + opts.batch_size]), epoch)[1])
+        if epoch_hook is not None:
+            epoch_hook(cur, epoch)
+        if not fused:
+            loss = checked(empirical_loss, monitor_data, epoch)
+    else:
+        if fused:
+            loss = checked(empirical_loss, monitor_data, opts.max_epochs - 1)
+        record(loss)
     return _layer_views(best, arch)
 
 

@@ -4,7 +4,10 @@ These deliberately avoid the package's own code paths: plain Python loops and
 finite differences only, so they stay independent of what they check. The
 training references are the exception: they reuse ``backward`` and
 ``empirical_loss`` and replace only the fast paths around them (flat
-parameter vectors, in-place updates, unchecked row subsets).
+parameter vectors, in-place updates, unchecked row subsets, and checkpoints
+scored by the loss that the next full-batch ``backward`` returns:
+``train_reference`` ignores that loss and scores every checkpoint with its
+own ``empirical_loss`` call).
 """
 
 from __future__ import annotations
@@ -75,7 +78,7 @@ def max_relative_gradient_error(
     params: NetworkParameters, arch: NetworkArchitecture, data: Dataset, step: float = 1e-5
 ) -> float:
     """Worst relative disagreement between backprop and finite differences."""
-    analytic = backward(params, arch, data)
+    _, analytic = backward(params, arch, data)
     fd = finite_difference_gradients(params, arch, data, step)
 
     def rel(a: np.ndarray, b: np.ndarray) -> float:
@@ -137,7 +140,7 @@ def train_reference(params: NetworkParameters, arch: NetworkArchitecture, data: 
             batches = [order[i : i + opts.batch_size] for i in range(0, n_fit, opts.batch_size)]
         for idx in batches:
             batch = fit_data if full_batch else rows(fit_data, idx)
-            cur, acc = adagrad_by_layers(cur, backward(cur, arch, batch), acc, opts.learning_rate)
+            cur, acc = adagrad_by_layers(cur, backward(cur, arch, batch)[1], acc, opts.learning_rate)
         if epoch_hook is not None:
             cur = epoch_hook(cur, epoch)
         loss = empirical_loss(cur, arch, monitor_data)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import enns.network
 from enns.network import (
     Dataset,
     NetworkArchitecture,
@@ -182,7 +183,7 @@ def test_backward_zero_output_layer_hand_derived():
     z = data.x @ params.weights[0] + params.intercepts[0]
     a = np.maximum(z, 0.0)
     expected = -(2.0 / data.n) * a.T @ (data.y - 0.25)
-    got = backward(params, arch, data)
+    _, got = backward(params, arch, data)
     np.testing.assert_allclose(got.weights[-1].ravel(), expected, atol=1e-12)
 
 
@@ -204,7 +205,7 @@ def test_backward_duplicate_columns_equal_gradients():
     params.weights[0][1] = 0.0
     params.weights[0][3] = 0.0
     data = Dataset(x, rng.normal(size=10), "regression")
-    g = backward(params, arch, data)
+    _, g = backward(params, arch, data)
     np.testing.assert_array_equal(g.weights[0][1], g.weights[0][3])
 
 
@@ -213,8 +214,29 @@ def test_backward_computes_gradients_for_frozen_rows():
     params = xavier_init(arch, 0)
     params.weights[0][:] = 0.0
     data = random_dataset(arch, n=10, seed=3)
-    g = backward(params, arch, data)
+    _, g = backward(params, arch, data)
     assert np.any(g.weights[0] != 0.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    hidden=st.lists(st.integers(1, 4), min_size=1, max_size=2),
+    activation=st.sampled_from(["relu", "sigmoid"]),
+    task=st.sampled_from(["regression", "classification"]),
+    n=st.integers(1, 12),
+    p=st.integers(0, 3),
+    output_shift=st.sampled_from([0.0, 30.0, -30.0, 45.0]),
+    seed=st.integers(0, 2**16),
+)
+def test_backward_loss_is_the_empirical_loss(hidden, activation, task, n, p, output_shift, seed):
+    # shifts of +-30 and 45 push classification outputs past log(1/EPS_CLIP) ~ 27.6, where the loss clips
+    arch = NetworkArchitecture(p, tuple(hidden), activation, task)
+    params = xavier_init(arch, seed)
+    params.intercepts[-1] += output_shift
+    data = random_dataset(arch, n=n, seed=seed + 1)
+    loss, _ = backward(params, arch, data)
+    expected = empirical_loss(params, arch, data)
+    assert type(loss) is float and loss == expected
 
 
 # --- adagrad_step -------------------------------------------------------------
@@ -257,7 +279,7 @@ def test_adagrad_two_identical_steps():
 def test_adagrad_updates_t_m_like_every_parameter():
     arch = small_arch()
     params = xavier_init(arch, 0)
-    grads = backward(params, arch, random_dataset(arch, seed=1))
+    _, grads = backward(params, arch, random_dataset(arch, seed=1))
     theta, g = flat(params), flat(grads)
     new_theta, grad = theta.copy(), g.copy()
     new_acc = np.zeros_like(theta)
@@ -421,12 +443,44 @@ def test_train_matches_per_layer_reference(
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_train_aborts_on_non_finite_loss():
+    # full batch (the fused path), minibatch, and full batch with a validation split
     arch = small_arch()
     params = xavier_init(arch, 4)
     data = random_dataset(arch, n=20, seed=6)
-    opts = TrainOptions(learning_rate=1e200, max_epochs=5, patience=0)
-    with pytest.raises(NumericalError):
-        train(params, arch, data, opts)
+    for extra in ({}, {"batch_size": 5}, {"validation_fraction": 0.25}):
+        opts = TrainOptions(learning_rate=1e200, max_epochs=5, patience=0, **extra)
+        with pytest.raises(NumericalError, match="epoch 0"):
+            train(params, arch, data, opts)
+
+
+@pytest.mark.parametrize(
+    "extra, passes, losses",
+    [
+        ({}, 7, 1),  # full batch, no validation split: each backward pass scores a checkpoint
+        ({"validation_fraction": 0.25}, 7, 8),
+        ({"batch_size": 3}, 7 * 4, 8),
+        ({"max_epochs": 0}, 0, 1),
+    ],
+)
+def test_train_forward_pass_counts(monkeypatch, extra, passes, losses):
+    calls = {"backward": 0, "empirical_loss": 0}
+
+    def counting(name):
+        original = getattr(enns.network, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(enns.network, name, counting(name))
+    arch = small_arch()
+    data = random_dataset(arch, n=10, seed=3)
+    opts = TrainOptions(**{"learning_rate": 0.1, "max_epochs": 7, "patience": 0, **extra})
+    train(xavier_init(arch, 2), arch, data, opts)
+    assert calls == {"backward": passes, "empirical_loss": losses}
 
 
 # --- option and container validation -------------------------------------------
@@ -477,6 +531,17 @@ def test_subsets_match_the_constructor(task):
     assert data.subset_columns(cols).x.flags.c_contiguous
     with pytest.raises(ValueError):
         data.subset_rows(np.array([], dtype=np.int64))
+
+
+def test_containers_compare_and_hash_by_identity():
+    arch = small_arch()
+    pairs = [
+        (Dataset(np.zeros((3, 2)), np.zeros(3)), Dataset(np.zeros((3, 2)), np.zeros(3))),
+        (xavier_init(arch, 0), xavier_init(arch, 0)),
+    ]
+    for a, b in pairs:
+        assert a == a and not (a == b) and a != b
+        assert hash(a) == hash(a) and len({a, b}) == 2
 
 
 def test_parameters_validate_every_intercept():

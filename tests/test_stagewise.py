@@ -130,7 +130,7 @@ def test_scores_reduce_to_backward_norms():
     params.weights[0][:] = 0.0
     state = SelectionState.initial(6)
     scores = candidate_scores(*narrow(params, arch, ()), data, state, plain_cfg(), seed=8)
-    grads = backward(params, arch, data)
+    _, grads = backward(params, arch, data)
     for j in range(6):
         expected = np.linalg.norm(grads.weights[0][j])
         assert scores[j] == pytest.approx(expected, abs=1e-12)
@@ -376,7 +376,7 @@ def test_scores_match_full_width_backward_on_zero_rows(case):
     want = np.zeros(len(cand))
     for b in range(cfg.num_dropouts):
         masked = dropout_mask(params, cfg.dropout_rate, derive_seed(seed, "dropout", b))
-        rows = backward(masked, arch, data).weights[0][cand]
+        rows = backward(masked, arch, data)[1].weights[0][cand]
         want += np.sum(np.abs(rows) ** cfg.norm_q, axis=1) ** (1.0 / cfg.norm_q)
     want /= cfg.num_dropouts
     np.testing.assert_allclose(scores[cand], want, rtol=1e-12, atol=0.0)
