@@ -437,27 +437,30 @@ def train(
     # loss holds the score of checkpoint epoch - 1, the starting point at epoch 0;
     # on the fused path the backward pass of epoch ``epoch`` computes it
     loss = None if fused else checked(empirical_loss, monitor_data, -1)
-    for epoch in range(opts.max_epochs):
-        if fused:
-            loss, g = checked(backward, fit_data, epoch - 1)
-        if not record(loss):
-            break
-        if fused:
-            step(g)
-        elif full_batch:
-            step(checked(backward, fit_data, epoch)[1])
+    # a diverging run overflows to inf or nan, which `checked` reports as a
+    # NumericalError; numpy need not warn about it first
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(opts.max_epochs):
+            if fused:
+                loss, g = checked(backward, fit_data, epoch - 1)
+            if not record(loss):
+                break
+            if fused:
+                step(g)
+            elif full_batch:
+                step(checked(backward, fit_data, epoch)[1])
+            else:
+                order = rng.permutation(n_fit)
+                for i in range(0, n_fit, opts.batch_size):
+                    step(checked(backward, fit_data.subset_rows(order[i : i + opts.batch_size]), epoch)[1])
+            if epoch_hook is not None:
+                epoch_hook(cur, epoch)
+            if not fused:
+                loss = checked(empirical_loss, monitor_data, epoch)
         else:
-            order = rng.permutation(n_fit)
-            for i in range(0, n_fit, opts.batch_size):
-                step(checked(backward, fit_data.subset_rows(order[i : i + opts.batch_size]), epoch)[1])
-        if epoch_hook is not None:
-            epoch_hook(cur, epoch)
-        if not fused:
-            loss = checked(empirical_loss, monitor_data, epoch)
-    else:
-        if fused:
-            loss = checked(empirical_loss, monitor_data, opts.max_epochs - 1)
-        record(loss)
+            if fused:
+                loss = checked(empirical_loss, monitor_data, opts.max_epochs - 1)
+            record(loss)
     return _layer_views(best, arch)
 
 

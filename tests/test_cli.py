@@ -1,9 +1,15 @@
+import hashlib
 import json
+import multiprocessing
+import os
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import enns.cli
 from enns.cli import (
@@ -160,6 +166,119 @@ def test_select_missing_file_is_data_error(tmp_path):
     assert run("select", "--x", tmp_path / "no.csv", "--y", tmp_path / "no2.csv", "--s0", 1) == 2
 
 
+# --- CSV data lines parsed over byte ranges in forked workers ---------------------
+
+
+def force_ranges(mp, k):
+    """Split every CSV read into up to k byte ranges (k cores, 1-byte ranges).
+    Returns the list of split results, None where the read fell back to one range."""
+    mp.setattr(enns.cli, "_RANGE_BYTES", 1)
+    mp.setattr(enns.cli.os, "sched_getaffinity", lambda pid: set(range(k)))
+    results = []
+    split = enns.cli._parse_split
+
+    def spy(*args):
+        results.append(split(*args))
+        return results[-1]
+
+    mp.setattr(enns.cli, "_parse_split", spy)
+    return results
+
+
+def read_one_range(path):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(enns.cli, "_RANGE_BYTES", 1 << 62)
+        return read_matrix_csv(path)
+
+
+CELLS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e308, -1e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def csv_files(draw):
+    """A CSV file with 1-40 rows of 1-6 columns written with 17 significant
+    digits, LF, CRLF or lone-CR line ends, blank lines and maybe no final
+    newline; returned as its bytes and the header's line end."""
+    rows, cols = draw(st.integers(1, 40)), draw(st.integers(1, 6))
+    x = draw(arrays(np.float64, (rows, cols), elements=CELLS))
+    eol = st.sampled_from(["\n", "\r\n", "\r"])
+    header_eol = draw(eol)
+    lines = [",".join(f"c{j}" for j in range(cols)) + header_eol]
+    for row in x:
+        lines.append(",".join("%.17g" % v for v in row) + draw(eol))
+        if draw(st.booleans()):
+            lines.append(draw(eol))
+    text = "".join(lines)
+    if not draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return text.encode(), header_eol
+
+
+@settings(deadline=None, max_examples=60)
+@given(file=csv_files())
+def test_split_parse_is_bit_identical_to_one_range(tmp_path_factory, file):
+    data, header_eol = file
+    path = tmp_path_factory.mktemp("split") / "m.csv"
+    path.write_bytes(data)
+    header, x = read_one_range(path)
+    data_bytes = len(data) - data.index(header_eol.encode()) - len(header_eol)
+    for k in (1, 2, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            splits = force_ranges(mp, k)
+            got_header, got = read_matrix_csv(path)
+        assert got_header == header
+        assert got.shape == x.shape and got.tobytes() == x.tobytes()
+        # one worker per range, an empty range included (fewer rows than
+        # cores); a header ended by a lone CR is not split
+        assert (splits[0] is not None) == (min(k, data_bytes) >= 2 and header_eol != "\r")
+        assert multiprocessing.active_children() == []
+
+
+SPLIT_ERRORS = {
+    "bad-cell-last-range": "x1,x2\n" + "0.5,1.5\n" * 30 + "0.5,oops\n",
+    "ragged-last-range": "x1,x2\n" + "0.5,1.5\n" * 30 + "0.5,1.5,2.5\n" * 20,
+    "long-rows-every-range": "x1,x2\n" + "0.5,1.5,2.5\n" * 30,
+    "header-only": "x1,x2\n",
+    "empty": "",
+}
+
+
+@pytest.mark.parametrize("worker", ["parses", "dies"])
+@pytest.mark.parametrize("name", sorted(SPLIT_ERRORS))
+def test_split_errors_match_one_range(tmp_path, monkeypatch, recwarn, capsys, name, worker):
+    x = tmp_path / "X.csv"
+    x.write_text(SPLIT_ERRORS[name])
+    y = tmp_path / "y.csv"
+    y.write_text("y\n" + "1\n" * 31)
+    with pytest.raises(enns.cli.DataError) as one_range:
+        read_one_range(x)
+    force_ranges(monkeypatch, 3)
+    if worker == "dies":
+        monkeypatch.setattr(enns.cli, "_range_worker", lambda *args: os._exit(1))
+    with pytest.raises(enns.cli.DataError) as split:
+        read_matrix_csv(x)
+    assert str(split.value) == str(one_range.value)
+    assert run("select", "--x", x, "--y", y, "--s0", 1) == 2
+    assert capsys.readouterr().err == f"data error: {one_range.value}\n"
+    assert len(recwarn) == 0
+    assert multiprocessing.active_children() == []
+
+
+def test_dead_worker_falls_back_to_one_range(tmp_path, monkeypatch):
+    path = tmp_path / "m.csv"
+    write_matrix_csv(path, ["a", "b", "c"], np.random.default_rng(1).normal(size=(30, 3)))
+    header, x = read_one_range(path)
+    splits = force_ranges(monkeypatch, 2)
+    monkeypatch.setattr(enns.cli, "_range_worker", lambda *args: os._exit(1))
+    got_header, got = read_matrix_csv(path)
+    assert splits == [None]
+    assert got_header == header and got.tobytes() == x.tobytes()
+    assert multiprocessing.active_children() == []
+
+
 # --- estimate --------------------------------------------------------------------
 
 
@@ -257,6 +376,18 @@ def test_estimate_accepts_selection_json(tmp_path):
         "estimate", "--x", data / "X.csv", "--y", data / "y.csv", "--selection-json", sel,
         "--epochs", 15, "--model-out", tmp_path / "m.json",
     ) == 0
+
+
+def test_estimate_divergent_training_is_numerical_failure_without_warning(tmp_path, recwarn, capsys):
+    data = gen_small(tmp_path, n=40, p=4, s=2)
+    assert run(
+        "estimate", "--x", data / "X.csv", "--y", data / "y.csv", "--selected", "1,2",
+        "--learning-rate", "1e200", "--epochs", 5, "--model-out", tmp_path / "m.json",
+    ) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and "RuntimeWarning" not in err
+    assert len(recwarn) == 0
+    assert not (tmp_path / "m.json").exists()
 
 
 def test_estimate_unreadable_model_reload(tmp_path):
@@ -485,16 +616,34 @@ GOLDEN_DIGESTS = {
 }
 
 
-@pytest.fixture(scope="module")
-def golden_outputs(tmp_path_factory):
-    import hashlib
-
-    root = tmp_path_factory.mktemp("golden")
-    uni = root / "gen_uniform"
+def gen_golden_uniform(out):
     assert run(
-        "gen-data", "--out-dir", uni, "--n", 60, "--p", 8, "--response", "network",
+        "gen-data", "--out-dir", out, "--n", 60, "--p", 8, "--response", "network",
         "--s", 2, "--coef-mean", 5, "--coef-sd", 1, "--seed", 11,
     ) == 0
+
+
+def golden_select(xy, method, out):
+    assert run(
+        "select", *xy, "--method", method, "--s0", 2, "--bags", 3, "--ps", 0.5,
+        "--epochs", 10, "--val-fraction", 0.2, "--seed", 13, "--out", out,
+    ) == 0
+
+
+def golden_digest(name, path):
+    raw = path.read_bytes()
+    if name.startswith("select_"):
+        doc = json.loads(raw)
+        doc.pop("wall_clock_seconds")
+        raw = json.dumps(doc).encode()
+    return hashlib.sha256(raw).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def golden_outputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden")
+    uni = root / "gen_uniform"
+    gen_golden_uniform(uni)
     assert run(
         "gen-data", "--out-dir", root / "gen_correlated", "--n", 40, "--p", 6,
         "--design", "correlated", "--rho", 0.5, "--response", "linear",
@@ -502,10 +651,7 @@ def golden_outputs(tmp_path_factory):
     ) == 0
     xy = ["--x", uni / "X.csv", "--y", uni / "y.csv"]
     for method in ("dnp", "enns"):
-        assert run(
-            "select", *xy, "--method", method, "--s0", 2, "--bags", 3, "--ps", 0.5,
-            "--epochs", 10, "--val-fraction", 0.2, "--seed", 13, "--out", root / f"select_{method}.json",
-        ) == 0
+        golden_select(xy, method, root / f"select_{method}.json")
     for mode, extra in (("none", []), ("percentile", ["--sparsity-values", "50,50"])):
         out = root / f"estimate_{mode}"
         out.mkdir()
@@ -523,20 +669,23 @@ def golden_outputs(tmp_path_factory):
         "--first-cases", "1:2,2:5", "--seed", 15, "--out", root / "verify_theory.json",
     ) == 0
 
-    digests = {}
-    for name in GOLDEN_DIGESTS:
-        raw = (root / name).read_bytes()
-        if name.startswith("select_"):
-            doc = json.loads(raw)
-            doc.pop("wall_clock_seconds")
-            raw = json.dumps(doc).encode()
-        digests[name] = hashlib.sha256(raw).hexdigest()
-    return digests
+    return {name: golden_digest(name, root / name) for name in GOLDEN_DIGESTS}
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
 def test_golden_cli_output(golden_outputs, name):
     assert golden_outputs[name] == GOLDEN_DIGESTS[name]
+
+
+@pytest.mark.parametrize("method", ["dnp", "enns"])
+def test_golden_select_with_csv_split_into_ranges(tmp_path, monkeypatch, method):
+    uni = tmp_path / "gen_uniform"
+    gen_golden_uniform(uni)
+    splits = force_ranges(monkeypatch, 3)
+    name = f"select_{method}.json"
+    golden_select(["--x", uni / "X.csv", "--y", uni / "y.csv"], method, tmp_path / name)
+    assert len(splits) == 2 and all(x is not None for x in splits)
+    assert golden_digest(name, tmp_path / name) == GOLDEN_DIGESTS[name]
 
 
 def test_failed_write_keeps_earlier_file_and_leaves_no_temp(tmp_path):

@@ -441,7 +441,6 @@ def test_train_matches_per_layer_reference(
     assert not any(np.shares_memory(a, b) for a in layers(params) for b in layers(out))
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_train_aborts_on_non_finite_loss():
     # full batch (the fused path), minibatch, and full batch with a validation split
     arch = small_arch()
