@@ -16,6 +16,7 @@ import json
 import math
 import multiprocessing
 import os
+import stat
 import sys
 import time
 import typing
@@ -114,10 +115,11 @@ def write_matrix_csv(path: Path, header: Sequence[str], matrix: np.ndarray) -> N
 
 # A file's data lines are split over k = min(cores, data bytes // _RANGE_BYTES)
 # forked workers when k >= 2. Forking, the pipe transfer and reaping cost about
-# 35 ms for two workers on a 2-core x86-64 VM, which a split of a 3 MB file
-# (1.5 MB ranges) did not win back and one of 6 MB (3 MB ranges) did. At 4 MB
-# per range, a 6.2 MB file (n=300, p=1000) stays one in-process range and a
-# 31 MB one (p=5000) parses in two workers.
+# 35 ms for two workers on a 2-core x86-64 VM: a split 3 MB file (1.5 MB
+# ranges) lost about 20 ms and a split 6 MB one (3 MB ranges) won about 30 ms,
+# so the break-even lies between. 4 MB is above it on purpose, to keep a 6.2 MB
+# file (n=300, p=1000) one in-process range with its timing unchanged; a 31 MB
+# one (p=5000) parses in two workers.
 _RANGE_BYTES = 4_000_000
 
 
@@ -136,7 +138,13 @@ def _range_worker(fd: int, start: int, stop: int, out: int) -> None:
     file."""
     try:
         with open(out, "wb") as pipe:
-            x = _parse_lines(io.TextIOWrapper(io.BytesIO(os.pread(fd, stop - start, start)), encoding="utf8"))
+            chunks = []
+            while start < stop:  # Linux returns at most about 2 GiB per read
+                chunks.append(os.pread(fd, stop - start, start))
+                if not chunks[-1]:
+                    raise OSError("file shrank during the parse")
+                start += len(chunks[-1])
+            x = _parse_lines(io.TextIOWrapper(io.BytesIO(b"".join(chunks)), encoding="utf8"))
             pipe.write(np.array(x.shape, dtype=np.int64).tobytes())
             pipe.write(x)
     except (OSError, ValueError):
@@ -154,21 +162,25 @@ def _read_into(pipe, buf) -> None:
         view = view[n:]
 
 
-def _parse_split(path, fields: int) -> Optional[np.ndarray]:
+def _parse_split(path, opened: os.stat_result, fields: int) -> Optional[np.ndarray]:
     """The matrix of the data lines of ``path`` parsed over line-aligned byte
     ranges in forked workers, read straight into one preallocated array.
+    ``opened`` is the status of the handle the caller read the header from.
 
     None, and the caller parses the file as one range, when the platform does
     not report the cores this process may use (Linux does, and it can fork),
-    when the file is too small to split, or when a worker fails or disagrees
-    with the header on the column count."""
-    if not hasattr(os, "sched_getaffinity"):
+    when that handle is not a regular file (a pipe cannot be read twice), when
+    the file is too small to split, when forking is refused or warned about,
+    or when a worker fails or disagrees with the header on the column count."""
+    if not (hasattr(os, "sched_getaffinity") and stat.S_ISREG(opened.st_mode)):
         return None
     with ExitStack() as stack:
         fh = stack.enter_context(open(path, "rb"))  # the workers read it too
+        if not os.path.samestat(os.fstat(fh.fileno()), opened):
+            return None  # the path names another file by now
         head = fh.readline()
         start = fh.tell()
-        size = os.fstat(fh.fileno()).st_size
+        size = opened.st_size
         k = min(len(os.sched_getaffinity(0)), (size - start) // _RANGE_BYTES)
         # a lone CR ends the header early for the text reader, which would then
         # start the data at another byte than this one
@@ -188,11 +200,19 @@ def _parse_split(path, fields: int) -> Optional[np.ndarray]:
             for a, b in zip(cuts, cuts[1:]):
                 r, w = os.pipe()
                 pipes.append(stack.enter_context(open(r, "rb", buffering=0)))
-                with open(w, "wb"):  # the parent's copy of the write end closes once forked
+                # The parent's copy of the write end closes once forked. Python
+                # 3.12 and later warn at a fork from a process with more than one
+                # thread (a multi-threaded BLAS counts) that the child may
+                # deadlock: recorded, not raised, so that the child is reaped
+                # either way, and taken as a no.
+                with open(w, "wb"), warnings.catch_warnings(record=True) as warned:
+                    warnings.simplefilter("always")
                     proc = ctx.Process(target=_range_worker, args=(fh.fileno(), a, b, w))
                     proc.start()
                 stack.callback(proc.join)
                 stack.callback(proc.kill)  # runs first: a worker is done or abandoned
+                if warned:
+                    return None
             shapes = np.empty((len(pipes), 2), dtype=np.int64)
             for pipe, shape in zip(pipes, shapes):
                 _read_into(pipe, shape)
@@ -221,7 +241,7 @@ def read_matrix_csv(path) -> tuple[list[str], np.ndarray]:
             if not header_line:
                 raise DataError(f"{path}: empty file")
             header = header_line.rstrip("\r\n").split(",")
-            x = _parse_split(path, len(header))
+            x = _parse_split(path, os.fstat(fh.fileno()), len(header))
             if x is None:
                 x = _parse_lines(fh)
     except OSError as exc:

@@ -3,6 +3,7 @@ import json
 import multiprocessing
 import os
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -274,6 +275,62 @@ def test_dead_worker_falls_back_to_one_range(tmp_path, monkeypatch):
     splits = force_ranges(monkeypatch, 2)
     monkeypatch.setattr(enns.cli, "_range_worker", lambda *args: os._exit(1))
     got_header, got = read_matrix_csv(path)
+    assert splits == [None]
+    assert got_header == header and got.tobytes() == x.tobytes()
+    assert multiprocessing.active_children() == []
+
+
+def split_input(tmp_path, rows=100):
+    """A CSV of rows x 12 normal draws (about 27 KB at 100 rows) and its one-range parse."""
+    path = tmp_path / "m.csv"
+    header = [f"x{j}" for j in range(1, 13)]
+    write_matrix_csv(path, header, np.random.default_rng(2).normal(size=(rows, 12)))
+    return path, read_one_range(path)
+
+
+def test_csv_from_a_pipe_parses_as_the_regular_file(tmp_path, monkeypatch):
+    path, (header, x) = split_input(tmp_path)
+    data = path.read_bytes()
+    assert 16_384 < len(data) < 65_536  # past the text reader's buffer, within the pipe's
+    splits = force_ranges(monkeypatch, 2)
+    r, w = os.pipe()
+    try:
+        assert os.write(w, data) == len(data)
+        os.close(w)
+        got_header, got = read_matrix_csv(f"/dev/fd/{r}")
+    finally:
+        os.close(r)
+    # a pipe cannot be read twice, so it is never split
+    assert splits == [None]
+    assert got_header == header and got.tobytes() == x.tobytes()
+
+
+def test_short_reads_in_a_worker_are_completed(tmp_path, monkeypatch):
+    path, (header, x) = split_input(tmp_path)
+    pread = os.pread
+    monkeypatch.setattr(os, "pread", lambda fd, n, offset: pread(fd, min(n, 100), offset))
+    splits = force_ranges(monkeypatch, 2)
+    got_header, got = read_matrix_csv(path)
+    assert splits[0] is not None
+    assert got_header == header and got.tobytes() == x.tobytes()
+    assert multiprocessing.active_children() == []
+
+
+def test_warned_fork_falls_back_to_one_range(tmp_path, monkeypatch):
+    path, (header, x) = split_input(tmp_path)
+    fork = os.fork
+
+    def warned_fork():
+        pid = fork()
+        if pid:  # as Python 3.12 and later warn in a multi-threaded parent
+            warnings.warn("use of fork() may lead to deadlocks in the child.", DeprecationWarning)
+        return pid
+
+    monkeypatch.setattr(os, "fork", warned_fork)
+    splits = force_ranges(monkeypatch, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got_header, got = read_matrix_csv(path)
     assert splits == [None]
     assert got_header == header and got.tobytes() == x.tobytes()
     assert multiprocessing.active_children() == []
