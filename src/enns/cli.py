@@ -28,6 +28,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
+from .cores import usable_cores
 from .ensemble import EnnsConfig, SelectionReport, enns_select
 from .estimation import SparsitySpec, fit_l1
 from .metrics import PredictionMetrics, classification_metrics, regression_metrics, selection_metrics
@@ -113,7 +114,7 @@ def write_matrix_csv(path: Path, header: Sequence[str], matrix: np.ndarray) -> N
     _write_csv(path, header, ((_fmt(v) for v in row) for row in np.atleast_2d(matrix)))
 
 
-# A file's data lines are split over k = min(cores, data bytes // _RANGE_BYTES)
+# A file's data lines are split over k = min(usable_cores(), data bytes // _RANGE_BYTES)
 # forked workers when k >= 2. Forking, the pipe transfer and reaping cost about
 # 35 ms for two workers on a 2-core x86-64 VM: a split 3 MB file (1.5 MB
 # ranges) lost about 20 ms and a split 6 MB one (3 MB ranges) won about 30 ms,
@@ -181,7 +182,7 @@ def _parse_split(path, opened: os.stat_result, fields: int) -> Optional[np.ndarr
         head = fh.readline()
         start = fh.tell()
         size = opened.st_size
-        k = min(len(os.sched_getaffinity(0)), (size - start) // _RANGE_BYTES)
+        k = min(usable_cores(), (size - start) // _RANGE_BYTES)
         # a lone CR ends the header early for the text reader, which would then
         # start the data at another byte than this one
         if k < 2 or b"\r" in head[:-2]:
@@ -232,9 +233,9 @@ def read_matrix_csv(path) -> tuple[list[str], np.ndarray]:
     skipped, and every other data line must have one field per header name.
 
     The data lines of a large file are parsed over line-aligned byte ranges in
-    forked workers, one per available core. The matrix is the one a single
-    parse gives, bit for bit: if any worker fails, the whole file is parsed
-    here instead, so every error reads as it would from that parse."""
+    forked workers, one per usable core (``usable_cores``). The matrix is the
+    one a single parse gives, bit for bit: if any worker fails, the whole file
+    is parsed here instead, so every error reads as it would from that parse."""
     try:
         with open(path, encoding="utf8") as fh:
             header_line = fh.readline()

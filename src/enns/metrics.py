@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 import numpy as np
-from scipy.stats import rankdata
 
 
 @dataclass(frozen=True)
@@ -78,7 +77,7 @@ def classification_metrics(
         raise ValueError("length mismatch")
     if not np.all((y == 0.0) | (y == 1.0)):
         raise ValueError("labels must be 0/1")
-    if np.any((p_hat < 0.0) | (p_hat > 1.0)):
+    if not np.all((p_hat >= 0.0) & (p_hat <= 1.0)):  # NaN too
         raise ValueError("scores must lie in [0, 1]")
 
     pred = (p_hat > threshold).astype(np.float64)
@@ -89,7 +88,10 @@ def classification_metrics(
     if n_pos == 0 or n_neg == 0:
         auc = None
     else:
-        ranks = rankdata(p_hat)  # average ranks: tied pairs count half
+        # average ranks, so tied pairs count half: each distinct score takes the
+        # mean of the 1-based positions its ties occupy in sorted order
+        _, inv, cnt = np.unique(p_hat, return_inverse=True, return_counts=True)
+        ranks = (np.cumsum(cnt) - (cnt - 1) / 2.0)[inv]
         auc = float((np.sum(ranks[y == 1.0]) - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
     tp = float(np.sum((pred == 1.0) & (y == 1.0)))

@@ -10,11 +10,14 @@ integral of folded-normal densities and CDFs.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy import integrate, special
 
+from .cores import usable_cores
 from .seeding import spawn_rng
 
 _SQRT2 = np.sqrt(2.0)
@@ -141,29 +144,65 @@ def prob_first_correct(profile: SignalProfile) -> float:
     return float(min(max(total, 0.0), 1.0))
 
 
+def _orthonormal_columns(g: np.ndarray) -> np.ndarray:
+    return np.linalg.qr(g)[0]
+
+
+def _first_hits(q: np.ndarray, eps: np.ndarray, betas: np.ndarray, sigma: float, s: int) -> int:
+    """Replications of the stack ``q`` whose largest |q_(j)' y| lies in the
+    first ``s`` columns, with y = q betas + sigma eps."""
+    y = np.einsum("cnp,p->cn", q, betas) + sigma * eps
+    scores = np.abs(np.einsum("cnp,cn->cp", q, y))
+    return int(np.sum(np.argmax(scores, axis=1) < s))
+
+
+# Designs per block: about 12 MB of draws, 500 matrices at n=60, p=50. For 5000
+# such replications, blocks of 250, 500 and 1250 matrices took 0.46, 0.49 and
+# 0.56 s (medians of 5, each spread over about 0.2 s) on two threads of a
+# 2-core x86-64 VM with one BLAS thread, against 1.04 s for the unsplit chunk.
+_BLOCK_BYTES = 12_000_000
+
+
 def mc_first_selection(
     profile: SignalProfile, n: int, reps: int, seed: int, chunk: int = 20000
 ) -> float:
     """Simulate the orthonormalized-design construction directly: draw a
     Gaussian n x p design, orthonormalize its columns, form y = X beta + eps
     and return the fraction of replications whose argmax_j |x_(j)' y| lies in
-    the support."""
+    the support.
+
+    Replications run in chunks of ``chunk``. A chunk's designs are drawn in
+    blocks of about ``_BLOCK_BYTES``; each block is orthonormalized, and later
+    scored, in a thread pool of up to ``usable_cores()`` threads while the next
+    block is drawn, and the pool ends with the call. A chunk of one block runs
+    in this thread. The random stream and every matrix are those of one draw
+    and one QR per chunk, so the result does not depend on the core count."""
     if reps < 1:
         raise ValueError("reps must be positive")
     if n < profile.p:
         raise ValueError("need n >= p to orthonormalize the design columns")
     rng = spawn_rng(seed, "mc-first")
     betas = np.abs(profile.betas)
+    score = partial(_first_hits, betas=betas, sigma=profile.sigma, s=profile.s)
+    block = max(1, _BLOCK_BYTES // (8 * n * profile.p))
     hits = 0
     done = 0
     while done < reps:
         c = min(chunk, reps - done)
-        g = rng.standard_normal((c, n, profile.p))
-        q = np.linalg.qr(g)[0]
-        eps = rng.standard_normal((c, n))
-        y = np.einsum("cnp,p->cn", q, betas) + profile.sigma * eps
-        scores = np.abs(np.einsum("cnp,cn->cp", q, y))
-        hits += int(np.sum(np.argmax(scores, axis=1) < profile.s))
+        if c <= block:
+            q = _orthonormal_columns(rng.standard_normal((c, n, profile.p)))
+            hits += score(q, rng.standard_normal((c, n)))
+        else:
+            starts = range(0, c, block)
+            with ThreadPoolExecutor(min(usable_cores(), len(starts))) as pool:
+                # consecutive draws give the numbers of one (c, n, p) draw
+                qs = [
+                    pool.submit(_orthonormal_columns, rng.standard_normal((min(block, c - a), n, profile.p)))
+                    for a in starts
+                ]
+                eps = rng.standard_normal((c, n))
+                counts = [pool.submit(score, q.result(), eps[a : a + block]) for q, a in zip(qs, starts)]
+                hits += sum(f.result() for f in counts)
         done += c
     return hits / reps
 

@@ -7,7 +7,9 @@ training references are the exception: they reuse ``backward`` and
 parameter vectors, in-place updates, unchecked row subsets, and checkpoints
 scored by the loss that the next full-batch ``backward`` returns:
 ``train_reference`` ignores that loss and scores every checkpoint with its
-own ``empirical_loss`` call).
+own ``empirical_loss`` call). ``mc_first_selection_serial`` is the
+first-selection Monte Carlo as one draw, one QR and one scoring pass per
+chunk, all in the calling thread.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import numpy as np
 
 from enns.network import EPS_ADAGRAD, Dataset, NetworkArchitecture, NetworkParameters, backward, empirical_loss
 from enns.seeding import spawn_rng
+from enns.theory import SignalProfile
 
 
 def loss_by_loops(params: NetworkParameters, arch, x_rows, y_vals, task: str) -> float:
@@ -167,3 +170,22 @@ def auc_by_pair_counting(y, scores) -> float:
             elif sp == sn:
                 total += 0.5
     return total / (len(pos) * len(neg))
+
+
+def mc_first_selection_serial(profile: SignalProfile, n: int, reps: int, seed: int, chunk: int = 20000) -> float:
+    """``mc_first_selection`` without blocks or threads: each chunk's designs
+    come from one (c, n, p) draw and are orthonormalized by one batched QR."""
+    rng = spawn_rng(seed, "mc-first")
+    betas = np.abs(profile.betas)
+    hits = 0
+    done = 0
+    while done < reps:
+        c = min(chunk, reps - done)
+        g = rng.standard_normal((c, n, profile.p))
+        q = np.linalg.qr(g)[0]
+        eps = rng.standard_normal((c, n))
+        y = np.einsum("cnp,p->cn", q, betas) + profile.sigma * eps
+        scores = np.abs(np.einsum("cnp,cn->cp", q, y))
+        hits += int(np.sum(np.argmax(scores, axis=1) < profile.s))
+        done += c
+    return hits / reps

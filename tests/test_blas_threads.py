@@ -1,10 +1,11 @@
-"""Seeded outputs do not depend on the BLAS thread count.
+"""Seeded outputs do not depend on the BLAS thread count or the core count.
 
 At n=300, p=1000 OpenBLAS splits the candidate-scoring product x' d_0 (and the
 training products) across threads when it has two, so each command runs in a
 subprocess with OPENBLAS_NUM_THREADS set to 1 and then 2 and the output bytes
 are compared. The select commands are also compared, in this process, with
-their X.csv parsed in one range and in three forked workers.
+their X.csv parsed in one range and in three forked workers, and the
+verify-theory report with its Monte Carlo blocks on one and two threads.
 """
 
 import json
@@ -13,6 +14,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import enns.theory
 from enns.cli import main
 from test_cli import force_ranges
 
@@ -91,3 +93,14 @@ def test_select_outputs_identical_with_csv_split_into_ranges(tmp_path, monkeypat
         assert len(splits) == 4 and all((x is not None) == (ranges > 1) for x in splits)
         outputs[ranges] = select_outputs(out)
     assert outputs[1] == outputs[3]
+
+
+def test_verify_theory_report_identical_with_one_and_two_cores(tmp_path, monkeypatch):
+    reports = {}
+    for cores in (1, 2):
+        out = tmp_path / f"cores{cores}.json"
+        monkeypatch.setattr(enns.theory, "usable_cores", lambda: cores)
+        # 3000 designs of 60 x 50 are six blocks, of 30 x 20 two
+        assert main(["verify-theory", "--reps", "3000", "--seed", "5", "--out", str(out)]) == 0
+        reports[cores] = out.read_bytes()
+    assert reports[1] == reports[2]

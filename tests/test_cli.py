@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import enns.cli
+import enns.cores
 from enns.cli import (
     ExperimentConfig,
     main,
@@ -171,10 +172,11 @@ def test_select_missing_file_is_data_error(tmp_path):
 
 
 def force_ranges(mp, k):
-    """Split every CSV read into up to k byte ranges (k cores, 1-byte ranges).
-    Returns the list of split results, None where the read fell back to one range."""
+    """Split every CSV read into up to k byte ranges (k usable cores, 1-byte
+    ranges). Returns the list of split results, None where the read fell back
+    to one range."""
     mp.setattr(enns.cli, "_RANGE_BYTES", 1)
-    mp.setattr(enns.cli.os, "sched_getaffinity", lambda pid: set(range(k)))
+    mp.setattr(enns.cli, "usable_cores", lambda: k)
     results = []
     split = enns.cli._parse_split
 
@@ -236,6 +238,20 @@ def test_split_parse_is_bit_identical_to_one_range(tmp_path_factory, file):
         # cores); a header ended by a lone CR is not split
         assert (splits[0] is not None) == (min(k, data_bytes) >= 2 and header_eol != "\r")
         assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("cpu_max, split", [("max 100000\n", True), ("100000 100000\n", False)])
+def test_split_worker_count_follows_cgroup_quota(tmp_path, monkeypatch, cpu_max, split):
+    path = tmp_path / "m.csv"
+    path.write_text("x1,x2\n" + "0.5,1.5\n" * 30)
+    (tmp_path / "cpu.max").write_text(cpu_max)
+    monkeypatch.setattr(enns.cores, "CPU_MAX", tmp_path / "cpu.max")
+    monkeypatch.setattr(enns.cores.os, "sched_getaffinity", lambda pid: set(range(3)))
+    splits = force_ranges(monkeypatch, 3)
+    # back to the real count: 3 cores of affinity, capped by cpu.max
+    monkeypatch.setattr(enns.cli, "usable_cores", enns.cores.usable_cores)
+    assert read_matrix_csv(path)[1].tobytes() == read_one_range(path)[1].tobytes()
+    assert (splits[0] is not None) == split
 
 
 SPLIT_ERRORS = {

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from enns.metrics import classification_metrics, regression_metrics, selection_metrics
 
@@ -195,8 +196,31 @@ def test_classification_auc_invariant_under_monotone_transform(pairs):
     assert a1 == pytest.approx(a2, abs=1e-12)
 
 
+@settings(deadline=None, max_examples=300)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(0, 1),
+            st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0)),
+        ),
+        min_size=2,
+        max_size=60,
+    ).filter(lambda v: 0 < sum(y for y, _ in v) < len(v))
+)
+def test_classification_auc_matches_rankdata_with_heavy_ties(pairs):
+    y = np.array([a for a, _ in pairs], dtype=float)
+    p = np.array([b for _, b in pairs])
+    n_pos = int(y.sum())
+    n_neg = y.size - n_pos
+    ranks = stats.rankdata(p)
+    expected = float((np.sum(ranks[y == 1.0]) - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+    assert classification_metrics(y, p).auc == expected
+
+
 def test_classification_rejects_bad_labels():
     with pytest.raises(ValueError):
         classification_metrics(np.array([0.0, 2.0]), np.array([0.5, 0.5]))
     with pytest.raises(ValueError):
         classification_metrics(np.array([0.0, 1.0]), np.array([0.5, 1.5]))
+    with pytest.raises(ValueError):
+        classification_metrics(np.array([0.0, 1.0]), np.array([0.5, np.nan]))

@@ -1,7 +1,11 @@
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
+import enns.theory
 from enns.theory import (
     SignalProfile,
     folded_normal_cdf,
@@ -12,6 +16,8 @@ from enns.theory import (
     prob_first_correct,
     prob_select_over,
 )
+
+from _oracles import mc_first_selection_serial
 
 
 # --- folded normal -------------------------------------------------------------
@@ -202,6 +208,47 @@ def test_mc_deterministic():
     a = mc_first_selection(profile, n=6, reps=5_000, seed=9)
     b = mc_first_selection(profile, n=6, reps=5_000, seed=9)
     assert a == b
+
+
+def first_profile(s: int, p: int) -> SignalProfile:
+    betas = np.zeros(p)
+    betas[:s] = 2.0
+    return SignalProfile(betas, 1.0, s)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_mc_first_selection_matches_serial_oracle(monkeypatch, seed):
+    # 1234 designs of 60 x 50 are three blocks, the last one short
+    profile = first_profile(5, 50)
+    assert mc_first_selection(profile, n=60, reps=1234, seed=seed) == mc_first_selection_serial(
+        profile, n=60, reps=1234, seed=seed
+    )
+    # blocks of 7 designs: 100 reps in chunks of 40 are 6 + 6 + 3 blocks
+    profile = first_profile(3, 20)
+    monkeypatch.setattr(enns.theory, "_BLOCK_BYTES", 7 * 8 * 30 * 20)
+    for chunk in (20000, 40, 7):
+        assert mc_first_selection(profile, n=30, reps=100, seed=seed, chunk=chunk) == mc_first_selection_serial(
+            profile, n=30, reps=100, seed=seed, chunk=chunk
+        )
+
+
+def test_mc_first_selection_threads_end_with_the_call(monkeypatch):
+    pools = []
+
+    class Pool(ThreadPoolExecutor):
+        def __init__(self, workers):
+            pools.append(workers)
+            super().__init__(workers)
+
+    monkeypatch.setattr(enns.theory, "ThreadPoolExecutor", Pool)
+    monkeypatch.setattr(enns.theory, "usable_cores", lambda: 2)
+    before = threading.active_count()
+    mc_first_selection(first_profile(5, 50), n=60, reps=1234, seed=0)
+    assert threading.active_count() == before
+    assert pools == [2]
+    # a chunk of one block runs in this thread
+    mc_first_selection(first_profile(5, 50), n=60, reps=500, seed=0)
+    assert pools == [2]
 
 
 # --- profile validation ---------------------------------------------------------------
