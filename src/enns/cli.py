@@ -30,9 +30,11 @@ import numpy as np
 
 from .cores import usable_cores
 from .ensemble import EnnsConfig, SelectionReport, enns_select
-from .estimation import SparsitySpec, fit_l1
+from .estimation import SPARSITY_MODES, SparsitySpec, fit_l1
 from .metrics import PredictionMetrics, classification_metrics, regression_metrics, selection_metrics
 from .network import (
+    ACTIVATIONS,
+    TASKS,
     Dataset,
     NetworkArchitecture,
     NetworkParameters,
@@ -44,7 +46,8 @@ from .network import (
     xavier_init,
 )
 from .seeding import derive_seed, spawn_rng
-from .simulate import GroundTruth, ResponseSpec, gen_design_correlated, gen_design_uniform, gen_response
+from .simulate import DEFAULT_GENERATOR_HIDDEN, RESPONSE_KINDS, GroundTruth, ResponseSpec, gen_response
+from .simulate import gen_design_correlated, gen_design_uniform
 from .stagewise import DnpConfig, dnp_run
 from .theory import SignalProfile, mc_first_selection, mc_select_over, prob_first_correct, prob_select_over
 
@@ -287,27 +290,35 @@ def _float_list(text: str) -> tuple[float, ...]:
 # --- experiment config file -----------------------------------------------------------
 
 
+def _key(default=dataclasses.MISSING, **metadata) -> dataclasses.Field:
+    """A config key with metadata: "convert", "choices" or "flag"."""
+    return field(default=default, metadata=metadata)
+
+
 @dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
-    """Validated contents of a run-experiment config file.
+    """Validated contents of a run-experiment config file, and the one
+    declaration of the options that gen-data, select and estimate share with it.
 
     Every field is a config key; a field without a default is a required key.
     Values are converted by the field's type, or by ``metadata["convert"]``
-    for the comma-separated list keys.
+    for the comma-separated list keys, and must be one of
+    ``metadata["choices"]`` where that is given. A subcommand takes a field as
+    the flag ``--field-name``, or ``metadata["flag"]``, with the same default.
     """
 
-    design: str = "uniform"
+    design: str = _key("uniform", choices=("uniform", "correlated"))
     rho: Optional[float] = None
     n: int
     p: int
-    response: str
-    task: str = "regression"
+    response: str = _key(choices=RESPONSE_KINDS)
+    task: str = _key("regression", choices=TASKS)
     s: int
     coef_mean: Optional[float] = None
     coef_sd: Optional[float] = None
     noise_sd: float = 1.0
-    net_hidden: tuple[int, ...] = field(default=(50, 30, 15, 10), metadata={"convert": _int_list})
-    method: str = "enns"
+    net_hidden: tuple[int, ...] = _key(DEFAULT_GENERATOR_HIDDEN, convert=_int_list)
+    method: str = _key("enns", choices=("enns", "dnp"))
     s0: int
     bags: int = 10
     ps: float = 0.3
@@ -316,14 +327,14 @@ class ExperimentConfig:
     b1: int = 2
     dropout_rate: float = 0.5
     norm_q: float = 2.0
-    hidden: tuple[int, ...] = field(default=(10,), metadata={"convert": _int_list})
-    activation: str = "relu"
+    hidden: tuple[int, ...] = _key((10,), convert=_int_list)
+    activation: str = _key("relu", choices=ACTIVATIONS)
     learning_rate: float = 0.1
-    max_epochs: int = 50
+    max_epochs: int = _key(50, flag="--epochs")
     batch_size: Optional[int] = None
     patience: int = 0
-    sparsity_mode: str = "none"
-    sparsity_values: Optional[tuple[float, ...]] = field(default=None, metadata={"convert": _float_list})
+    sparsity_mode: str = _key("none", choices=("none", *SPARSITY_MODES))
+    sparsity_values: Optional[tuple[float, ...]] = _key(None, convert=_float_list)
     repetitions: int = 1
     train_fraction: float = 0.6
     validation_fraction: float = 0.2
@@ -332,17 +343,20 @@ class ExperimentConfig:
     output: Optional[str] = None
 
 
-def _config_converter(f: dataclasses.Field, hint) -> Callable[[str], object]:
-    if "convert" in f.metadata:
-        return f.metadata["convert"]
+# Resolved once, at import: ``main`` builds the parser on every call.
+_FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
+_HINTS = typing.get_type_hints(ExperimentConfig)
+
+
+def _converter(key: str) -> Callable[[str], object]:
+    if "convert" in _FIELDS[key].metadata:
+        return _FIELDS[key].metadata["convert"]
     # Optional[X] converts with X
-    return next((a for a in typing.get_args(hint) if a is not type(None)), hint)
+    return next((a for a in typing.get_args(_HINTS[key]) if a is not type(None)), _HINTS[key])
 
 
 def parse_experiment_config(text: str) -> ExperimentConfig:
     """Parse the flat ``key = value`` config format; unknown keys are errors."""
-    fields = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
-    hints = typing.get_type_hints(ExperimentConfig)
     values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -353,15 +367,15 @@ def parse_experiment_config(text: str) -> ExperimentConfig:
         key, _, val = line.partition("=")
         key = key.strip()
         val = val.strip()
-        if key not in fields:
+        if key not in _FIELDS:
             raise UsageError(f"config line {lineno}: unknown key {key!r}")
         if key in values:
             raise UsageError(f"config line {lineno}: duplicate key {key!r}")
         try:
-            values[key] = _config_converter(fields[key], hints[key])(val)
+            values[key] = _converter(key)(val)
         except ValueError as exc:
             raise UsageError(f"config line {lineno}: bad value for {key}: {exc}") from exc
-    for key, f in fields.items():
+    for key, f in _FIELDS.items():
         if key not in values and f.default is dataclasses.MISSING:
             raise UsageError(f"config is missing required key {key!r}")
     cfg = ExperimentConfig(**values)
@@ -370,14 +384,9 @@ def parse_experiment_config(text: str) -> ExperimentConfig:
 
 
 def _validate_experiment_config(cfg: ExperimentConfig) -> None:
-    if cfg.design not in ("uniform", "correlated"):
-        raise UsageError(f"unknown design {cfg.design!r}")
-    if cfg.response not in ("linear", "additive", "network"):
-        raise UsageError(f"unknown response {cfg.response!r}")
-    if cfg.task not in ("regression", "classification"):
-        raise UsageError(f"unknown task {cfg.task!r}")
-    if cfg.method not in ("enns", "dnp"):
-        raise UsageError(f"unknown method {cfg.method!r}")
+    for key, f in _FIELDS.items():
+        if "choices" in f.metadata and getattr(cfg, key) not in f.metadata["choices"]:
+            raise UsageError(f"unknown {key} {getattr(cfg, key)!r}")
     if not 1 <= cfg.s0 <= cfg.p:
         raise UsageError(f"s0 must be in 1..p, got s0 = {cfg.s0} with p = {cfg.p}")
     fractions = (cfg.train_fraction, cfg.validation_fraction, cfg.test_fraction)
@@ -390,14 +399,13 @@ def _validate_experiment_config(cfg: ExperimentConfig) -> None:
             raise UsageError(f"{key} leaves no rows: floor({key} * n) is 0 for n = {cfg.n}")
     if cfg.repetitions < 1:
         raise UsageError("repetitions must be >= 1")
-    if cfg.sparsity_mode not in ("none", "percentile", "explicit_lambda"):
-        raise UsageError(f"unknown sparsity_mode {cfg.sparsity_mode!r}")
     if cfg.sparsity_mode != "none" and cfg.sparsity_values is None:
         raise UsageError("sparsity_values required unless sparsity_mode is none")
 
 
 # --- the pipeline, shared by the subcommands and run-experiment ---------------------
-# ``src`` is the parsed flags or an ExperimentConfig: both carry the same names.
+# ``src`` is the parsed flags or an ExperimentConfig: the flags that these read
+# are generated from ExperimentConfig's fields, with the field names as dests.
 
 
 def _generate(src, seed: int) -> tuple[np.ndarray, np.ndarray, GroundTruth]:
@@ -695,65 +703,49 @@ def _pairs(text: str) -> tuple[tuple[int, int], ...]:
     return tuple(cases)
 
 
+def _add_config_flags(parser: argparse.ArgumentParser, *keys: str) -> None:
+    """The ExperimentConfig fields ``keys`` as flags, in that order: default,
+    converter and choices are the field's, and a field without a default is a
+    required flag."""
+    for key in keys:
+        f = _FIELDS[key]
+        default = {"required": True} if f.default is dataclasses.MISSING else {"default": f.default}
+        flag = f.metadata.get("flag", "--" + key.replace("_", "-"))
+        parser.add_argument(flag, dest=key, type=_converter(key), choices=f.metadata.get("choices"), **default)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="enns", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    training = ("hidden", "activation", "learning_rate", "max_epochs", "batch_size", "patience")
 
     g = sub.add_parser("gen-data", help="generate a synthetic dataset as CSV files")
     g.add_argument("--out-dir", required=True)
-    g.add_argument("--n", type=int, required=True)
-    g.add_argument("--p", type=int, required=True)
-    g.add_argument("--design", choices=["uniform", "correlated"], default="uniform")
-    g.add_argument("--rho", type=float, default=None)
-    g.add_argument("--response", choices=["linear", "additive", "network"], required=True)
-    g.add_argument("--task", choices=["regression", "classification"], default="regression")
-    g.add_argument("--s", type=int, required=True)
-    g.add_argument("--coef-mean", type=float, default=None)
-    g.add_argument("--coef-sd", type=float, default=None)
-    g.add_argument("--noise-sd", type=float, default=1.0)
-    g.add_argument("--net-hidden", type=_int_list, default=(50, 30, 15, 10))
-    g.add_argument("--seed", type=int, default=0)
+    _add_config_flags(g, "n", "p", "design", "rho", "response", "task", "s")
+    _add_config_flags(g, "coef_mean", "coef_sd", "noise_sd", "net_hidden", "seed")
     g.set_defaults(func=cmd_gen_data)
-
-    def add_training_flags(p_):
-        p_.add_argument("--hidden", type=_int_list, default=(10,))
-        p_.add_argument("--activation", choices=["relu", "sigmoid"], default="relu")
-        p_.add_argument("--learning-rate", dest="learning_rate", type=float, default=0.1)
-        p_.add_argument("--epochs", dest="max_epochs", type=int, default=50)
-        p_.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-        p_.add_argument("--patience", type=int, default=0)
 
     s = sub.add_parser("select", help="run variable selection on CSV data")
     s.add_argument("--x", required=True)
     s.add_argument("--y", required=True)
-    s.add_argument("--task", choices=["regression", "classification"], default="regression")
-    s.add_argument("--method", choices=["enns", "dnp"], default="enns")
-    s.add_argument("--s0", type=int, required=True)
-    s.add_argument("--bags", type=int, default=10)
-    s.add_argument("--ps", type=float, default=0.3)
-    s.add_argument("--bootstrap-size", dest="bootstrap_size", type=int, default=None)
-    s.add_argument("--per-round", dest="per_round", type=int, default=None)
-    s.add_argument("--b1", type=int, default=2)
-    s.add_argument("--dropout-rate", dest="dropout_rate", type=float, default=0.5)
-    s.add_argument("--norm-q", dest="norm_q", type=float, default=2.0)
-    add_training_flags(s)
-    s.add_argument("--val-fraction", dest="val_fraction", type=float, default=0.0)
-    s.add_argument("--seed", type=int, default=0)
+    _add_config_flags(s, "task", "method", "s0", "bags", "ps", "bootstrap_size", "per_round")
+    _add_config_flags(s, "b1", "dropout_rate", "norm_q", *training)
+    s.add_argument("--val-fraction", type=float, default=0.0)
+    _add_config_flags(s, "seed")
     s.add_argument("--out", default=None)
     s.set_defaults(func=cmd_select)
 
     e = sub.add_parser("estimate", help="fit a model on selected columns and report test metrics")
     e.add_argument("--x", required=True)
     e.add_argument("--y", required=True)
-    e.add_argument("--task", choices=["regression", "classification"], default="regression")
+    _add_config_flags(e, "task")
     e.add_argument("--selected", type=_int_list, default=None, help="1-based column indices")
     e.add_argument("--selection-json", default=None, help="output of the select subcommand")
-    add_training_flags(e)
-    e.add_argument("--sparsity-mode", choices=["none", "percentile", "explicit_lambda"], default="none")
-    e.add_argument("--sparsity-values", type=_float_list, default=None)
-    e.add_argument("--val-fraction", dest="val_fraction", type=float, default=0.0)
-    e.add_argument("--test-fraction", dest="test_fraction", type=float, default=0.25)
-    e.add_argument("--seed", type=int, default=0)
+    _add_config_flags(e, *training, "sparsity_mode", "sparsity_values")
+    # not the config's fractions: shares of the given rows, with their own defaults
+    e.add_argument("--val-fraction", type=float, default=0.0)
+    e.add_argument("--test-fraction", type=float, default=0.25)
+    _add_config_flags(e, "seed")
     e.add_argument("--model-out", required=True)
     e.add_argument("--metrics-out", default=None)
     e.set_defaults(func=cmd_estimate)
@@ -764,14 +756,14 @@ def build_parser() -> argparse.ArgumentParser:
     r.set_defaults(func=cmd_run_experiment)
 
     v = sub.add_parser("verify-theory", help="compare the probability formulas with simulation")
-    v.add_argument("--pair-betas", dest="pair_betas", type=_float_list, default=(0.0, 1.0, 2.0, 3.0))
+    v.add_argument("--pair-betas", type=_float_list, default=(0.0, 1.0, 2.0, 3.0))
     v.add_argument("--sigmas", type=_float_list, default=(0.5, 1.0, 2.0))
-    v.add_argument("--first-cases", dest="first_cases", type=_pairs, default=((1, 2), (3, 20), (5, 50)))
-    v.add_argument("--beta-support", dest="beta_support", type=float, default=2.0)
-    v.add_argument("--first-sigma", dest="first_sigma", type=float, default=1.0)
+    v.add_argument("--first-cases", type=_pairs, default=((1, 2), (3, 20), (5, 50)))
+    v.add_argument("--beta-support", type=float, default=2.0)
+    v.add_argument("--first-sigma", type=float, default=1.0)
     v.add_argument("--reps", type=int, default=100_000)
-    v.add_argument("--pair-tol", dest="pair_tol", type=float, default=0.01)
-    v.add_argument("--first-tol", dest="first_tol", type=float, default=0.02)
+    v.add_argument("--pair-tol", type=float, default=0.01)
+    v.add_argument("--first-tol", type=float, default=0.02)
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--out", default=None)
     v.set_defaults(func=cmd_verify_theory)

@@ -20,10 +20,12 @@ from .network import (
 from .seeding import derive_seed
 from .stagewise import DnpConfig, stagewise_fit
 
+SPARSITY_MODES = ("percentile", "explicit_lambda")
+
 
 def soft_threshold(v: np.ndarray, c: float) -> np.ndarray:
     """Elementwise shrink-toward-zero: sign(v) * max(|v| - c, 0)."""
-    if c < 0:
+    if not c >= 0:
         raise ValueError("threshold must be non-negative")
     v = np.asarray(v, dtype=np.float64)
     return np.sign(v) * np.maximum(np.abs(v) - c, 0.0)
@@ -55,10 +57,10 @@ class SparsitySpec:
     per_layer_values: tuple[float, ...]
 
     def __post_init__(self):
-        if self.mode not in ("explicit_lambda", "percentile"):
+        if self.mode not in SPARSITY_MODES:
             raise ValueError(f"unknown sparsity mode {self.mode!r}")
         object.__setattr__(self, "per_layer_values", tuple(float(v) for v in self.per_layer_values))
-        if any(v < 0 for v in self.per_layer_values):
+        if not all(v >= 0 for v in self.per_layer_values):
             raise ValueError("sparsity values must be non-negative")
         if self.mode == "percentile" and any(v >= 100.0 for v in self.per_layer_values):
             raise ValueError("percentile values must be < 100")

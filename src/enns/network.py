@@ -27,8 +27,8 @@ from .seeding import spawn_rng
 EPS_CLIP = 1e-12  # probability clipping before logs
 EPS_ADAGRAD = 1e-8
 
-_ACTIVATIONS = ("relu", "sigmoid")
-_TASKS = ("regression", "classification")
+ACTIVATIONS = ("relu", "sigmoid")
+TASKS = ("regression", "classification")
 
 
 class NumericalError(RuntimeError):
@@ -66,9 +66,9 @@ class NetworkArchitecture:
             raise ValueError("input_dim must be >= 0")
         if not self.hidden_sizes or any(h < 1 for h in self.hidden_sizes):
             raise ValueError("hidden_sizes must be non-empty with positive entries")
-        if self.hidden_activation not in _ACTIVATIONS:
+        if self.hidden_activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.hidden_activation!r}")
-        if self.task not in _TASKS:
+        if self.task not in TASKS:
             raise ValueError(f"unknown task {self.task!r}")
 
     @property
@@ -137,7 +137,7 @@ class Dataset:
         _check_shapes(x, y)
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
             raise ValueError("non-finite entries in data")
-        if self.task not in _TASKS:
+        if self.task not in TASKS:
             raise ValueError(f"unknown task {self.task!r}")
         if self.task == "classification" and not np.all((y == 0.0) | (y == 1.0)):
             raise ValueError("classification responses must be 0/1")
@@ -180,7 +180,7 @@ class TrainOptions:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:
             raise ValueError("learning_rate must be positive")
         if self.max_epochs < 0:
             raise ValueError("max_epochs must be non-negative")
@@ -334,7 +334,7 @@ def backward(
 def adagrad_step(theta: np.ndarray, grad: np.ndarray, acc: np.ndarray, lr: float) -> None:
     """One Adagrad update of flat float64 vectors, in place: acc += g*g, then
     theta -= lr*g / (sqrt(acc) + eps). ``grad`` is left holding the step taken."""
-    if lr <= 0:
+    if not lr > 0:
         raise ValueError("learning rate must be positive")
     acc += grad * grad
     grad *= lr

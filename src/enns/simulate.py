@@ -9,11 +9,10 @@ from typing import Optional
 
 import numpy as np
 
-from .network import NetworkArchitecture, NetworkParameters, forward_batch, sigmoid
+from .network import TASKS, NetworkArchitecture, NetworkParameters, forward_batch, sigmoid
 from .seeding import spawn_rng
 
-_KINDS = ("linear", "additive", "network")
-_TASKS = ("regression", "classification")
+RESPONSE_KINDS = ("linear", "additive", "network")
 
 DEFAULT_GENERATOR_HIDDEN = (50, 30, 15, 10)
 
@@ -36,14 +35,18 @@ class ResponseSpec:
     net_hidden: tuple[int, ...] = DEFAULT_GENERATOR_HIDDEN
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in RESPONSE_KINDS:
             raise ValueError(f"unknown response kind {self.kind!r}")
-        if self.task not in _TASKS:
+        if self.task not in TASKS:
             raise ValueError(f"unknown task {self.task!r}")
         if self.s < 1:
             raise ValueError("support size s must be positive")
-        if self.noise_sd < 0:
-            raise ValueError("noise_sd must be non-negative")
+        if not 0 <= self.noise_sd < np.inf:
+            raise ValueError("noise_sd must be finite and non-negative")
+        if self.coef_mean is not None and not np.isfinite(self.coef_mean):
+            raise ValueError("coef_mean must be finite")
+        if self.coef_sd is not None and not 0 <= self.coef_sd < np.inf:
+            raise ValueError("coef_sd must be finite and non-negative")
         object.__setattr__(self, "net_hidden", tuple(int(h) for h in self.net_hidden))
         if self.kind == "network" and not self.net_hidden:
             raise ValueError("network responses need at least one hidden layer")

@@ -71,7 +71,7 @@ class DnpConfig:
     train_opts: TrainOptions = field(default_factory=TrainOptions)
 
     def __post_init__(self):
-        if self.norm_q < 1.0:
+        if not self.norm_q >= 1.0:
             raise ValueError("norm_q must be >= 1")
         if self.num_dropouts < 1:
             raise ValueError("num_dropouts must be positive")

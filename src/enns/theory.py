@@ -34,7 +34,7 @@ class SignalProfile:
     def __post_init__(self):
         betas = np.asarray(self.betas, dtype=np.float64).ravel()
         object.__setattr__(self, "betas", betas)
-        if self.sigma <= 0:
+        if not self.sigma > 0:
             raise ValueError("sigma must be positive")
         if not 1 <= self.s <= betas.size:
             raise ValueError("support size must be in 1..p")
@@ -50,7 +50,7 @@ def folded_normal_cdf(x, mu: float, sigma: float):
     """CDF of |N(mu, sigma^2)| at x >= 0:
     (erf((x+|mu|)/sqrt(2 sigma^2)) + erf((x-|mu|)/sqrt(2 sigma^2))) / 2."""
     x = np.asarray(x, dtype=np.float64)
-    if sigma <= 0:
+    if not sigma > 0:
         raise ValueError("sigma must be positive")
     if np.any(x < 0):
         raise ValueError("x must be non-negative")
@@ -66,7 +66,7 @@ def folded_normal_pdf(x, mu: float, sigma: float):
     sqrt(2/(pi sigma^2)) exp(-(x^2+mu^2)/(2 sigma^2)) cosh(mu x / sigma^2)
     expression)."""
     x = np.asarray(x, dtype=np.float64)
-    if sigma <= 0:
+    if not sigma > 0:
         raise ValueError("sigma must be positive")
     if np.any(x < 0):
         raise ValueError("x must be non-negative")
@@ -101,7 +101,7 @@ def prob_select_over(beta_j: float, beta_k: float, sigma: float) -> float:
     2L((|bj|-|bk|)/(sqrt2 s), -|bk|/s, 1/sqrt2) + 2L((|bj|+|bk|)/(sqrt2 s),
     |bk|/s, 1/sqrt2) + Phi((|bj|-|bk|)/(sqrt2 s)) + Phi((|bj|+|bk|)/(sqrt2 s)) - 2.
     """
-    if sigma <= 0:
+    if not sigma > 0:
         raise ValueError("sigma must be positive")
     bj, bk = abs(beta_j), abs(beta_k)
     rho = 1.0 / _SQRT2

@@ -3,6 +3,8 @@ import json
 import multiprocessing
 import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -463,6 +465,44 @@ def test_estimate_divergent_training_is_numerical_failure_without_warning(tmp_pa
     assert not (tmp_path / "m.json").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen-data", "--noise-sd", "nan"],
+        ["gen-data", "--noise-sd", "inf"],
+        ["gen-data", "--coef-mean", "nan"],
+        ["gen-data", "--coef-mean", "-inf"],
+        ["gen-data", "--coef-sd", "inf"],
+        ["gen-data", "--coef-sd", "nan"],
+        ["gen-data", "--coef-sd", "-1"],
+        ["select", "--norm-q", "nan"],
+        ["select", "--learning-rate", "nan"],
+        ["estimate", "--learning-rate", "nan"],
+        ["estimate", "--sparsity-mode", "explicit_lambda", "--sparsity-values", "nan"],
+        ["verify-theory", "--sigmas", "nan"],
+        ["verify-theory", "--first-sigma", "nan"],
+    ],
+    ids=" ".join,
+)
+def test_nan_and_out_of_range_values_are_usage_errors(tmp_path, capsys, argv):
+    command, *flags = argv
+    out = tmp_path / "out"
+    if command == "gen-data":
+        argv = [command, "--out-dir", out, "--n", 20, "--p", 6, "--response", "linear", "--s", 2, *flags]
+    elif command == "verify-theory":
+        argv = [command, "--reps", 100, "--pair-betas", "0,1", "--first-cases", "1:2", *flags, "--out", out]
+    else:
+        data = gen_small(tmp_path, n=40, p=6, s=2)
+        xy = ["--x", data / "X.csv", "--y", data / "y.csv"]
+        if command == "select":
+            argv = [command, *xy, "--method", "dnp", "--s0", 2, "--epochs", 5, *flags, "--out", out]
+        else:
+            argv = [command, *xy, "--selected", "1,2", "--epochs", 5, *flags, "--model-out", out]
+    assert run(*argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_estimate_unreadable_model_reload(tmp_path):
     bad = tmp_path / "m.json"
     bad.write_text("{not json")
@@ -589,6 +629,25 @@ def test_config_rejects_nonpositive_s0(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "r.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("design", "grid"), ("response", "cubic"), ("task", "ranking"), ("method", "lasso"),
+     ("activation", "tanh"), ("sparsity_mode", "group")],
+)
+def test_config_rejects_unknown_choice_before_data(tmp_path, capsys, monkeypatch, key, value):
+    def no_data(*args, **kwargs):
+        raise AssertionError("data generated before the config was validated")
+
+    monkeypatch.setattr(enns.cli, "gen_design_uniform", no_data)
+    monkeypatch.setattr(enns.cli, "gen_design_correlated", no_data)
+    cfg = tmp_path / "exp.cfg"
+    text = re.sub(rf"^{key} = .*$", "", BASE_CFG, flags=re.M)  # drop any base value
+    cfg.write_text(text + f"{key} = {value}\n")
+    assert run("run-experiment", "--config", cfg, "--out", tmp_path / "r.csv") == 1
+    assert capsys.readouterr().err == f"error: unknown {key} {value!r}\n"
+    assert sorted(tmp_path.iterdir()) == [cfg]
+
+
 def test_correlated_design_without_rho_is_usage_error(tmp_path, capsys):
     out = tmp_path / "d"
     argv = ["--n", 10, "--p", 4, "--design", "correlated", "--response", "linear", "--s", 2]
@@ -640,6 +699,17 @@ def test_unknown_subcommand_is_usage_error():
 
 def test_missing_required_flag_is_usage_error():
     assert run("select", "--s0", 2) == 1
+
+
+@pytest.mark.parametrize("command", ["gen-data", "select", "estimate", "run-experiment", "verify-theory"])
+def test_help_exits_zero(command):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "enns.cli", command, "--help"], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(f"usage: enns {command}")
 
 
 # --- golden outputs -------------------------------------------------------------------

@@ -60,6 +60,17 @@ def test_soft_threshold_contracts_and_preserves_signs(v, c):
     assert np.all(np.sign(out[survivors]) == np.sign(v[survivors]))
 
 
+def test_nan_threshold_and_sparsity_values_are_rejected():
+    with pytest.raises(ValueError):
+        soft_threshold(np.array([1.0]), float("nan"))
+    for mode in ("explicit_lambda", "percentile"):
+        with pytest.raises(ValueError, match="non-negative"):
+            SparsitySpec(mode, (1.0, float("nan")))
+    # an infinite lambda is a valid, if extreme, proximal constant: all zeros
+    assert SparsitySpec("explicit_lambda", (float("inf"),)).per_layer_values == (float("inf"),)
+    assert np.array_equal(soft_threshold(np.array([3.0, -2.0]), float("inf")), np.zeros(2))
+
+
 def test_nearest_rank_percentile():
     vals = np.array([1.0, 2.0, 3.0, 4.0])
     assert nearest_rank_percentile(vals, 50.0) == 2.0

@@ -307,7 +307,7 @@ def test_adagrad_step_matches_per_layer_update():
         assert acc_flat.tobytes() == flat(acc).tobytes()
 
 
-@pytest.mark.parametrize("lr", [0.0, -0.1])
+@pytest.mark.parametrize("lr", [0.0, -0.1, float("nan")])
 def test_adagrad_rejects_nonpositive_learning_rate(lr):
     theta = np.zeros(3)
     with pytest.raises(ValueError):
@@ -494,6 +494,11 @@ def test_train_options_validation():
         TrainOptions(max_epochs=10, patience=11)
     with pytest.raises(ValueError):
         TrainOptions(batch_size=0)
+
+
+def test_train_options_reject_nan_learning_rate():
+    with pytest.raises(ValueError, match="learning_rate"):
+        TrainOptions(learning_rate=float("nan"))
 
 
 def test_dataset_validation():

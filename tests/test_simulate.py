@@ -62,6 +62,16 @@ def test_correlated_rejects_bad_rho():
 # --- responses ----------------------------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("noise_sd", float("nan")), ("noise_sd", float("inf")), ("coef_mean", float("nan")),
+     ("coef_mean", float("-inf")), ("coef_sd", float("nan")), ("coef_sd", float("inf")), ("coef_sd", -1.0)],
+)
+def test_response_spec_rejects_non_finite_or_negative_scales(field, value):
+    with pytest.raises(ValueError, match=field):
+        ResponseSpec(kind="linear", s=2, **{field: value})
+
+
 def test_linear_null_coefficients_give_zero_response():
     x = gen_design_uniform(20, 4, seed=0)
     spec = ResponseSpec(kind="linear", task="regression", s=2, coef_mean=0.0, coef_sd=0.0, noise_sd=0.0)

@@ -81,6 +81,12 @@ def test_dnp_config_validation():
         DnpConfig(dropout_rate=1.0)
 
 
+def test_dnp_config_rejects_nan_norm_q_and_takes_the_max_norm():
+    with pytest.raises(ValueError, match="norm_q"):
+        DnpConfig(norm_q=float("nan"))
+    assert DnpConfig(norm_q=float("inf")).norm_q == float("inf")
+
+
 # --- candidate_scores ---------------------------------------------------------------
 
 

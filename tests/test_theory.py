@@ -264,6 +264,18 @@ def test_profile_rejects_bad_sigma():
         SignalProfile(np.array([1.0]), 0.0, 1)
 
 
+def test_nan_sigma_is_rejected():
+    nan = float("nan")
+    for call in (
+        lambda: SignalProfile(np.array([1.0]), nan, 1),
+        lambda: folded_normal_cdf(np.array([1.0]), 0.0, nan),
+        lambda: folded_normal_pdf(np.array([1.0]), 0.0, nan),
+        lambda: prob_select_over(1.0, 0.0, nan),
+    ):
+        with pytest.raises(ValueError, match="sigma"):
+            call()
+
+
 def test_mc_requires_enough_rows():
     profile = SignalProfile(np.array([1.0, 0.0, 0.0]), 1.0, 1)
     with pytest.raises(ValueError):
