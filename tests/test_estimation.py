@@ -45,8 +45,11 @@ def test_soft_threshold_full_kill():
 
 
 def test_soft_threshold_rejects_negative():
-    with pytest.raises(ValueError):
-        soft_threshold(np.array([1.0]), -0.1)
+    for c in (-0.1, float("nan")):
+        with pytest.raises(ValueError):
+            soft_threshold(np.array([1.0]), c)
+    # an infinite threshold is valid, if extreme: every entry becomes zero
+    assert np.array_equal(soft_threshold(np.array([3.0, -2.0]), float("inf")), np.zeros(2))
 
 
 @given(
@@ -58,17 +61,6 @@ def test_soft_threshold_contracts_and_preserves_signs(v, c):
     assert np.max(np.abs(out)) <= np.max(np.abs(v)) + 1e-12
     survivors = out != 0.0
     assert np.all(np.sign(out[survivors]) == np.sign(v[survivors]))
-
-
-def test_nan_threshold_and_sparsity_values_are_rejected():
-    with pytest.raises(ValueError):
-        soft_threshold(np.array([1.0]), float("nan"))
-    for mode in ("explicit_lambda", "percentile"):
-        with pytest.raises(ValueError, match="non-negative"):
-            SparsitySpec(mode, (1.0, float("nan")))
-    # an infinite lambda is a valid, if extreme, proximal constant: all zeros
-    assert SparsitySpec("explicit_lambda", (float("inf"),)).per_layer_values == (float("inf"),)
-    assert np.array_equal(soft_threshold(np.array([3.0, -2.0]), float("inf")), np.zeros(2))
 
 
 def test_nearest_rank_percentile():
@@ -87,6 +79,9 @@ def test_sparsity_spec_validation():
         SparsitySpec("percentile", (101.0,))
     with pytest.raises(ValueError):
         SparsitySpec("explicit_lambda", (-1.0,))
+    for mode in ("explicit_lambda", "percentile"):
+        with pytest.raises(ValueError, match="non-negative"):
+            SparsitySpec(mode, (1.0, float("nan")))
 
 
 # --- fit_l1 ----------------------------------------------------------------------

@@ -486,19 +486,15 @@ def test_train_forward_pass_counts(monkeypatch, extra, passes, losses):
 
 
 def test_train_options_validation():
-    with pytest.raises(ValueError):
-        TrainOptions(learning_rate=0.0)
+    for lr in (0.0, float("nan")):
+        with pytest.raises(ValueError, match="learning_rate"):
+            TrainOptions(learning_rate=lr)
     with pytest.raises(ValueError):
         TrainOptions(validation_fraction=1.0)
     with pytest.raises(ValueError):
         TrainOptions(max_epochs=10, patience=11)
     with pytest.raises(ValueError):
         TrainOptions(batch_size=0)
-
-
-def test_train_options_reject_nan_learning_rate():
-    with pytest.raises(ValueError, match="learning_rate"):
-        TrainOptions(learning_rate=float("nan"))
 
 
 def test_dataset_validation():

@@ -73,18 +73,14 @@ def test_admit_requires_candidate():
 
 
 def test_dnp_config_validation():
-    with pytest.raises(ValueError):
-        DnpConfig(norm_q=0.5)
+    for q in (0.5, float("nan")):
+        with pytest.raises(ValueError, match="norm_q"):
+            DnpConfig(norm_q=q)
+    assert DnpConfig(norm_q=float("inf")).norm_q == float("inf")  # the max norm
     with pytest.raises(ValueError):
         DnpConfig(num_dropouts=0)
     with pytest.raises(ValueError):
         DnpConfig(dropout_rate=1.0)
-
-
-def test_dnp_config_rejects_nan_norm_q_and_takes_the_max_norm():
-    with pytest.raises(ValueError, match="norm_q"):
-        DnpConfig(norm_q=float("nan"))
-    assert DnpConfig(norm_q=float("inf")).norm_q == float("inf")
 
 
 # --- candidate_scores ---------------------------------------------------------------
