@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -142,7 +144,7 @@ def test_round_high_signal_consensus():
     assert counts.get(1, 0) >= 9
 
 
-def test_round_threshold_counts_only_bags_that_ran(monkeypatch):
+def test_round_threshold_counts_only_bags_that_ran(monkeypatch, caplog):
     # bags 0 and 1 fail twice and are dropped; the two that run disagree, so
     # they pass only the threshold floor(2 * 0.5) = 1, not floor(4 * 0.5) = 2
     calls = []
@@ -156,10 +158,19 @@ def test_round_threshold_counts_only_bags_that_ran(monkeypatch):
     monkeypatch.setattr(ensemble, "dnp_run", fake_dnp_run)
     data = small_noise_data()
     cfg = EnnsConfig(target_s0=1, num_bags=4, appearance_proportion=0.5, dnp=fast_dnp(5))
-    survivors, counts = enns_round(data, range(data.p), 1, cfg, NetworkArchitecture(data.p, (4,)), seed=0)
+    with caplog.at_level(logging.WARNING, logger="enns.ensemble"):
+        survivors, counts = enns_round(data, range(data.p), 1, cfg, NetworkArchitecture(data.p, (4,)), seed=0)
     assert len(calls) == 6
     assert counts == {1: 1, 0: 1}
     assert survivors == [0, 1]
+    assert [r.getMessage() for r in caplog.records] == [
+        text
+        for b in (0, 1)
+        for text in (
+            f"bag {b} failed (diverged); retrying with a fresh seed",
+            f"bag {b} failed twice (diverged); dropping it",
+        )
+    ]
 
 
 def test_round_validates_s_j():
