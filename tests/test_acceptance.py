@@ -141,6 +141,7 @@ def test_criterion_3_pairwise_probability_agreement():
     )
 
 
+@pytest.mark.slow
 def test_criterion_4_first_selection_agreement():
     start = time.perf_counter()
     deltas = {}
@@ -157,6 +158,7 @@ def test_criterion_4_first_selection_agreement():
     report(4, "first-selection-agreement", ok, detail, elapsed, 300.0)
 
 
+@pytest.mark.slow
 def test_criterion_5_next_selection_probability_decays():
     start = time.perf_counter()
     rate0 = next_selection_hit_rate(n=200, p=500, s=5, pre_included=0, reps=100, seed=51)
@@ -173,6 +175,7 @@ def test_criterion_5_next_selection_probability_decays():
     )
 
 
+@pytest.mark.slow
 def test_criterion_6_ensemble_reduces_false_positives():
     start = time.perf_counter()
     result = paired_false_positive_study(n=300, p=1000, s=5, seeds=30, seed=61)
@@ -192,6 +195,7 @@ def test_criterion_6_ensemble_reduces_false_positives():
     )
 
 
+@pytest.mark.slow
 def test_criterion_7_high_signal_selection_consistency():
     start = time.perf_counter()
     rate = high_signal_recovery_rate(n=300, p=500, s=2, seeds=30, seed=71, coef_mean=10.0)
@@ -206,6 +210,7 @@ def test_criterion_7_high_signal_selection_consistency():
     )
 
 
+@pytest.mark.slow
 def test_criterion_8_soft_threshold_fit_not_worse_than_plain():
     start = time.perf_counter()
     result = sparse_versus_plain_rmse(seeds=20, seed=81)
