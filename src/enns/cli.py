@@ -31,7 +31,7 @@ import numpy as np
 from .cores import usable_cores
 from .ensemble import EnnsConfig, SelectionReport, enns_select
 from .estimation import SPARSITY_MODES, SparsitySpec, fit_l1
-from .metrics import PredictionMetrics, classification_metrics, regression_metrics, selection_metrics
+from .metrics import METRIC_COLUMNS, PredictionMetrics, classification_metrics, regression_metrics, selection_metrics
 from .network import (
     ACTIVATIONS,
     TASKS,
@@ -373,7 +373,7 @@ def parse_experiment_config(text: str) -> ExperimentConfig:
             raise UsageError(f"config line {lineno}: duplicate key {key!r}")
         try:
             values[key] = _converter(key)(val)
-        except ValueError as exc:
+        except (ValueError, UsageError) as exc:  # the list converters raise UsageError
             raise UsageError(f"config line {lineno}: bad value for {key}: {exc}") from exc
     for key, f in _FIELDS.items():
         if key not in values and f.default is dataclasses.MISSING:
@@ -440,16 +440,17 @@ def _train_options(src, seed: int, validation_fraction: float) -> TrainOptions:
     )
 
 
-def _select(data: Dataset, src, seed: int, train_seed: int, validation_fraction: float) -> SelectionReport:
+def _select(data: Dataset, src, seed: int, validation_fraction: float) -> SelectionReport:
     """Stage-wise (``dnp``) or ensemble (``enns``) selection of ``src.s0``
-    features; ``seed`` seeds the selector and ``train_seed`` its inner training.
-    A stage-wise result is reported as one complete pass without rounds."""
+    features; ``seed`` seeds the selector, which derives the seed of every
+    inner training run from it. A stage-wise result is reported as one
+    complete pass without rounds."""
     arch = NetworkArchitecture(data.p, src.hidden, src.activation, src.task)
     dnp_cfg = DnpConfig(
         norm_q=src.norm_q,
         num_dropouts=src.b1,
         dropout_rate=src.dropout_rate,
-        train_opts=_train_options(src, train_seed, validation_fraction),
+        train_opts=_train_options(src, 0, validation_fraction),  # stagewise_fit replaces the seed
     )
     if src.method == "dnp":
         order = dnp_run(data, arch, src.s0, dnp_cfg, seed)
@@ -507,7 +508,7 @@ def cmd_select(args) -> int:
     if args.s0 > data.p:
         raise UsageError(f"s0={args.s0} exceeds the number of columns ({data.p})")
     start = time.perf_counter()
-    report = _select(data, args, args.seed, derive_seed(args.seed, "dnp"), args.val_fraction)
+    report = _select(data, args, args.seed, args.val_fraction)
     doc = {
         "method": args.method,
         "s0": args.s0,
@@ -565,11 +566,7 @@ def cmd_estimate(args) -> int:
     return 0
 
 
-_REG_METRIC_COLUMNS = ["rmse", "mae", "mape"]
-_CLF_METRIC_COLUMNS = ["accuracy", "auc", "f1"]
-
-
-def _experiment_repetition(cfg: ExperimentConfig, rep_seed: int, metric_cols: list[str]) -> list[float]:
+def _experiment_repetition(cfg: ExperimentConfig, rep_seed: int) -> list[float]:
     """The numeric results-CSV columns of one repetition; NaN for a metric
     that is undefined (AUC with one class in the test rows)."""
     x, y, truth = _generate(cfg, rep_seed)
@@ -580,7 +577,7 @@ def _experiment_repetition(cfg: ExperimentConfig, rep_seed: int, metric_cols: li
     data_rest = data.subset_rows(rest_idx)
     inner_val = cfg.validation_fraction / max(cfg.train_fraction + cfg.validation_fraction, 1e-12)
 
-    report = _select(data_rest, cfg, derive_seed(rep_seed, cfg.method), derive_seed(rep_seed, "train"), inner_val)
+    report = _select(data_rest, cfg, derive_seed(rep_seed, cfg.method), inner_val)
     selected = list(report.selected)
     if selected:
         params, arch = _fit(data_rest.subset_columns(selected), cfg, derive_seed(rep_seed, "fit"), inner_val)
@@ -589,8 +586,7 @@ def _experiment_repetition(cfg: ExperimentConfig, rep_seed: int, metric_cols: li
         # no features: predict the mean response (a share in [0, 1] for 0/1 labels)
         preds = np.full(n_test, float(np.mean(data_rest.y)))
     sel = selection_metrics(selected, truth.support)
-    pred = _prediction_metrics(cfg.task, y[test_idx], preds)
-    values = [getattr(pred, col) for col in metric_cols]
+    values = _prediction_metrics(cfg.task, y[test_idx], preds).as_dict().values()
     return [
         float(len(selected)),
         float(sel.true_positives),
@@ -601,14 +597,14 @@ def _experiment_repetition(cfg: ExperimentConfig, rep_seed: int, metric_cols: li
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[list[str], list[list[str]]]:
     """All repetition rows plus mean and standard-error aggregate rows."""
-    metric_cols = _REG_METRIC_COLUMNS if cfg.task == "regression" else _CLF_METRIC_COLUMNS
+    metric_cols = METRIC_COLUMNS[cfg.task]
     header = ["repetition", "seed", "status", "n_selected", "correct_count", "false_positive_rate", *metric_cols]
     rows: list[list[str]] = []
     numeric: list[list[float]] = []
     for rep in range(cfg.repetitions):
         rep_seed = derive_seed(cfg.seed, "rep", rep)
         try:
-            record = _experiment_repetition(cfg, rep_seed, metric_cols)
+            record = _experiment_repetition(cfg, rep_seed)
         except NumericalError:
             rows.append([str(rep + 1), str(rep_seed), "failed"] + [""] * (3 + len(metric_cols)))
             continue

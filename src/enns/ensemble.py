@@ -116,7 +116,6 @@ def enns_round(
 
     bag_results: list[list[int]] = []
     for b in range(cfg.num_bags):
-        result = None
         for attempt in range(2):
             bag_seed = derive_seed(seed, "bag", b, attempt)
             rows = bootstrap_indices(data.n, n_r, derive_seed(bag_seed, "rows"), cfg.with_replacement)
@@ -124,16 +123,13 @@ def enns_round(
                 picked = dnp_run(
                     sub.subset_rows(rows), arch_template, s_j, cfg.dnp, derive_seed(bag_seed, "dnp")
                 )
+                bag_results.append([active[k] for k in picked])
+                break
             except NumericalError as exc:
                 if attempt == 0:
                     logger.warning("bag %d failed (%s); retrying with a fresh seed", b, exc)
-                    continue
-                logger.warning("bag %d failed twice (%s); dropping it", b, exc)
-                break
-            result = [active[k] for k in picked]
-            break
-        if result is not None:
-            bag_results.append(result)
+                else:
+                    logger.warning("bag %d failed twice (%s); dropping it", b, exc)
     if not bag_results:
         raise NumericalError("every bag of the ensemble round failed")
     return filter_appearances(bag_results, cfg.appearance_proportion)

@@ -16,6 +16,10 @@ class SelectionMetrics:
     false_positive_rate: float
 
 
+# the prediction metrics of each task, in results-CSV column order
+METRIC_COLUMNS = {"regression": ("rmse", "mae", "mape"), "classification": ("accuracy", "auc", "f1")}
+
+
 @dataclass(frozen=True)
 class PredictionMetrics:
     """Regression fills rmse/mae/mape; classification fills accuracy/auc/f1.
@@ -29,9 +33,8 @@ class PredictionMetrics:
     f1: Optional[float] = None
 
     def as_dict(self) -> dict[str, Optional[float]]:
-        if self.rmse is not None:
-            return {"rmse": self.rmse, "mae": self.mae, "mape": self.mape}
-        return {"accuracy": self.accuracy, "auc": self.auc, "f1": self.f1}
+        task = "regression" if self.rmse is not None else "classification"
+        return {name: getattr(self, name) for name in METRIC_COLUMNS[task]}
 
 
 def selection_metrics(selected: Iterable[int], true_support: Iterable[int]) -> SelectionMetrics:

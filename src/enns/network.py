@@ -434,15 +434,16 @@ def train(
         np.concatenate([*g.weights, *g.intercepts], axis=None, out=grad)
         adagrad_step(theta, grad, acc, opts.learning_rate)
 
-    # loss holds the score of checkpoint epoch - 1, the starting point at epoch 0;
-    # on the fused path the backward pass of epoch ``epoch`` computes it
-    loss = None if fused else checked(empirical_loss, monitor_data, -1)
     # a diverging run overflows to inf or nan, which `checked` reports as a
     # NumericalError; numpy need not warn about it first
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(opts.max_epochs):
+            # score checkpoint epoch - 1 (the starting point at epoch 0); on the
+            # fused path this epoch's backward pass computes it
             if fused:
                 loss, g = checked(backward, fit_data, epoch - 1)
+            else:
+                loss = checked(empirical_loss, monitor_data, epoch - 1)
             if not record(loss):
                 break
             if fused:
@@ -455,12 +456,8 @@ def train(
                     step(checked(backward, fit_data.subset_rows(order[i : i + opts.batch_size]), epoch)[1])
             if epoch_hook is not None:
                 epoch_hook(cur, epoch)
-            if not fused:
-                loss = checked(empirical_loss, monitor_data, epoch)
         else:
-            if fused:
-                loss = checked(empirical_loss, monitor_data, opts.max_epochs - 1)
-            record(loss)
+            record(checked(empirical_loss, monitor_data, opts.max_epochs - 1))
     return _layer_views(best, arch)
 
 

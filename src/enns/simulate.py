@@ -60,15 +60,12 @@ class ResponseSpec:
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """What generated the responses: the support and the generator weights."""
+    """What ``gen_response`` drew beyond the caller's ``ResponseSpec``: the
+    support and the linear coefficients or generator-network weights."""
 
     support: tuple[int, ...]
-    kind: str
-    task: str
-    noise_sd: float
     linear_coefs: Optional[np.ndarray] = None
     generator_params: Optional[NetworkParameters] = None
-    generator_arch: Optional[NetworkArchitecture] = None
 
 
 def gen_design_uniform(n: int, p: int, seed: int) -> np.ndarray:
@@ -135,19 +132,16 @@ def gen_response(x: np.ndarray, spec: ResponseSpec, seed: int) -> tuple[np.ndarr
         raise ValueError("the additive response has exactly 5 signal columns")
 
     w_rng = spawn_rng(seed, "weights")
-    truth_kwargs: dict = {}
+    beta = gen_params = None
     if spec.kind == "linear":
         mean, sd = spec.resolved_coefs()
         beta = w_rng.normal(mean, sd, size=spec.s)
         eta = x[:, : spec.s] @ beta
-        truth_kwargs["linear_coefs"] = beta
     elif spec.kind == "additive":
         eta = _additive_eta(x)
     else:
         gen_params, gen_arch = _network_generator(p, spec, w_rng)
         eta = forward_batch(gen_params, gen_arch, x)
-        truth_kwargs["generator_params"] = gen_params
-        truth_kwargs["generator_arch"] = gen_arch
 
     n_rng = spawn_rng(seed, "noise")
     if spec.task == "regression":
@@ -155,11 +149,4 @@ def gen_response(x: np.ndarray, spec: ResponseSpec, seed: int) -> tuple[np.ndarr
     else:
         prob = sigmoid(eta)
         y = (n_rng.random(n) < prob).astype(np.float64)
-    truth = GroundTruth(
-        support=tuple(range(spec.s)),
-        kind=spec.kind,
-        task=spec.task,
-        noise_sd=spec.noise_sd,
-        **truth_kwargs,
-    )
-    return y, truth
+    return y, GroundTruth(tuple(range(spec.s)), linear_coefs=beta, generator_params=gen_params)

@@ -28,13 +28,10 @@ from .simulate import ResponseSpec, gen_design_uniform, gen_response
 from .stagewise import DnpConfig, SelectionState, candidate_scores, dnp_run
 
 
-def selection_train_opts(epochs: int = 50) -> TrainOptions:
-    """Inner training options used by the selection studies."""
-    return TrainOptions(learning_rate=0.1, max_epochs=epochs, patience=0)
-
-
 def selection_dnp_config(epochs: int = 50) -> DnpConfig:
-    return DnpConfig(num_dropouts=2, dropout_rate=0.5, train_opts=selection_train_opts(epochs))
+    """Scoring and inner-training controls used by the selection studies."""
+    opts = TrainOptions(learning_rate=0.1, max_epochs=epochs, patience=0)
+    return DnpConfig(num_dropouts=2, dropout_rate=0.5, train_opts=opts)
 
 
 def next_selection_hit_rate(
@@ -133,15 +130,7 @@ def _effective_signal_floor(
     a high-signal study and are redrawn.
     """
     probe_x = gen_design_uniform(2000, p, seed=derive_seed(rep_seed, "probe"))
-    noiseless = ResponseSpec(
-        kind=spec.kind,
-        task="regression",
-        s=spec.s,
-        coef_mean=spec.coef_mean,
-        coef_sd=spec.coef_sd,
-        noise_sd=0.0,
-        net_hidden=spec.net_hidden,
-    )
+    noiseless = replace(spec, task="regression", noise_sd=0.0)
     eta, _ = gen_response(probe_x, noiseless, seed=response_seed)
     sup = probe_x[:, : spec.s] - probe_x[:, : spec.s].mean(axis=0)
     etac = eta - eta.mean()

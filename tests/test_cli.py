@@ -648,6 +648,23 @@ def test_config_rejects_unknown_choice_before_data(tmp_path, capsys, monkeypatch
     assert sorted(tmp_path.iterdir()) == [cfg]
 
 
+@pytest.mark.parametrize(
+    "key, value, kind",
+    [("hidden", "a,b", "integer"), ("net_hidden", "8,x", "integer"), ("sparsity_values", "5,y", "number")],
+)
+def test_config_bad_list_value_names_its_line(tmp_path, capsys, key, value, kind):
+    cfg = tmp_path / "exp.cfg"
+    text = re.sub(rf"^{key} = .*\n", "", BASE_CFG, flags=re.M)  # drop any base value
+    cfg.write_text(text + f"{key} = {value}\n")
+    lineno = len(text.splitlines()) + 1
+    assert run("run-experiment", "--config", cfg, "--out", tmp_path / "r.csv") == 1
+    assert capsys.readouterr().err == (
+        f"error: config line {lineno}: bad value for {key}: "
+        f"expected a comma-separated {kind} list, got {value!r}\n"
+    )
+    assert sorted(tmp_path.iterdir()) == [cfg]
+
+
 def test_correlated_design_without_rho_is_usage_error(tmp_path, capsys):
     out = tmp_path / "d"
     argv = ["--n", 10, "--p", 4, "--design", "correlated", "--response", "linear", "--s", 2]

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -446,10 +447,16 @@ def test_train_aborts_on_non_finite_loss():
     arch = small_arch()
     params = xavier_init(arch, 4)
     data = random_dataset(arch, n=20, seed=6)
+    huge = NetworkParameters([w * 1e120 for w in params.weights], params.intercepts)
     for extra in ({}, {"batch_size": 5}, {"validation_fraction": 0.25}):
         opts = TrainOptions(learning_rate=1e200, max_epochs=5, patience=0, **extra)
         with pytest.raises(NumericalError, match="epoch 0"):
             train(params, arch, data, opts)
+        # a starting point that overflows fails at epoch -1, and numpy does not warn first
+        with warnings.catch_warnings(record=True) as seen, pytest.raises(NumericalError, match="epoch -1"):
+            warnings.simplefilter("always")
+            train(huge, arch, data, opts)
+        assert not seen, [str(w.message) for w in seen]
 
 
 @pytest.mark.parametrize(
