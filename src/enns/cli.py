@@ -429,14 +429,13 @@ def _generate(src, seed: int) -> tuple[np.ndarray, np.ndarray, GroundTruth]:
     return x, y, truth
 
 
-def _train_options(src, seed: int, validation_fraction: float) -> TrainOptions:
+def _train_options(src, validation_fraction: float) -> TrainOptions:
     return TrainOptions(
         learning_rate=src.learning_rate,
         max_epochs=src.max_epochs,
         batch_size=src.batch_size,
         patience=src.patience,
         validation_fraction=validation_fraction,
-        rng_seed=seed,
     )
 
 
@@ -450,7 +449,7 @@ def _select(data: Dataset, src, seed: int, validation_fraction: float) -> Select
         norm_q=src.norm_q,
         num_dropouts=src.b1,
         dropout_rate=src.dropout_rate,
-        train_opts=_train_options(src, 0, validation_fraction),  # stagewise_fit replaces the seed
+        train_opts=_train_options(src, validation_fraction),
     )
     if src.method == "dnp":
         order = dnp_run(data, arch, src.s0, dnp_cfg, seed)
@@ -462,9 +461,8 @@ def _select(data: Dataset, src, seed: int, validation_fraction: float) -> Select
         bootstrap_size=src.bootstrap_size,
         per_round=src.per_round,
         dnp=dnp_cfg,
-        seed=seed,
     )
-    return enns_select(data, arch, cfg)
+    return enns_select(data, arch, cfg, seed)
 
 
 def _fit(
@@ -472,12 +470,12 @@ def _fit(
 ) -> tuple[NetworkParameters, NetworkArchitecture]:
     """Plain training or the l1 soft-threshold fit, by ``src.sparsity_mode``."""
     arch = NetworkArchitecture(data_fit.p, src.hidden, src.activation, src.task)
-    opts = _train_options(src, seed, validation_fraction)
+    opts = _train_options(src, validation_fraction)
     if src.sparsity_mode == "none":
-        return train(xavier_init(arch, seed), arch, data_fit, opts), arch
+        return train(xavier_init(arch, seed), arch, data_fit, opts, seed), arch
     if src.sparsity_values is None:
         raise UsageError("--sparsity-values required with this sparsity mode")
-    return fit_l1(data_fit, arch, SparsitySpec(src.sparsity_mode, src.sparsity_values), opts), arch
+    return fit_l1(data_fit, arch, SparsitySpec(src.sparsity_mode, src.sparsity_values), opts, seed), arch
 
 
 def _prediction_metrics(task: str, y: np.ndarray, preds: np.ndarray) -> PredictionMetrics:

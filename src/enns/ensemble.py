@@ -31,7 +31,6 @@ class EnnsConfig:
     appearance_proportion: float = 0.3
     per_round: int | None = None
     dnp: DnpConfig = field(default_factory=DnpConfig)
-    seed: int = 0
     with_replacement: bool = True
 
     def __post_init__(self):
@@ -136,9 +135,10 @@ def enns_round(
 
 
 def enns_select(
-    data: Dataset, arch_template: NetworkArchitecture, cfg: EnnsConfig
+    data: Dataset, arch_template: NetworkArchitecture, cfg: EnnsConfig, seed: int
 ) -> SelectionReport:
-    """Iterate bagged rounds until ``target_s0`` features are selected.
+    """Iterate bagged rounds until ``target_s0`` features are selected; round
+    k runs with seed ``derive_seed(seed, "round", k)``.
 
     Rounds that survive with more features than still needed are truncated by
     the consensus ranking; rounds that survive with fewer trigger another
@@ -158,9 +158,8 @@ def enns_select(
         taken = set(selected)
         active = [j for j in range(p) if j not in taken]
         s_j = min(base_step, remaining, len(active))
-        survivors, counts = enns_round(
-            data, active, s_j, cfg, arch_template, seed=derive_seed(cfg.seed, "round", len(appearances))
-        )
+        round_seed = derive_seed(seed, "round", len(appearances))
+        survivors, counts = enns_round(data, active, s_j, cfg, arch_template, seed=round_seed)
         appearances.append(counts)
         selected.extend(survivors[:remaining])
     return SelectionReport(

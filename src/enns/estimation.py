@@ -97,13 +97,14 @@ def fit_l1(
     arch: NetworkArchitecture,
     spec: SparsitySpec,
     opts: TrainOptions,
+    seed: int,
 ) -> NetworkParameters:
     """Alternate one unpenalized Adagrad epoch with per-layer soft-thresholding.
 
     ``data_selected`` must already be restricted to the selected columns.
-    Starting weights come from Xavier initialization seeded by opts.rng_seed;
-    with all-zero explicit lambdas the trajectory is identical to plain
-    ``train`` from the same initialization.
+    ``seed`` seeds both the Xavier initialization and ``train``; with all-zero
+    explicit lambdas the trajectory is identical to plain ``train`` from the
+    same initialization and seed.
     """
     n_layers = arch.num_hidden_layers
     if len(spec.per_layer_values) != n_layers:
@@ -121,8 +122,7 @@ def fit_l1(
                 c = nearest_rank_percentile(np.abs(w), value)
             w[...] = soft_threshold(w, c)
 
-    init = xavier_init(arch, opts.rng_seed)
-    return train(init, arch, data_selected, opts, epoch_hook=threshold_epoch)
+    return train(xavier_init(arch, seed), arch, data_selected, opts, seed, epoch_hook=threshold_epoch)
 
 
 def predict_bagged_dropout(
@@ -151,11 +151,11 @@ def predict_bagged_dropout(
 
 
 def fit_stagewise(
-    data_selected: Dataset, arch: NetworkArchitecture, cfg: DnpConfig
+    data_selected: Dataset, arch: NetworkArchitecture, cfg: DnpConfig, seed: int
 ) -> NetworkParameters:
     """Stage-wise refit on already-selected columns: every column is admitted
     in gradient-norm order with warm-started weights, then trained once more."""
-    seed, p = cfg.train_opts.rng_seed, data_selected.p
+    p = data_selected.p
     _, params = stagewise_fit(data_selected, arch, p, cfg, seed)  # all p admitted: W_0 rows in column order
-    opts = replace(cfg.train_opts, rng_seed=derive_seed(seed, "train", p))
-    return train(params, replace(arch, input_dim=p, task=data_selected.task), data_selected, opts)
+    arch = replace(arch, input_dim=p, task=data_selected.task)
+    return train(params, arch, data_selected, cfg.train_opts, derive_seed(seed, "train", p))

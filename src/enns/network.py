@@ -177,7 +177,6 @@ class TrainOptions:
     batch_size: int | None = None
     patience: int = 10
     validation_fraction: float = 0.0
-    rng_seed: int = 0
 
     def __post_init__(self):
         if not self.learning_rate > 0:
@@ -372,6 +371,7 @@ def train(
     arch: NetworkArchitecture,
     data: Dataset,
     opts: TrainOptions,
+    seed: int,
     epoch_hook: Callable[[NetworkParameters, int], None] | None = None,
 ) -> NetworkParameters:
     """Adagrad training of every parameter, returning the best checkpoint.
@@ -390,7 +390,7 @@ def train(
         raise ValueError("data task does not match architecture task")
     params.validate_for(arch)
 
-    rng = spawn_rng(opts.rng_seed, "train-loop")
+    rng = spawn_rng(seed, "train-loop")
     n_val = int(np.floor(opts.validation_fraction * data.n))
     fit_data = monitor_data = data
     if n_val > 0:

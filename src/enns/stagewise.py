@@ -141,8 +141,7 @@ def stagewise_fit(
     for step in range(s_target):
         rows = sorted(state.selected)
         narrow = replace(arch, input_dim=len(rows))
-        opts = replace(cfg.train_opts, rng_seed=derive_seed(seed, "train", step))
-        params = train(params, narrow, data.subset_columns(rows), opts)
+        params = train(params, narrow, data.subset_columns(rows), cfg.train_opts, derive_seed(seed, "train", step))
         scores = candidate_scores(params, narrow, data, state, cfg, derive_seed(seed, "score", step))
         j = int(np.argmax(scores))
         state = state.admit(j)

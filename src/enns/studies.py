@@ -51,21 +51,20 @@ def next_selection_hit_rate(
     weights on a uniform design.
     """
     cfg = selection_dnp_config(epochs)
+    spec = ResponseSpec(kind="network", task="regression", s=s, coef_mean=0.0, coef_sd=1.0)
+    arch = NetworkArchitecture(p, hidden)
     hits = 0
     for rep in range(reps):
         rep_seed = derive_seed(seed, "rep", rep)
         x = gen_design_uniform(n, p, seed=derive_seed(rep_seed, "x"))
-        spec = ResponseSpec(kind="network", task="regression", s=s, coef_mean=0.0, coef_sd=1.0)
         y, truth = gen_response(x, spec, seed=derive_seed(rep_seed, "y"))
         data = Dataset(x, y, "regression")
-        arch = NetworkArchitecture(p, hidden)
         params = xavier_init(arch, derive_seed(rep_seed, "init"))  # full width, as in stagewise_fit
         pre = sorted(spawn_rng(rep_seed, "pre").choice(s, size=pre_included, replace=False))
         rows = [xavier_row(arch, derive_seed(rep_seed, "row", k)) for k in range(pre_included)]
         params.weights[0] = np.array(rows).reshape(pre_included, hidden[0])
         narrow = replace(arch, input_dim=pre_included)
-        opts = replace(cfg.train_opts, rng_seed=derive_seed(rep_seed, "train"))
-        params = train(params, narrow, data.subset_columns(pre), opts)
+        params = train(params, narrow, data.subset_columns(pre), cfg.train_opts, derive_seed(rep_seed, "train"))
         state = SelectionState(tuple(pre), p)
         scores = candidate_scores(params, narrow, data, state, cfg, derive_seed(rep_seed, "score"))
         hits += int(np.argmax(scores)) in set(truth.support) - set(pre)
@@ -96,23 +95,17 @@ def paired_false_positive_study(
     """Per-seed selection false-positive rates of the bagged ensemble versus a
     single stage-wise pass on the same network-generated regression data."""
     dnp_cfg = selection_dnp_config(epochs)
+    cfg = EnnsConfig(target_s0=s, num_bags=num_bags, appearance_proportion=proportion, dnp=dnp_cfg)
+    spec = ResponseSpec(kind="network", task="regression", s=s)
+    arch = NetworkArchitecture(p, hidden)
     fpr_e, fpr_d = [], []
     for k in range(seeds):
         rep_seed = derive_seed(seed, "pair", k)
         x = gen_design_uniform(n, p, seed=derive_seed(rep_seed, "x"))
-        spec = ResponseSpec(kind="network", task="regression", s=s)
         y, truth = gen_response(x, spec, seed=derive_seed(rep_seed, "y"))
         data = Dataset(x, y, "regression")
-        arch = NetworkArchitecture(p, hidden)
         plain = dnp_run(data, arch, s, dnp_cfg, seed=derive_seed(rep_seed, "dnp"))
-        cfg = EnnsConfig(
-            target_s0=s,
-            num_bags=num_bags,
-            appearance_proportion=proportion,
-            dnp=dnp_cfg,
-            seed=derive_seed(rep_seed, "enns"),
-        )
-        report = enns_select(data, arch, cfg)
+        report = enns_select(data, arch, cfg, derive_seed(rep_seed, "enns"))
         fpr_e.append(selection_metrics(report.selected, truth.support).false_positive_rate)
         fpr_d.append(selection_metrics(plain, truth.support).false_positive_rate)
     return PairedFprResult(np.asarray(fpr_e), np.asarray(fpr_d))
@@ -161,29 +154,27 @@ def high_signal_recovery_rate(
     bag than a classic bootstrap, which matters at this n); generator draws
     whose support features fail the effective-signal floor are redrawn.
     """
+    cfg = EnnsConfig(
+        target_s0=s,
+        num_bags=10,
+        appearance_proportion=0.3,
+        bootstrap_size=int(round(subsample_fraction * n)),
+        with_replacement=False,
+        dnp=selection_dnp_config(epochs),
+    )
+    spec = ResponseSpec(kind="network", task=task, s=s, coef_mean=coef_mean, coef_sd=1.0)
+    arch = NetworkArchitecture(p, hidden, task=task)
     hits = 0
     for k in range(seeds):
         rep_seed = derive_seed(seed, "hs", k)
         x = gen_design_uniform(n, p, seed=derive_seed(rep_seed, "x"))
-        spec = ResponseSpec(kind="network", task=task, s=s, coef_mean=coef_mean, coef_sd=1.0)
         response_seed = derive_seed(rep_seed, "y")
         for attempt in range(20):
             if _effective_signal_floor(p, spec, rep_seed, response_seed, min_signal_floor):
                 break
             response_seed = derive_seed(rep_seed, "y", attempt + 1)
         y, truth = gen_response(x, spec, seed=response_seed)
-        data = Dataset(x, y, task)
-        arch = NetworkArchitecture(p, hidden, task=task)
-        cfg = EnnsConfig(
-            target_s0=s,
-            num_bags=10,
-            appearance_proportion=0.3,
-            bootstrap_size=int(round(subsample_fraction * n)),
-            with_replacement=False,
-            dnp=selection_dnp_config(epochs),
-            seed=derive_seed(rep_seed, "enns"),
-        )
-        report = enns_select(data, arch, cfg)
+        report = enns_select(Dataset(x, y, task), arch, cfg, derive_seed(rep_seed, "enns"))
         hits += set(report.selected) == set(truth.support)
     return hits / seeds
 
@@ -218,28 +209,21 @@ def sparse_versus_plain_rmse(
     soft-threshold arm runs the identical schedule with per-epoch percentile
     shrinkage.
     """
+    arch = NetworkArchitecture(s, hidden)
+    opts = TrainOptions(learning_rate=learning_rate, max_epochs=epochs, batch_size=batch_size, patience=0)
+    sparsity = SparsitySpec("percentile", percentiles)
+    spec = ResponseSpec(kind="network", task="regression", s=s, coef_mean=0.0, coef_sd=2.0, noise_sd=noise_sd)
     sparse, plain = [], []
     for k in range(seeds):
         rep_seed = derive_seed(seed, "rmse", k)
         x = gen_design_uniform(n, s, seed=derive_seed(rep_seed, "x"))
-        spec = ResponseSpec(
-            kind="network", task="regression", s=s, coef_mean=0.0, coef_sd=2.0, noise_sd=noise_sd
-        )
         y, _ = gen_response(x, spec, seed=derive_seed(rep_seed, "y"))
         perm = spawn_rng(rep_seed, "split").permutation(n)
         tr, te = perm[:n_train], perm[n_train:]
         data_train = Dataset(x[tr], y[tr], "regression")
-        arch = NetworkArchitecture(s, hidden)
-        opts = TrainOptions(
-            learning_rate=learning_rate,
-            max_epochs=epochs,
-            batch_size=batch_size,
-            patience=0,
-            validation_fraction=0.0,
-            rng_seed=derive_seed(rep_seed, "train"),
-        )
-        fitted_plain = train(xavier_init(arch, opts.rng_seed), arch, data_train, opts)
-        fitted_sparse = fit_l1(data_train, arch, SparsitySpec("percentile", percentiles), opts)
+        train_seed = derive_seed(rep_seed, "train")
+        fitted_plain = train(xavier_init(arch, train_seed), arch, data_train, opts, train_seed)
+        fitted_sparse = fit_l1(data_train, arch, sparsity, opts, train_seed)
         plain.append(regression_metrics(y[te], forward_batch(fitted_plain, arch, x[te])).rmse)
         sparse.append(regression_metrics(y[te], forward_batch(fitted_sparse, arch, x[te])).rmse)
     return SparsePlainResult(np.asarray(sparse), np.asarray(plain))

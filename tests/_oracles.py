@@ -110,7 +110,9 @@ def adagrad_by_layers(
     return NetworkParameters(new_theta[:m], new_theta[m:]), NetworkParameters(new_acc[:m], new_acc[m:])
 
 
-def train_reference(params: NetworkParameters, arch: NetworkArchitecture, data: Dataset, opts, epoch_hook=None):
+def train_reference(
+    params: NetworkParameters, arch: NetworkArchitecture, data: Dataset, opts, seed: int, epoch_hook=None
+):
     """``train`` as a per-layer loop: a fully checked ``Dataset`` per batch,
     ``adagrad_by_layers`` on fresh arrays, ``epoch_hook(params, epoch)`` that
     returns the parameters to continue from, and a copy per checkpoint."""
@@ -118,7 +120,7 @@ def train_reference(params: NetworkParameters, arch: NetworkArchitecture, data: 
     def rows(d: Dataset, idx) -> Dataset:
         return Dataset(d.x[idx], d.y[idx], d.task)
 
-    rng = spawn_rng(opts.rng_seed, "train-loop")
+    rng = spawn_rng(seed, "train-loop")
     n_val = int(np.floor(opts.validation_fraction * data.n))
     fit_data = monitor_data = data
     if n_val > 0:

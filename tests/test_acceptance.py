@@ -98,8 +98,8 @@ def test_criterion_2_soft_threshold_exactness():
     shares = {}
     for pm in (50.0, 90.0):
         arch = NetworkArchitecture(4, (12, 8))
-        opts = TrainOptions(learning_rate=0.1, max_epochs=60, patience=0, rng_seed=int(pm))
-        fitted = fit_l1(data, arch, SparsitySpec("percentile", (pm, pm)), opts)
+        opts = TrainOptions(learning_rate=0.1, max_epochs=60, patience=0)
+        fitted = fit_l1(data, arch, SparsitySpec("percentile", (pm, pm)), opts, int(pm))
         shares[pm] = min(float(np.mean(w == 0.0)) for w in fitted.weights[1:])
     ok = exact and shares[50.0] >= 0.5 and shares[90.0] >= 0.9
     elapsed = time.perf_counter() - start

@@ -113,7 +113,7 @@ def small_noise_data(seed=0, n=50, p=6):
 def test_round_single_bag_equals_one_dnp_run():
     data = small_noise_data()
     arch = NetworkArchitecture(data.p, (4,))
-    cfg = EnnsConfig(target_s0=2, num_bags=1, appearance_proportion=1.0, dnp=fast_dnp(15), seed=5)
+    cfg = EnnsConfig(target_s0=2, num_bags=1, appearance_proportion=1.0, dnp=fast_dnp(15))
     survivors, counts = enns_round(data, range(data.p), 2, cfg, arch, seed=31)
     bag_seed = derive_seed(31, "bag", 0, 0)
     rows = bootstrap_indices(data.n, data.n, derive_seed(bag_seed, "rows"))
@@ -125,7 +125,7 @@ def test_round_single_bag_equals_one_dnp_run():
 def test_round_counts_bounded_by_bags():
     data = small_noise_data(seed=3)
     arch = NetworkArchitecture(data.p, (4,))
-    cfg = EnnsConfig(target_s0=2, num_bags=5, appearance_proportion=0.2, dnp=fast_dnp(15), seed=1)
+    cfg = EnnsConfig(target_s0=2, num_bags=5, appearance_proportion=0.2, dnp=fast_dnp(15))
     _, counts = enns_round(data, range(data.p), 2, cfg, arch, seed=9)
     assert all(1 <= v <= 5 for v in counts.values())
 
@@ -138,7 +138,7 @@ def test_round_high_signal_consensus():
     y, _ = gen_response(x, spec, seed=43)
     data = Dataset(x, y, "regression")
     arch = NetworkArchitecture(500, (10,))
-    cfg = EnnsConfig(target_s0=2, num_bags=10, appearance_proportion=0.3, dnp=fast_dnp(50), seed=7)
+    cfg = EnnsConfig(target_s0=2, num_bags=10, appearance_proportion=0.3, dnp=fast_dnp(50))
     _, counts = enns_round(data, range(500), 2, cfg, arch, seed=99)
     assert counts.get(0, 0) >= 9
     assert counts.get(1, 0) >= 9
@@ -188,9 +188,9 @@ def test_select_exhaustion_permutes_all_features():
     data = small_noise_data(seed=11, n=60, p=5)
     arch = NetworkArchitecture(5, (4,))
     cfg = EnnsConfig(
-        target_s0=5, num_bags=3, appearance_proportion=0.34, dnp=fast_dnp(15), seed=2
+        target_s0=5, num_bags=3, appearance_proportion=0.34, dnp=fast_dnp(15)
     )
-    report = enns_select(data, arch, cfg)
+    report = enns_select(data, arch, cfg, 2)
     assert report.complete
     assert sorted(report.selected) == list(range(5))
 
@@ -200,10 +200,10 @@ def test_select_reduces_to_dnp_for_degenerate_config():
     arch = NetworkArchitecture(8, (5,))
     cfg = EnnsConfig(
         target_s0=3, num_bags=1, appearance_proportion=1.0, per_round=3,
-        dnp=fast_dnp(20), seed=21,
+        dnp=fast_dnp(20),
     )
-    report = enns_select(data, arch, cfg)
-    bag_seed = derive_seed(derive_seed(cfg.seed, "round", 0), "bag", 0, 0)
+    report = enns_select(data, arch, cfg, 21)
+    bag_seed = derive_seed(derive_seed(21, "round", 0), "bag", 0, 0)
     rows = bootstrap_indices(data.n, data.n, derive_seed(bag_seed, "rows"))
     direct = dnp_run(data.subset_rows(rows), arch, 3, cfg.dnp, derive_seed(bag_seed, "dnp"))
     assert list(report.selected) == direct
@@ -212,8 +212,8 @@ def test_select_reduces_to_dnp_for_degenerate_config():
 def test_select_no_duplicates_and_bounded():
     data = small_noise_data(seed=13, n=70, p=10)
     arch = NetworkArchitecture(10, (5,))
-    cfg = EnnsConfig(target_s0=4, num_bags=4, appearance_proportion=0.5, dnp=fast_dnp(15), seed=3)
-    report = enns_select(data, arch, cfg)
+    cfg = EnnsConfig(target_s0=4, num_bags=4, appearance_proportion=0.5, dnp=fast_dnp(15))
+    report = enns_select(data, arch, cfg, 3)
     assert len(set(report.selected)) == len(report.selected)
     assert len(report.selected) <= 4
 
@@ -223,9 +223,9 @@ def test_select_flags_incomplete_on_starved_consensus():
     data = small_noise_data(seed=14, n=60, p=12)
     arch = NetworkArchitecture(12, (5,))
     cfg = EnnsConfig(
-        target_s0=3, num_bags=10, appearance_proportion=1.0, dnp=fast_dnp(10), seed=4
+        target_s0=3, num_bags=10, appearance_proportion=1.0, dnp=fast_dnp(10)
     )
-    report = enns_select(data, arch, cfg)
+    report = enns_select(data, arch, cfg, 4)
     assert not report.complete
     assert len(report.per_round_appearances) == 5  # round limit 5 * ceil(3/3)
     assert len(report.selected) < 3
@@ -242,9 +242,9 @@ def test_select_false_positives_not_worse_than_dnp_on_average():
         dnp_sel = dnp_run(data, arch, 3, fast_dnp(40), seed=derive_seed(seed, "d"))
         cfg = EnnsConfig(
             target_s0=3, num_bags=10, appearance_proportion=0.3,
-            dnp=fast_dnp(40), seed=derive_seed(seed, "e"),
+            dnp=fast_dnp(40),
         )
-        report = enns_select(data, arch, cfg)
+        report = enns_select(data, arch, cfg, derive_seed(seed, "e"))
         fpr_e.append(selection_metrics(report.selected, truth.support).false_positive_rate)
         fpr_d.append(selection_metrics(dnp_sel, truth.support).false_positive_rate)
     assert np.mean(fpr_e) <= np.mean(fpr_d) + 1e-12
@@ -266,4 +266,4 @@ def test_select_rejects_oversized_target():
     arch = NetworkArchitecture(3, (2,))
     cfg = EnnsConfig(target_s0=4, num_bags=2, appearance_proportion=0.5, dnp=fast_dnp(5))
     with pytest.raises(ValueError):
-        enns_select(data, arch, cfg)
+        enns_select(data, arch, cfg, 0)

@@ -97,8 +97,8 @@ def toy_regression(seed=0, n=120, p=3):
 def test_fit_l1_percentile_single_layer_sparsity():
     data = toy_regression()
     arch = NetworkArchitecture(3, (12,))
-    opts = TrainOptions(learning_rate=0.1, max_epochs=60, patience=0, rng_seed=1)
-    fitted = fit_l1(data, arch, SparsitySpec("percentile", (50.0,)), opts)
+    opts = TrainOptions(learning_rate=0.1, max_epochs=60, patience=0)
+    fitted = fit_l1(data, arch, SparsitySpec("percentile", (50.0,)), opts, 1)
     zero_share = np.mean(fitted.weights[1] == 0.0)
     assert zero_share >= 0.5
 
@@ -106,8 +106,8 @@ def test_fit_l1_percentile_single_layer_sparsity():
 def test_fit_l1_percentile_two_layers_sparsity():
     data = toy_regression(seed=2)
     arch = NetworkArchitecture(3, (10, 6))
-    opts = TrainOptions(learning_rate=0.1, max_epochs=60, patience=0, rng_seed=2)
-    fitted = fit_l1(data, arch, SparsitySpec("percentile", (50.0, 90.0)), opts)
+    opts = TrainOptions(learning_rate=0.1, max_epochs=60, patience=0)
+    fitted = fit_l1(data, arch, SparsitySpec("percentile", (50.0, 90.0)), opts, 2)
     assert np.mean(fitted.weights[1] == 0.0) >= 0.5
     assert np.mean(fitted.weights[2] == 0.0) >= 0.9
 
@@ -116,10 +116,10 @@ def test_fit_l1_zero_lambda_identical_to_plain_train():
     data = toy_regression(seed=3)
     arch = NetworkArchitecture(3, (6, 4))
     opts = TrainOptions(
-        learning_rate=0.15, max_epochs=40, patience=5, validation_fraction=0.2, rng_seed=7
+        learning_rate=0.15, max_epochs=40, patience=5, validation_fraction=0.2
     )
-    via_l1 = fit_l1(data, arch, SparsitySpec("explicit_lambda", (0.0, 0.0)), opts)
-    plain = train(xavier_init(arch, opts.rng_seed), arch, data, opts)
+    via_l1 = fit_l1(data, arch, SparsitySpec("explicit_lambda", (0.0, 0.0)), opts, 7)
+    plain = train(xavier_init(arch, 7), arch, data, opts, 7)
     for a, b in zip((*via_l1.weights, *via_l1.intercepts), (*plain.weights, *plain.intercepts)):
         assert np.array_equal(a, b)
 
@@ -129,15 +129,15 @@ def test_fit_l1_requires_one_value_per_layer():
     arch = NetworkArchitecture(3, (5, 5))
     opts = TrainOptions(max_epochs=5, patience=0)
     with pytest.raises(ValueError):
-        fit_l1(data, arch, SparsitySpec("percentile", (50.0,)), opts)
+        fit_l1(data, arch, SparsitySpec("percentile", (50.0,)), opts, 0)
 
 
 def test_fit_l1_explicit_lambda_shrinks():
     data = toy_regression(seed=5)
     arch = NetworkArchitecture(3, (8,))
-    opts = TrainOptions(learning_rate=0.1, max_epochs=50, patience=0, rng_seed=5)
-    heavy = fit_l1(data, arch, SparsitySpec("explicit_lambda", (5.0,)), opts)
-    light = fit_l1(data, arch, SparsitySpec("explicit_lambda", (0.0,)), opts)
+    opts = TrainOptions(learning_rate=0.1, max_epochs=50, patience=0)
+    heavy = fit_l1(data, arch, SparsitySpec("explicit_lambda", (5.0,)), opts, 5)
+    light = fit_l1(data, arch, SparsitySpec("explicit_lambda", (0.0,)), opts, 5)
     assert np.sum(np.abs(heavy.weights[1])) < np.sum(np.abs(light.weights[1]))
 
 
@@ -223,10 +223,10 @@ def test_stagewise_single_column_matches_plain_fit_quality():
     cfg = DnpConfig(
         num_dropouts=1,
         dropout_rate=0.3,
-        train_opts=TrainOptions(learning_rate=0.2, max_epochs=200, patience=0, rng_seed=3),
+        train_opts=TrainOptions(learning_rate=0.2, max_epochs=200, patience=0),
     )
-    sw = fit_stagewise(data, arch, cfg)
-    plain = train(xavier_init(arch, 3), arch, data, cfg.train_opts)
+    sw = fit_stagewise(data, arch, cfg, 3)
+    plain = train(xavier_init(arch, 3), arch, data, cfg.train_opts, 3)
     # the single admission is forced; the refit reaches the same quality
     assert empirical_loss(sw, arch, data) <= 2.0 * empirical_loss(plain, arch, data) + 1e-6
 
@@ -256,7 +256,7 @@ def test_stagewise_leaves_no_frozen_rows():
     cfg = DnpConfig(
         num_dropouts=1,
         dropout_rate=0.2,
-        train_opts=TrainOptions(learning_rate=0.15, max_epochs=40, patience=0, rng_seed=6),
+        train_opts=TrainOptions(learning_rate=0.15, max_epochs=40, patience=0),
     )
-    fitted = fit_stagewise(data, NetworkArchitecture(3, (5,)), cfg)
+    fitted = fit_stagewise(data, NetworkArchitecture(3, (5,)), cfg, 6)
     assert not np.any(np.all(fitted.weights[0] == 0.0, axis=1))

@@ -355,7 +355,7 @@ def test_train_zero_epochs_returns_input_unchanged():
     params = xavier_init(arch, 0)
     data = random_dataset(arch, seed=0)
     opts = TrainOptions(max_epochs=0, patience=0)
-    out = train(params, arch, data, opts)
+    out = train(params, arch, data, opts, 0)
     for a, b in zip(layers(params), layers(out), strict=True):
         assert np.array_equal(a, b)
 
@@ -367,8 +367,8 @@ def test_train_fits_separable_classification():
     data = Dataset(x, y, "classification")
     arch = NetworkArchitecture(2, (4,), "relu", "classification")
     params = xavier_init(arch, 2)
-    opts = TrainOptions(learning_rate=0.3, max_epochs=400, patience=0, rng_seed=1)
-    fitted = train(params, arch, data, opts)
+    opts = TrainOptions(learning_rate=0.3, max_epochs=400, patience=0)
+    fitted = train(params, arch, data, opts, 1)
     acc = np.mean((forward_batch(fitted, arch, x) > 0.5) == y)
     assert acc >= 0.95
 
@@ -377,9 +377,9 @@ def test_train_deterministic():
     arch = small_arch()
     params = xavier_init(arch, 4)
     data = random_dataset(arch, n=40, seed=6)
-    opts = TrainOptions(learning_rate=0.1, max_epochs=30, patience=5, validation_fraction=0.25, rng_seed=11)
-    a = train(params, arch, data, opts)
-    b = train(params, arch, data, opts)
+    opts = TrainOptions(learning_rate=0.1, max_epochs=30, patience=5, validation_fraction=0.25)
+    a = train(params, arch, data, opts, 11)
+    b = train(params, arch, data, opts, 11)
     for wa, wb in zip((*a.weights, *a.intercepts), (*b.weights, *b.intercepts)):
         assert np.array_equal(wa, wb)
 
@@ -391,8 +391,8 @@ def test_train_training_loss_non_increasing_checkpoints():
     losses = []
     last = params
     for epochs in [0, 5, 10, 20, 40]:
-        opts = TrainOptions(learning_rate=0.1, max_epochs=epochs, patience=0, rng_seed=11)
-        last = train(params, arch, data, opts)
+        opts = TrainOptions(learning_rate=0.1, max_epochs=epochs, patience=0)
+        last = train(params, arch, data, opts, 11)
         losses.append(empirical_loss(last, arch, data))
     assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
@@ -420,7 +420,7 @@ def test_train_matches_per_layer_reference(
     before = params.copy()
     opts = TrainOptions(
         learning_rate=0.1, max_epochs=max_epochs, batch_size=batch_size, patience=patience,
-        validation_fraction=validation_fraction, rng_seed=seed + 2,
+        validation_fraction=validation_fraction,
     )
     hook = reference_hook = None
     if threshold is not None:
@@ -433,8 +433,8 @@ def test_train_matches_per_layer_reference(
                 [params.weights[0], *(soft_threshold(w, threshold) for w in params.weights[1:])], params.intercepts
             )
 
-    out = train(params, arch, data, opts, epoch_hook=hook)
-    expected = train_reference(params, arch, data, opts, epoch_hook=reference_hook)
+    out = train(params, arch, data, opts, seed + 2, epoch_hook=hook)
+    expected = train_reference(params, arch, data, opts, seed + 2, epoch_hook=reference_hook)
     for a, b in zip(layers(out), layers(expected), strict=True):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
     for a, b in zip(layers(params), layers(before), strict=True):
@@ -451,11 +451,11 @@ def test_train_aborts_on_non_finite_loss():
     for extra in ({}, {"batch_size": 5}, {"validation_fraction": 0.25}):
         opts = TrainOptions(learning_rate=1e200, max_epochs=5, patience=0, **extra)
         with pytest.raises(NumericalError, match="epoch 0"):
-            train(params, arch, data, opts)
+            train(params, arch, data, opts, 0)
         # a starting point that overflows fails at epoch -1, and numpy does not warn first
         with warnings.catch_warnings(record=True) as seen, pytest.raises(NumericalError, match="epoch -1"):
             warnings.simplefilter("always")
-            train(huge, arch, data, opts)
+            train(huge, arch, data, opts, 0)
         assert not seen, [str(w.message) for w in seen]
 
 
@@ -485,7 +485,7 @@ def test_train_forward_pass_counts(monkeypatch, extra, passes, losses):
     arch = small_arch()
     data = random_dataset(arch, n=10, seed=3)
     opts = TrainOptions(**{"learning_rate": 0.1, "max_epochs": 7, "patience": 0, **extra})
-    train(xavier_init(arch, 2), arch, data, opts)
+    train(xavier_init(arch, 2), arch, data, opts, 0)
     assert calls == {"backward": passes, "empirical_loss": losses}
 
 
@@ -625,24 +625,24 @@ def test_model_json_rejects_unknown_version():
 def _golden_run(name):
     reg, cls = small_arch(), small_arch("classification", hidden=(5, 3), activation="sigmoid")
     l1_arch = NetworkArchitecture(2, (6, 4))
-    l1_opts = TrainOptions(learning_rate=0.1, max_epochs=60, batch_size=10, patience=0, rng_seed=7)
-    dnp = DnpConfig(num_dropouts=2, train_opts=TrainOptions(max_epochs=10, patience=0, rng_seed=8))
+    l1_opts = TrainOptions(learning_rate=0.1, max_epochs=60, batch_size=10, patience=0)
+    dnp = DnpConfig(num_dropouts=2, train_opts=TrainOptions(max_epochs=10, patience=0))
     if name == "train_full_batch":
-        opts = TrainOptions(learning_rate=0.1, max_epochs=100, patience=0, rng_seed=5)
-        return [], train(xavier_init(reg, 3), reg, random_dataset(reg, n=20, seed=1), opts)
+        opts = TrainOptions(learning_rate=0.1, max_epochs=100, patience=0)
+        return [], train(xavier_init(reg, 3), reg, random_dataset(reg, n=20, seed=1), opts, 5)
     if name == "train_minibatch_validation":
         opts = TrainOptions(
-            learning_rate=0.05, max_epochs=80, batch_size=7, patience=10, validation_fraction=0.25, rng_seed=6
+            learning_rate=0.05, max_epochs=80, batch_size=7, patience=10, validation_fraction=0.25
         )
-        return [], train(xavier_init(cls, 4), cls, random_dataset(cls, n=40, seed=2), opts)
+        return [], train(xavier_init(cls, 4), cls, random_dataset(cls, n=40, seed=2), opts, 6)
     if name == "fit_l1_explicit_lambda":
         spec = SparsitySpec("explicit_lambda", (0.3, 0.8))
-        return [], fit_l1(random_dataset(l1_arch, n=30, seed=3), l1_arch, spec, l1_opts)
+        return [], fit_l1(random_dataset(l1_arch, n=30, seed=3), l1_arch, spec, l1_opts, 7)
     if name == "fit_l1_percentile":
         spec = SparsitySpec("percentile", (50.0, 30.0))
-        return [], fit_l1(random_dataset(l1_arch, n=30, seed=3), l1_arch, spec, l1_opts)
+        return [], fit_l1(random_dataset(l1_arch, n=30, seed=3), l1_arch, spec, l1_opts, 7)
     if name == "fit_stagewise":
-        return [], fit_stagewise(random_dataset(reg, n=20, seed=4), reg, dnp)
+        return [], fit_stagewise(random_dataset(reg, n=20, seed=4), reg, dnp, 8)
     wide = NetworkArchitecture(8, (4,))
     order, params = stagewise_fit(random_dataset(wide, n=25, seed=5), wide, 3, dnp, 9)
     return [np.asarray(order, dtype=np.int64)], params
