@@ -59,7 +59,7 @@ class UsageError(Exception):
 
 
 class DataError(Exception):
-    """Unreadable or malformed input files."""
+    """Unreadable or malformed input files, or an output that cannot be written."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -82,15 +82,18 @@ def _cell(value: float) -> str:
 @contextmanager
 def _atomic_open(path):
     """Text handle on a temp file beside ``path`` that replaces ``path`` only
-    once the block completes; a failed write leaves any earlier file intact."""
+    once the block completes; a failed write leaves any earlier file intact
+    and no temp file, and an ``OSError`` becomes a ``DataError`` naming ``path``."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", encoding="utf8", newline="\n") as fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise DataError(f"cannot write {path}: {exc.strerror or exc}") from exc
         raise
 
 
@@ -648,6 +651,8 @@ def _agreement(tol: float, analytic: float, mc: float, **case) -> dict:
 
 
 def cmd_verify_theory(args) -> int:
+    if not (args.pair_betas and args.sigmas or args.first_cases):
+        raise UsageError("no cases to verify")
     pair_cases = []
     for sigma in args.sigmas:
         for bj in args.pair_betas:

@@ -701,6 +701,19 @@ def test_verify_theory_report_schema(tmp_path):
     )
 
 
+@pytest.mark.parametrize("empty", [["--pair-betas", ""], ["--sigmas", ""]])
+def test_verify_theory_without_cases_is_usage_error(tmp_path, capsys, monkeypatch, empty):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("ran a Monte Carlo")
+
+    monkeypatch.setattr(enns.cli, "mc_select_over", no_simulation)
+    monkeypatch.setattr(enns.cli, "mc_first_selection", no_simulation)
+    out = tmp_path / "report.json"
+    assert run("verify-theory", *empty, "--first-cases", "", "--out", out) == 1
+    assert capsys.readouterr().err == "error: no cases to verify\n"
+    assert not out.exists()
+
+
 def test_verify_theory_default_grid_passes_small():
     # scaled-down reps; agreement already holds at loose tolerance
     assert run("verify-theory", "--reps", 4000, "--pair-betas", "0,3", "--sigmas", "0.5",
@@ -856,4 +869,28 @@ def test_failed_write_keeps_earlier_file_and_leaves_no_temp(tmp_path):
     with pytest.raises(TypeError):
         write_matrix_csv(path, ["a"], np.array([[3.0], ["oops"]], dtype=object))
     assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["m.csv"]
+
+
+@pytest.mark.parametrize("command", ["select", "run-experiment"])
+def test_unwritable_output_is_data_error_naming_the_target(tmp_path, capsys, command):
+    target = tmp_path / "missing_dir" / "out.json"
+    if command == "select":
+        data = gen_small(tmp_path, p=5, s=2)
+        argv = ["select", "--x", data / "X.csv", "--y", data / "y.csv", "--method", "dnp", "--s0", 2, "--epochs", 5]
+    else:
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(BASE_CFG.replace("repetitions = 2", "repetitions = 1"))
+        argv = ["run-experiment", "--config", cfg]
+    capsys.readouterr()
+    assert run(*argv, "--out", target) == 2
+    err = capsys.readouterr().err
+    assert err == f"data error: cannot write {target}: No such file or directory\n"
+    assert not [p for p in tmp_path.rglob("*") if p.name.endswith(".tmp")]
+
+
+def test_output_that_cannot_replace_a_directory_leaves_no_temp(tmp_path):
+    (tmp_path / "m.csv").mkdir()
+    with pytest.raises(enns.cli.DataError, match="cannot write .*m.csv"):
+        write_matrix_csv(tmp_path / "m.csv", ["a"], np.array([[1.0]]))
     assert [p.name for p in tmp_path.iterdir()] == ["m.csv"]

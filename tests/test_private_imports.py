@@ -29,3 +29,37 @@ def test_no_module_imports_private_names_from_another():
         if names:
             offenders[path.name] = names
     assert offenders == {}
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module binds by import but never reads (``import a.b`` binds ``a``)."""
+    tree = ast.parse(source)
+    imported = [
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+        if alias.name != "annotations"  # from __future__ import annotations
+    ]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in used]
+
+
+def test_detector_flags_unused_imports():
+    source = (
+        "from __future__ import annotations\nimport os.path\nimport json as js\n"
+        "from dataclasses import dataclass, replace\nfrom .network import TrainOptions\n"
+        "@dataclass\nclass A:\n    x: js.JSONDecoder\n\nos.path.join('a')\n"
+    )
+    assert unused_imports(source) == ["replace", "TrainOptions"]
+
+
+def test_every_imported_name_is_used():
+    modules = sorted(p for p in PACKAGE_DIR.glob("*.py") if p.name != "__init__.py")
+    assert modules
+    offenders = {}
+    for path in modules:
+        names = unused_imports(path.read_text(encoding="utf8"))
+        if names:
+            offenders[path.name] = names
+    assert offenders == {}

@@ -280,3 +280,17 @@ def test_mc_requires_enough_rows():
     profile = SignalProfile(np.array([1.0, 0.0, 0.0]), 1.0, 1)
     with pytest.raises(ValueError):
         mc_first_selection(profile, n=2, reps=100, seed=0)
+
+
+@pytest.mark.parametrize("chunk", [0, -1])
+def test_mc_rejects_chunk_below_one_before_drawing(monkeypatch, chunk):
+    # chunk=0 used to loop forever (no replication ever completes)
+    def no_draws(*args):
+        raise AssertionError("drew random numbers")
+
+    monkeypatch.setattr(enns.theory, "spawn_rng", no_draws)
+    profile = SignalProfile(np.array([1.0, 0.0]), 1.0, 1)
+    with pytest.raises(ValueError, match="chunk must be positive"):
+        mc_first_selection(profile, n=5, reps=10, seed=0, chunk=chunk)
+    with pytest.raises(ValueError, match="chunk must be positive"):
+        mc_select_over(1.0, 0.5, 1.0, reps=10, seed=0, chunk=chunk)
