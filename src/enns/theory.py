@@ -178,7 +178,7 @@ def mc_first_selection(
     in this thread. The random stream and every matrix are those of one draw
     and one QR per chunk, so the result does not depend on the core count."""
     if reps < 1 or chunk < 1:
-        raise ValueError("reps and chunk must be positive")
+        raise ValueError(f"reps and chunk must be positive, got reps={reps}, chunk={chunk}")
     if n < profile.p:
         raise ValueError("need n >= p to orthonormalize the design columns")
     rng = spawn_rng(seed, "mc-first")
@@ -219,7 +219,7 @@ def mc_select_over(
     """Monte-Carlo estimate of P(|x_(j)' y| < |x_(k)' y|) with two
     orthonormalized Gaussian columns and y = beta_j x_(j) + beta_k x_(k) + eps."""
     if reps < 1 or chunk < 1:
-        raise ValueError("reps and chunk must be positive")
+        raise ValueError(f"reps and chunk must be positive, got reps={reps}, chunk={chunk}")
     if n < 2:
         raise ValueError("need n >= 2")
     rng = spawn_rng(seed, "mc-pair")
