@@ -14,21 +14,21 @@ import dataclasses
 import io
 import json
 import math
-import multiprocessing
 import os
+import shutil
 import stat
 import sys
 import time
 import typing
 import warnings
-from contextlib import ExitStack, contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .cores import usable_cores
+from .cores import forked, read_into, usable_cores
 from .ensemble import EnnsConfig, SelectionReport, enns_select
 from .estimation import SPARSITY_MODES, SparsitySpec, fit_l1
 from .metrics import METRIC_COLUMNS, PredictionMetrics, classification_metrics, regression_metrics, selection_metrics
@@ -91,10 +91,21 @@ def _atomic_open(path):
             yield fh
         os.replace(tmp, path)
     except BaseException as exc:
-        tmp.unlink(missing_ok=True)
+        with suppress(OSError):  # no temp file, or its directory is a file
+            tmp.unlink()
         if isinstance(exc, OSError):
             raise DataError(f"cannot write {path}: {exc.strerror or exc}") from exc
         raise
+
+
+def _check_output_dirs(*paths: Optional[str]) -> None:
+    """Before any work, the ``DataError`` that ``_atomic_open`` would raise
+    after it for an output (None is standard output) in a missing directory."""
+    for path in (Path(p) for p in paths if p is not None):
+        try:
+            os.stat(os.path.join(path.parent, ""))  # with the slash, a file is ENOTDIR
+        except OSError as exc:
+            raise DataError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _write_csv(path, header: Sequence[str], rows: Iterable[Iterable[str]]) -> None:
@@ -116,18 +127,82 @@ def _write_json(doc: dict, path: Optional[str]) -> None:
 # --- CSV input and output -----------------------------------------------------------
 
 
-def write_matrix_csv(path: Path, header: Sequence[str], matrix: np.ndarray) -> None:
-    _write_csv(path, header, ((_fmt(v) for v in row) for row in np.atleast_2d(matrix)))
-
-
 # A file's data lines are split over k = min(usable_cores(), data bytes // _RANGE_BYTES)
 # forked workers when k >= 2. Forking, the pipe transfer and reaping cost about
 # 35 ms for two workers on a 2-core x86-64 VM: a split 3 MB file (1.5 MB
 # ranges) lost about 20 ms and a split 6 MB one (3 MB ranges) won about 30 ms,
 # so the break-even lies between. 4 MB is above it on purpose, to keep a 6.2 MB
 # file (n=300, p=1000) one in-process range with its timing unchanged; a 31 MB
-# one (p=5000) parses in two workers.
+# one (p=5000) parses in two workers. Formatting costs more than parsing, so the
+# write splits by cells (_RANGE_CELLS), and writes the 6.2 MB file in two ranges.
 _RANGE_BYTES = 4_000_000
+
+# A matrix is written over k = min(usable_cores(), cells // _RANGE_CELLS) row
+# ranges, each formatted in a forked worker, when k >= 2. On the same VM two
+# workers against one process took 32.5 against 24.0 ms at 30,000 cells, 53.3
+# against 52.5 ms at 60,000, 84.5 against 100 ms at 120,000 and 182 against
+# 259 ms at 300,000; 100,000 keeps a margin for the costlier fork of a larger process.
+_RANGE_CELLS = 100_000
+
+
+def _write_rows(fh, matrix: np.ndarray) -> None:
+    """The rows of a 2-D ``matrix`` as CSV lines on the text handle ``fh``."""
+    line = ",".join([FLOAT_FMT] * matrix.shape[1]) + "\n"
+    for row in matrix:
+        fh.write(line % tuple(row.tolist()))
+
+
+def _rows_worker(matrix: np.ndarray, start: int, stop: int, out: int) -> None:
+    """Forked worker: rows [start, stop) of ``matrix`` to pipe ``out``, formatted
+    first, as the parent copies the ranges in order (streamed, a later range
+    would wait on its pipe). A failure is exit status 1 with no traceback."""
+    try:
+        text = io.StringIO()
+        _write_rows(text, matrix[start:stop])
+        with open(out, "w", encoding="utf8", newline="\n") as pipe:
+            pipe.write(text.getvalue())
+    except Exception:
+        raise SystemExit(1)
+
+
+def _write_split(fh, matrix: np.ndarray) -> bool:
+    """``_write_rows`` over row ranges in forked workers, whose pipes are copied
+    in order, in bounded chunks. False, with nothing written, when the matrix
+    is too small to split, when forking fails or is refused (``forked``), or
+    when a worker fails."""
+    k = min(usable_cores(), matrix.size // _RANGE_CELLS)
+    if k < 2:
+        return False
+    fh.flush()
+    out = fh.buffer
+    start = out.tell()
+    cuts = [i * len(matrix) // k for i in range(k + 1)]
+    try:
+        with forked(_rows_worker, [(matrix, a, b) for a, b in zip(cuts, cuts[1:])]) as workers:
+            if workers is None:
+                return False
+            for pipe, proc in workers:
+                shutil.copyfileobj(pipe, out, 1 << 20)
+                proc.join()
+                if proc.exitcode != 0:
+                    raise EOFError
+        return True
+    except (OSError, EOFError):
+        out.seek(start)
+        out.truncate()
+        return False
+
+
+def write_matrix_csv(path: Path, header: Sequence[str], matrix: np.ndarray) -> None:
+    """``header`` and the rows of ``matrix`` (a vector is one row) as a CSV file
+    of 17-significant-digit cells, replacing ``path`` only once complete. A
+    large matrix is formatted in forked workers, one per usable core; if any
+    fails, every row is written here, so bytes and errors are those of one process."""
+    matrix = np.atleast_2d(matrix)
+    with _atomic_open(path) as fh:
+        fh.write(",".join(header) + "\n")
+        if not _write_split(fh, matrix):
+            _write_rows(fh, matrix)
 
 
 def _parse_lines(lines) -> np.ndarray:
@@ -158,31 +233,19 @@ def _range_worker(fd: int, start: int, stop: int, out: int) -> None:
         pass
 
 
-def _read_into(pipe, buf) -> None:
-    """Fill the C-contiguous array ``buf`` from ``pipe``; EOFError if the
-    writer stops first."""
-    view = memoryview(buf.view(np.uint8).reshape(-1))
-    while view:
-        n = pipe.readinto(view)
-        if not n:
-            raise EOFError
-        view = view[n:]
-
-
 def _parse_split(path, opened: os.stat_result, fields: int) -> Optional[np.ndarray]:
     """The matrix of the data lines of ``path`` parsed over line-aligned byte
     ranges in forked workers, read straight into one preallocated array.
     ``opened`` is the status of the handle the caller read the header from.
 
-    None, and the caller parses the file as one range, when the platform does
-    not report the cores this process may use (Linux does, and it can fork),
-    when that handle is not a regular file (a pipe cannot be read twice), when
-    the file is too small to split, when forking is refused or warned about,
-    or when a worker fails or disagrees with the header on the column count."""
-    if not (hasattr(os, "sched_getaffinity") and stat.S_ISREG(opened.st_mode)):
+    None, and the caller parses the file as one range, when that handle is not
+    a regular file (a pipe cannot be read twice), when the file is too small
+    to split, when the platform cannot fork or forking is refused or warned
+    about (``forked``), or when a worker fails or disagrees with the header on
+    the column count."""
+    if not stat.S_ISREG(opened.st_mode):
         return None
-    with ExitStack() as stack:
-        fh = stack.enter_context(open(path, "rb"))  # the workers read it too
+    with open(path, "rb") as fh:  # the workers read it too
         if not os.path.samestat(os.fstat(fh.fileno()), opened):
             return None  # the path names another file by now
         head = fh.readline()
@@ -199,36 +262,20 @@ def _parse_split(path, opened: os.stat_result, fields: int) -> Optional[np.ndarr
             fh.readline()
             cuts.append(fh.tell())
         cuts.append(size)
-        # fork, not spawn: a spawned worker would first import numpy, scipy and
-        # enns, about a second, and a forked one runs only the parse
-        ctx = multiprocessing.get_context("fork")
-        pipes = []
         try:
-            for a, b in zip(cuts, cuts[1:]):
-                r, w = os.pipe()
-                pipes.append(stack.enter_context(open(r, "rb", buffering=0)))
-                # The parent's copy of the write end closes once forked. Python
-                # 3.12 and later warn at a fork from a process with more than one
-                # thread (a multi-threaded BLAS counts) that the child may
-                # deadlock: recorded, not raised, so that the child is reaped
-                # either way, and taken as a no.
-                with open(w, "wb"), warnings.catch_warnings(record=True) as warned:
-                    warnings.simplefilter("always")
-                    proc = ctx.Process(target=_range_worker, args=(fh.fileno(), a, b, w))
-                    proc.start()
-                stack.callback(proc.join)
-                stack.callback(proc.kill)  # runs first: a worker is done or abandoned
-                if warned:
+            with forked(_range_worker, [(fh.fileno(), a, b) for a, b in zip(cuts, cuts[1:])]) as workers:
+                if workers is None:
                     return None
-            shapes = np.empty((len(pipes), 2), dtype=np.int64)
-            for pipe, shape in zip(pipes, shapes):
-                _read_into(pipe, shape)
-            rows, cols = shapes.T
-            if np.any((rows > 0) & (cols != fields)):
-                return None
-            x = np.empty((rows.sum(), fields))
-            for pipe, end, n in zip(pipes, np.cumsum(rows), rows):
-                _read_into(pipe, x[end - n : end])
+                pipes = [pipe for pipe, _ in workers]
+                shapes = np.empty((len(pipes), 2), dtype=np.int64)
+                for pipe, shape in zip(pipes, shapes):
+                    read_into(pipe, shape)
+                rows, cols = shapes.T
+                if np.any((rows > 0) & (cols != fields)):
+                    return None
+                x = np.empty((rows.sum(), fields))
+                for pipe, end, n in zip(pipes, np.cumsum(rows), rows):
+                    read_into(pipe, x[end - n : end])
         except (OSError, EOFError):
             return None
     return x
@@ -505,6 +552,7 @@ def cmd_gen_data(args) -> int:
 def cmd_select(args) -> int:
     if args.s0 < 1:
         raise UsageError(f"s0 must be positive, got {args.s0}")
+    _check_output_dirs(args.out)
     data = load_dataset(args.x, args.y, args.task)
     if args.s0 > data.p:
         raise UsageError(f"s0={args.s0} exceeds the number of columns ({data.p})")
@@ -529,6 +577,7 @@ def cmd_select(args) -> int:
 def cmd_estimate(args) -> int:
     if not 0.0 <= args.test_fraction < 1.0:
         raise UsageError(f"--test-fraction must be in [0, 1), got {args.test_fraction}")
+    _check_output_dirs(args.model_out, args.metrics_out)
     data = load_dataset(args.x, args.y, args.task)
     if args.selection_json is not None:
         try:
@@ -640,6 +689,7 @@ def cmd_run_experiment(args) -> int:
     out = args.out or cfg.output
     if out is None:
         raise UsageError("no output path: set 'output' in the config or pass --out")
+    _check_output_dirs(out)
     header, rows = run_experiment(cfg)
     _write_csv(out, header, rows)
     return 0
@@ -653,6 +703,9 @@ def _agreement(tol: float, analytic: float, mc: float, **case) -> dict:
 def cmd_verify_theory(args) -> int:
     if not (args.pair_betas and args.sigmas or args.first_cases):
         raise UsageError("no cases to verify")
+    if args.reps < 1:
+        raise UsageError(f"--reps must be positive, got {args.reps}")
+    _check_output_dirs(args.out)
     pair_cases = []
     for sigma in args.sigmas:
         for bj in args.pair_betas:

@@ -1,11 +1,18 @@
 """How many cores this process can run on at once, for the parallel paths
-(the split CSV parse and the first-selection Monte Carlo)."""
+(the split CSV read and write, in ``forked`` workers, and the first-selection
+Monte Carlo), and the fork mechanics of the CSV paths."""
 
 from __future__ import annotations
 
 import math
+import multiprocessing
 import os
+import warnings
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
+from typing import Callable, Iterator, Optional, Sequence
+
+import numpy as np
 
 # cgroup v2 CPU bandwidth limit of this process's cgroup: "<quota> <period>"
 # in microseconds, or "max <period>" when there is no limit.
@@ -28,3 +35,60 @@ def usable_cores() -> int:
     if quota > 0 and period > 0:
         cores = min(cores, math.ceil(quota / period))
     return max(cores, 1)
+
+
+@contextmanager
+def forked(target: Callable[..., None], jobs: Sequence[tuple]) -> Iterator[Optional[list]]:
+    """Run ``target(*job, out)`` in a forked child per job, ``out`` being the
+    write end (a descriptor) of a pipe to this process; yield the children in
+    job order as (unbuffered binary read end, process) pairs. Yield None where
+    the platform reports no affinity (Linux does, and can fork) or a fork
+    warns; an ``OSError`` of a pipe or fork propagates. Leaving the block kills
+    and joins every child, done or abandoned, and closes the pipes."""
+    if not hasattr(os, "sched_getaffinity"):
+        yield None
+        return
+    # fork, not spawn: a spawned worker would first import numpy, scipy and
+    # enns, about a second, and a forked one runs only its job
+    ctx = multiprocessing.get_context("fork")
+    with ExitStack() as stack:
+        children: Optional[list] = []
+        for job in jobs:
+            r, w = os.pipe()
+            pipe = stack.enter_context(open(r, "rb", buffering=0))
+            reads = [r, *(earlier.fileno() for earlier, _ in children)]
+            # The parent's copy of the write end closes once forked. Python
+            # 3.12 and later warn at a fork from a process with more than one
+            # thread (a multi-threaded BLAS counts) that the child may
+            # deadlock: recorded, not raised, so that the child is reaped
+            # either way, and taken as a no.
+            with open(w, "wb"), warnings.catch_warnings(record=True) as warned:
+                warnings.simplefilter("always")
+                proc = ctx.Process(target=_child, args=(target, job, w, reads))
+                proc.start()
+            stack.callback(proc.join)
+            stack.callback(proc.kill)  # runs first: a child is done or abandoned
+            if warned:
+                children = None
+                break
+            children.append((pipe, proc))
+        yield children
+
+
+def _child(target: Callable[..., None], job: tuple, out: int, reads: list[int]) -> None:
+    """Forked child: close the inherited read ends, which would keep a pipe
+    open after the parent died and block its writer for good, then run."""
+    for fd in reads:
+        os.close(fd)
+    target(*job, out)
+
+
+def read_into(pipe, buf: np.ndarray) -> None:
+    """Fill the C-contiguous array ``buf`` from ``pipe`` over short reads;
+    EOFError if the writer stops first."""
+    view = memoryview(buf.view(np.uint8).reshape(-1))
+    while view:
+        n = pipe.readinto(view)
+        if not n:
+            raise EOFError
+        view = view[n:]

@@ -3,6 +3,7 @@ import json
 import multiprocessing
 import os
 import re
+import shutil
 import subprocess
 import sys
 import warnings
@@ -173,21 +174,26 @@ def test_select_missing_file_is_data_error(tmp_path):
 # --- CSV data lines parsed over byte ranges in forked workers ---------------------
 
 
+def spy(mp, name):
+    """Record every result of ``enns.cli.<name>`` in the returned list."""
+    results = []
+    real = getattr(enns.cli, name)
+
+    def recorded(*args):
+        results.append(real(*args))
+        return results[-1]
+
+    mp.setattr(enns.cli, name, recorded)
+    return results
+
+
 def force_ranges(mp, k):
     """Split every CSV read into up to k byte ranges (k usable cores, 1-byte
     ranges). Returns the list of split results, None where the read fell back
     to one range."""
     mp.setattr(enns.cli, "_RANGE_BYTES", 1)
     mp.setattr(enns.cli, "usable_cores", lambda: k)
-    results = []
-    split = enns.cli._parse_split
-
-    def spy(*args):
-        results.append(split(*args))
-        return results[-1]
-
-    mp.setattr(enns.cli, "_parse_split", spy)
-    return results
+    return spy(mp, "_parse_split")
 
 
 def read_one_range(path):
@@ -351,6 +357,114 @@ def test_warned_fork_falls_back_to_one_range(tmp_path, monkeypatch):
         got_header, got = read_matrix_csv(path)
     assert splits == [None]
     assert got_header == header and got.tobytes() == x.tobytes()
+    assert multiprocessing.active_children() == []
+
+
+# --- matrix rows written over row ranges in forked workers --------------------------
+
+
+def force_write_ranges(mp, k):
+    """Split every matrix write into up to k row ranges (k usable cores,
+    1-cell ranges). Returns the list of ``_write_split`` results, False where
+    the write fell back to this process."""
+    mp.setattr(enns.cli, "_RANGE_CELLS", 1)
+    mp.setattr(enns.cli, "usable_cores", lambda: k)
+    return spy(mp, "_write_split")
+
+
+def write_one_range(path, header, x):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(enns.cli, "_RANGE_CELLS", 1 << 62)
+        write_matrix_csv(path, header, x)
+    return path.read_bytes()
+
+
+@settings(deadline=None, max_examples=40)
+@given(x=st.integers(1, 40).flatmap(lambda rows: st.integers(1, 6).flatmap(
+    lambda cols: arrays(np.float64, (rows, cols), elements=CELLS))))
+def test_split_write_is_byte_identical_to_one_range(tmp_path_factory, x):
+    path = tmp_path_factory.mktemp("split") / "m.csv"
+    header = [f"c{j}" for j in range(x.shape[1])]
+    one_range = write_one_range(path, header, x)
+    lines = [",".join(header)] + [",".join("%.17g" % v for v in row) for row in x]
+    assert one_range == ("\n".join(lines) + "\n").encode()
+    for k in (1, 2, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            splits = force_write_ranges(mp, k)
+            write_matrix_csv(path, header, x)
+        assert path.read_bytes() == one_range
+        # one worker per range, an empty range included (fewer rows than cores)
+        assert splits == [min(k, x.size) >= 2]
+        assert [p.name for p in path.parent.iterdir()] == ["m.csv"]
+        assert multiprocessing.active_children() == []
+
+
+def dies_after_the_first_range(rows_worker):
+    def worker(matrix, start, stop, out):
+        if start == 0:
+            rows_worker(matrix, start, stop, out)
+        else:  # a partial row, then an exit that is not clean
+            os.write(out, b"0.5,")
+            os._exit(1)
+
+    return worker
+
+
+@pytest.mark.parametrize("worker", ["dies-at-once", "dies-after-writing"])
+def test_dead_write_worker_falls_back_to_one_range(tmp_path, monkeypatch, worker):
+    x = np.random.default_rng(3).normal(size=(30, 4))
+    expected = write_one_range(tmp_path / "m.csv", list("abcd"), x)
+    splits = force_write_ranges(monkeypatch, 3)
+    if worker == "dies-at-once":
+        monkeypatch.setattr(enns.cli, "_rows_worker", lambda *args: os._exit(1))
+    else:
+        monkeypatch.setattr(enns.cli, "_rows_worker", dies_after_the_first_range(enns.cli._rows_worker))
+    copied = []
+    copy = shutil.copyfileobj
+    monkeypatch.setattr(shutil, "copyfileobj", lambda *args: copied.append(copy(*args)))
+    write_matrix_csv(tmp_path / "m.csv", list("abcd"), x)
+    assert splits == [False]
+    # a range is copied up to its worker's end: after the first range and a
+    # partial row, the copy is taken back
+    assert len(copied) == (2 if worker == "dies-after-writing" else 1)
+    assert (tmp_path / "m.csv").read_bytes() == expected
+    assert [p.name for p in tmp_path.iterdir()] == ["m.csv"]
+    assert multiprocessing.active_children() == []
+
+
+def test_warned_fork_falls_back_to_writing_here(tmp_path, monkeypatch):
+    x = np.random.default_rng(4).normal(size=(30, 4))
+    expected = write_one_range(tmp_path / "m.csv", list("abcd"), x)
+    fork = os.fork
+
+    def warned_fork():
+        pid = fork()
+        if pid:  # as Python 3.12 and later warn in a multi-threaded parent
+            warnings.warn("use of fork() may lead to deadlocks in the child.", DeprecationWarning)
+        return pid
+
+    monkeypatch.setattr(os, "fork", warned_fork)
+    splits = force_write_ranges(monkeypatch, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        write_matrix_csv(tmp_path / "m.csv", list("abcd"), x)
+    assert splits == [False]
+    assert (tmp_path / "m.csv").read_bytes() == expected
+    assert multiprocessing.active_children() == []
+
+
+def test_failed_split_write_keeps_earlier_file_and_leaves_no_temp(tmp_path, monkeypatch, capfd):
+    path = tmp_path / "m.csv"
+    write_matrix_csv(path, ["a"], np.array([[1.0], [2.0]]))
+    before = path.read_bytes()
+    splits = force_write_ranges(monkeypatch, 2)
+    # the worker of the second row cannot format it, and nor can this process
+    with pytest.raises(TypeError, match="must be real number, not str"):
+        write_matrix_csv(path, ["a"], np.array([[3.0], ["oops"]], dtype=object))
+    assert splits == [False]
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["m.csv"]
+    assert capfd.readouterr().err == ""  # the worker failed without a traceback
     assert multiprocessing.active_children() == []
 
 
@@ -714,6 +828,19 @@ def test_verify_theory_without_cases_is_usage_error(tmp_path, capsys, monkeypatc
     assert not out.exists()
 
 
+@pytest.mark.parametrize("reps", [0, -3])
+def test_verify_theory_nonpositive_reps_is_usage_error_before_any_work(tmp_path, capsys, monkeypatch, reps):
+    def no_probability(*args, **kwargs):
+        raise AssertionError("computed a probability")
+
+    for name in ("prob_select_over", "prob_first_correct", "mc_select_over", "mc_first_selection"):
+        monkeypatch.setattr(enns.cli, name, no_probability)
+    out = tmp_path / "report.json"
+    assert run("verify-theory", "--reps", reps, "--out", out) == 1
+    assert capsys.readouterr().err == f"error: --reps must be positive, got {reps}\n"
+    assert not out.exists()
+
+
 def test_verify_theory_default_grid_passes_small():
     # scaled-down reps; agreement already holds at loose tolerance
     assert run("verify-theory", "--reps", 4000, "--pair-betas", "0,3", "--sigmas", "0.5",
@@ -796,6 +923,12 @@ def gen_golden_uniform(out):
     ) == 0
 
 
+GOLDEN_GEN_CORRELATED = (
+    "gen-data", "--n", 40, "--p", 6, "--design", "correlated", "--rho", 0.5,
+    "--response", "linear", "--task", "classification", "--s", 2, "--seed", 12,
+)
+
+
 def golden_select(xy, method, out):
     assert run(
         "select", *xy, "--method", method, "--s0", 2, "--bags", 3, "--ps", 0.5,
@@ -817,11 +950,7 @@ def golden_outputs(tmp_path_factory):
     root = tmp_path_factory.mktemp("golden")
     uni = root / "gen_uniform"
     gen_golden_uniform(uni)
-    assert run(
-        "gen-data", "--out-dir", root / "gen_correlated", "--n", 40, "--p", 6,
-        "--design", "correlated", "--rho", 0.5, "--response", "linear",
-        "--task", "classification", "--s", 2, "--seed", 12,
-    ) == 0
+    assert run(*GOLDEN_GEN_CORRELATED, "--out-dir", root / "gen_correlated") == 0
     xy = ["--x", uni / "X.csv", "--y", uni / "y.csv"]
     for method in ("dnp", "enns"):
         golden_select(xy, method, root / f"select_{method}.json")
@@ -861,6 +990,19 @@ def test_golden_select_with_csv_split_into_ranges(tmp_path, monkeypatch, method)
     assert golden_digest(name, tmp_path / name) == GOLDEN_DIGESTS[name]
 
 
+@pytest.mark.parametrize("cores", [1, 2, 3])
+def test_golden_gen_data_with_matrices_written_in_ranges(tmp_path, monkeypatch, cores):
+    splits = force_write_ranges(monkeypatch, cores)
+    gen_golden_uniform(tmp_path / "gen_uniform")
+    assert run(*GOLDEN_GEN_CORRELATED, "--out-dir", tmp_path / "gen_correlated") == 0
+    # X.csv and y.csv of each set; each has at least 2 cells per core
+    assert splits == [cores >= 2] * 4
+    for name in GOLDEN_DIGESTS:
+        if name.startswith("gen_"):
+            assert golden_digest(name, tmp_path / name) == GOLDEN_DIGESTS[name]
+    assert multiprocessing.active_children() == []
+
+
 def test_failed_write_keeps_earlier_file_and_leaves_no_temp(tmp_path):
     path = tmp_path / "m.csv"
     write_matrix_csv(path, ["a"], np.array([[1.0], [2.0]]))
@@ -889,8 +1031,59 @@ def test_unwritable_output_is_data_error_naming_the_target(tmp_path, capsys, com
     assert not [p for p in tmp_path.rglob("*") if p.name.endswith(".tmp")]
 
 
+def no_work(*args, **kwargs):
+    raise AssertionError("read an input or did work before checking the outputs")
+
+
+OUTPUT_TARGETS = {
+    "select": ("--out",),
+    "estimate": ("--model-out", "--metrics-out"),
+    "run-experiment": ("--out",),
+    "verify-theory": ("--out",),
+}
+
+
+@pytest.mark.parametrize("parent", ["missing", "file"])
+@pytest.mark.parametrize(
+    "command, flag", [(c, f) for c, flags in OUTPUT_TARGETS.items() for f in flags]
+)
+def test_output_in_a_missing_directory_fails_before_any_work(tmp_path, capsys, monkeypatch, command, flag, parent):
+    data = gen_small(tmp_path, p=5, s=2)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(BASE_CFG)
+    (tmp_path / "file").write_text("")
+    for name in ("read_matrix_csv", "gen_design_uniform", "dnp_run", "enns_select", "train", "fit_l1",
+                 "prob_select_over", "prob_first_correct", "mc_select_over", "mc_first_selection"):
+        monkeypatch.setattr(enns.cli, name, no_work)
+    outputs = {f: tmp_path / f.strip("-").replace("-", ".") for f in OUTPUT_TARGETS[command]}
+    target = outputs[flag] = tmp_path / parent / "out.json"
+    xy = ["--x", data / "X.csv", "--y", data / "y.csv"]
+    argv = {
+        "select": ["select", *xy, "--s0", 2],
+        "estimate": ["estimate", *xy, "--selected", "1,2"],
+        "run-experiment": ["run-experiment", "--config", cfg],
+        "verify-theory": ["verify-theory"],
+    }[command]
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert run(*argv, *[a for f, path in outputs.items() for a in (f, path)]) == 2
+    strerror = "No such file or directory" if parent == "missing" else "Not a directory"
+    assert capsys.readouterr().err == f"data error: cannot write {target}: {strerror}\n"
+    # no output, not even the one in a writable directory, and no temp file
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_output_that_cannot_replace_a_directory_leaves_no_temp(tmp_path):
     (tmp_path / "m.csv").mkdir()
     with pytest.raises(enns.cli.DataError, match="cannot write .*m.csv"):
         write_matrix_csv(tmp_path / "m.csv", ["a"], np.array([[1.0]]))
     assert [p.name for p in tmp_path.iterdir()] == ["m.csv"]
+
+
+def test_output_under_a_regular_file_is_data_error(tmp_path):
+    (tmp_path / "file").write_text("")
+    target = tmp_path / "file" / "m.csv"
+    with pytest.raises(enns.cli.DataError) as exc:
+        write_matrix_csv(target, ["a"], np.array([[1.0]]))
+    assert str(exc.value) == f"cannot write {target}: Not a directory"
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]

@@ -1,9 +1,18 @@
-"""usable_cores: the CPU affinity count, capped by a cgroup v2 CPU quota."""
+"""usable_cores: the CPU affinity count, capped by a cgroup v2 CPU quota;
+forked and read_into: forked workers with a pipe each, and exact pipe reads."""
 
+import multiprocessing
+import os
+import signal
+import time
+import warnings
+from pathlib import Path
+
+import numpy as np
 import pytest
 
 import enns.cores
-from enns.cores import usable_cores
+from enns.cores import forked, read_into, usable_cores
 
 
 @pytest.mark.parametrize(
@@ -37,3 +46,143 @@ def test_usable_cores_without_affinity_uses_cpu_count(tmp_path, monkeypatch):
     assert usable_cores() == 3
     monkeypatch.setattr(enns.cores.os, "cpu_count", lambda: None)
     assert usable_cores() == 1
+
+
+# --- forked: one child per job, each with a pipe to the parent ------------------------
+
+
+def send_index(i, out):
+    os.write(out, np.int64(i).tobytes())
+
+
+def send_half_then_die(out):
+    os.write(out, b"\0" * 4)
+    os._exit(1)
+
+
+def sleep_long(out):
+    time.sleep(60)
+
+
+def send_bytewise(data, out):
+    for b in data:
+        os.write(out, bytes([b]))
+        time.sleep(0.001)
+
+
+def test_forked_yields_children_in_job_order_and_reaps_them():
+    with forked(send_index, [(i,) for i in range(3)]) as children:
+        got = np.empty(3, dtype=np.int64)
+        for (pipe, _), slot in zip(children, got.reshape(3, 1)):
+            read_into(pipe, slot)
+    assert got.tolist() == [0, 1, 2]
+    # done or not, each child is killed and joined on leaving the block
+    assert all(proc.exitcode is not None for _, proc in children)
+    assert all(pipe.closed for pipe, _ in children)
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_that_exits_early_ends_the_read_and_survives_nothing():
+    with pytest.raises(EOFError):
+        with forked(send_half_then_die, [()]) as children:
+            read_into(children[0][0], np.empty(1, dtype=np.int64))
+    assert children[0][1].exitcode == 1
+    assert multiprocessing.active_children() == []
+
+
+def test_parent_raising_mid_read_kills_every_child():
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError, match="mid-read"):
+        with forked(sleep_long, [(), ()]) as children:
+            raise RuntimeError("mid-read")
+    assert time.perf_counter() - start < 30
+    assert [proc.exitcode for _, proc in children] == [-signal.SIGKILL] * 2
+    assert multiprocessing.active_children() == []
+
+
+def test_short_pipe_reads_are_completed():
+    data = bytes(range(1, 25))
+    with forked(send_bytewise, [(data,)]) as children:
+        got = np.empty(3, dtype=np.int64)
+        read_into(children[0][0], got)
+    assert got.tobytes() == data
+    assert multiprocessing.active_children() == []
+
+    class Trickle:  # at most 3 bytes a read
+        def __init__(self, data):
+            self.data = data
+
+        def readinto(self, view):
+            n = min(3, len(view), len(self.data))
+            view[:n], self.data = self.data[:n], self.data[n:]
+            return n
+
+    got = np.empty(3, dtype=np.int64)
+    read_into(Trickle(data), got)
+    assert got.tobytes() == data
+    with pytest.raises(EOFError):
+        read_into(Trickle(data[:-1]), got)
+
+
+def test_warned_fork_yields_none_and_reaps_the_child(monkeypatch):
+    fork = os.fork
+
+    def warned_fork():
+        pid = fork()
+        if pid:  # as Python 3.12 and later warn in a multi-threaded parent
+            warnings.warn("use of fork() may lead to deadlocks in the child.", DeprecationWarning)
+        return pid
+
+    monkeypatch.setattr(os, "fork", warned_fork)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with forked(send_index, [(0,), (1,)]) as children:
+            assert children is None
+    assert multiprocessing.active_children() == []
+
+
+def test_forked_yields_none_without_affinity(monkeypatch):
+    monkeypatch.delattr(enns.cores.os, "sched_getaffinity", raising=False)
+    with forked(send_index, [(0,)]) as children:
+        assert children is None
+    assert multiprocessing.active_children() == []
+
+
+def fill_pipe(out):
+    try:
+        while True:
+            os.write(out, b"\0" * 65536)
+    except BrokenPipeError:
+        os._exit(0)
+
+
+def parent_that_gets_killed(report):
+    with forked(fill_pipe, [(), ()]) as children:
+        os.write(report, np.array([proc.pid for _, proc in children], dtype=np.int64).tobytes())
+        time.sleep(60)
+
+
+def test_children_of_a_killed_parent_do_not_block_on_their_pipes():
+    r, w = os.pipe()
+    parent = multiprocessing.get_context("fork").Process(target=parent_that_gets_killed, args=(w,))
+    parent.start()
+    os.close(w)
+    pids = np.empty(2, dtype=np.int64)
+    with open(r, "rb", buffering=0) as report:
+        read_into(report, pids)
+    parent.kill()  # no chance to leave the block
+    parent.join()
+
+    def running(pid):  # an orphan that exited may stay a zombie
+        try:
+            return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0] != "Z"
+        except FileNotFoundError:
+            return False
+
+    deadline = time.monotonic() + 20
+    while any(map(running, pids)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    alive = [int(pid) for pid in pids if running(pid)]
+    for pid in alive:
+        os.kill(pid, signal.SIGKILL)
+    assert alive == []
