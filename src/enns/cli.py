@@ -80,32 +80,38 @@ def _cell(value: float) -> str:
 
 
 @contextmanager
+def _writing(path):
+    """An ``OSError`` in the block becomes a ``DataError`` naming ``path``."""
+    try:
+        yield
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+@contextmanager
 def _atomic_open(path):
     """Text handle on a temp file beside ``path`` that replaces ``path`` only
     once the block completes; a failed write leaves any earlier file intact
     and no temp file, and an ``OSError`` becomes a ``DataError`` naming ``path``."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w", encoding="utf8", newline="\n") as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException as exc:
-        with suppress(OSError):  # no temp file, or its directory is a file
-            tmp.unlink()
-        if isinstance(exc, OSError):
-            raise DataError(f"cannot write {path}: {exc.strerror or exc}") from exc
-        raise
+    with _writing(path):
+        try:
+            with open(tmp, "w", encoding="utf8", newline="\n") as fh:
+                yield fh
+            os.replace(tmp, path)
+        except BaseException:
+            with suppress(OSError):  # no temp file, or its directory is a file
+                tmp.unlink()
+            raise
 
 
 def _check_output_dirs(*paths: Optional[str]) -> None:
     """Before any work, the ``DataError`` that ``_atomic_open`` would raise
     after it for an output (None is standard output) in a missing directory."""
     for path in (Path(p) for p in paths if p is not None):
-        try:
+        with _writing(path):
             os.stat(os.path.join(path.parent, ""))  # with the slash, a file is ENOTDIR
-        except OSError as exc:
-            raise DataError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _write_csv(path, header: Sequence[str], rows: Iterable[Iterable[str]]) -> None:
@@ -155,21 +161,17 @@ def _write_rows(fh, matrix: np.ndarray) -> None:
 def _rows_worker(matrix: np.ndarray, start: int, stop: int, out: int) -> None:
     """Forked worker: rows [start, stop) of ``matrix`` to pipe ``out``, formatted
     first, as the parent copies the ranges in order (streamed, a later range
-    would wait on its pipe). A failure is exit status 1 with no traceback."""
-    try:
-        text = io.StringIO()
-        _write_rows(text, matrix[start:stop])
-        with open(out, "w", encoding="utf8", newline="\n") as pipe:
-            pipe.write(text.getvalue())
-    except Exception:
-        raise SystemExit(1)
+    would wait on its pipe)."""
+    text = io.StringIO()
+    _write_rows(text, matrix[start:stop])
+    with open(out, "w", encoding="utf8", newline="\n") as pipe:
+        pipe.write(text.getvalue())
 
 
 def _write_split(fh, matrix: np.ndarray) -> bool:
     """``_write_rows`` over row ranges in forked workers, whose pipes are copied
     in order, in bounded chunks. False, with nothing written, when the matrix
-    is too small to split, when forking fails or is refused (``forked``), or
-    when a worker fails."""
+    is too small to split, when ``forked`` raises, or when a worker fails."""
     k = min(usable_cores(), matrix.size // _RANGE_CELLS)
     if k < 2:
         return False
@@ -179,8 +181,6 @@ def _write_split(fh, matrix: np.ndarray) -> bool:
     cuts = [i * len(matrix) // k for i in range(k + 1)]
     try:
         with forked(_rows_worker, [(matrix, a, b) for a, b in zip(cuts, cuts[1:])]) as workers:
-            if workers is None:
-                return False
             for pipe, proc in workers:
                 shutil.copyfileobj(pipe, out, 1 << 20)
                 proc.join()
@@ -218,19 +218,16 @@ def _range_worker(fd: int, start: int, stop: int, out: int) -> None:
     write the matrix's shape (two int64), then its rows, to pipe ``out``. A
     range that fails to parse writes nothing, and the parent parses the whole
     file."""
-    try:
-        with open(out, "wb") as pipe:
-            chunks = []
-            while start < stop:  # Linux returns at most about 2 GiB per read
-                chunks.append(os.pread(fd, stop - start, start))
-                if not chunks[-1]:
-                    raise OSError("file shrank during the parse")
-                start += len(chunks[-1])
-            x = _parse_lines(io.TextIOWrapper(io.BytesIO(b"".join(chunks)), encoding="utf8"))
-            pipe.write(np.array(x.shape, dtype=np.int64).tobytes())
-            pipe.write(x)
-    except (OSError, ValueError):
-        pass
+    chunks = []
+    while start < stop:  # Linux returns at most about 2 GiB per read
+        chunks.append(os.pread(fd, stop - start, start))
+        if not chunks[-1]:
+            raise OSError("file shrank during the parse")
+        start += len(chunks[-1])
+    x = _parse_lines(io.TextIOWrapper(io.BytesIO(b"".join(chunks)), encoding="utf8"))
+    with open(out, "wb") as pipe:
+        pipe.write(np.array(x.shape, dtype=np.int64).tobytes())
+        pipe.write(x)
 
 
 def _parse_split(path, opened: os.stat_result, fields: int) -> Optional[np.ndarray]:
@@ -240,9 +237,8 @@ def _parse_split(path, opened: os.stat_result, fields: int) -> Optional[np.ndarr
 
     None, and the caller parses the file as one range, when that handle is not
     a regular file (a pipe cannot be read twice), when the file is too small
-    to split, when the platform cannot fork or forking is refused or warned
-    about (``forked``), or when a worker fails or disagrees with the header on
-    the column count."""
+    to split, when ``forked`` raises, or when a worker fails or disagrees with
+    the header on the column count."""
     if not stat.S_ISREG(opened.st_mode):
         return None
     with open(path, "rb") as fh:  # the workers read it too
@@ -264,8 +260,6 @@ def _parse_split(path, opened: os.stat_result, fields: int) -> Optional[np.ndarr
         cuts.append(size)
         try:
             with forked(_range_worker, [(fh.fileno(), a, b) for a, b in zip(cuts, cuts[1:])]) as workers:
-                if workers is None:
-                    return None
                 pipes = [pipe for pipe, _ in workers]
                 shapes = np.empty((len(pipes), 2), dtype=np.int64)
                 for pipe, shape in zip(pipes, shapes):
@@ -538,9 +532,12 @@ def _prediction_metrics(task: str, y: np.ndarray, preds: np.ndarray) -> Predicti
 
 
 def cmd_gen_data(args) -> int:
-    x, y, truth = _generate(args, args.seed)
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    with _writing(out), suppress(FileNotFoundError):  # made once the data are drawn
+        os.stat(os.path.join(out, ""))  # with the slash, a file is ENOTDIR
+    x, y, truth = _generate(args, args.seed)
+    with _writing(out):
+        out.mkdir(parents=True, exist_ok=True)
     write_matrix_csv(out / "X.csv", [f"x{j + 1}" for j in range(args.p)], x)
     write_matrix_csv(out / "y.csv", ["y"], y[:, None])
     keys = ("n", "p", "design", "rho", "response", "task", "s", "noise_sd")
@@ -705,6 +702,18 @@ def cmd_verify_theory(args) -> int:
         raise UsageError("no cases to verify")
     if args.reps < 1:
         raise UsageError(f"--reps must be positive, got {args.reps}")
+    for flag, values in ("--pair-betas", args.pair_betas), ("--beta-support", [args.beta_support]):
+        for beta in values:
+            if not math.isfinite(beta):
+                raise UsageError(f"{flag} must be finite, got {beta}")
+    for sigma in args.sigmas:
+        if not sigma > 0:
+            raise UsageError(f"--sigmas must be positive, got {sigma}")
+    profiles = []  # every case checked before any probability is computed
+    for s, p in args.first_cases:
+        betas = np.zeros(p)
+        betas[:s] = args.beta_support
+        profiles.append(SignalProfile(betas, args.first_sigma, s))
     _check_output_dirs(args.out)
     pair_cases = []
     for sigma in args.sigmas:
@@ -715,10 +724,7 @@ def cmd_verify_theory(args) -> int:
                 mc = mc_select_over(bj, bk, sigma, reps=args.reps, seed=seed)
                 pair_cases.append(_agreement(args.pair_tol, analytic, mc, beta_j=bj, beta_k=bk, sigma=sigma))
     first_cases = []
-    for s, p in args.first_cases:
-        betas = np.zeros(p)
-        betas[:s] = args.beta_support
-        profile = SignalProfile(betas, args.first_sigma, s)
+    for (s, p), profile in zip(args.first_cases, profiles):
         analytic = prob_first_correct(profile)
         mc = mc_first_selection(profile, n=p + 10, reps=args.reps, seed=derive_seed(args.seed, "first", s, p))
         first_cases.append(

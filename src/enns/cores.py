@@ -1,6 +1,8 @@
 """How many cores this process can run on at once, for the parallel paths
 (the split CSV read and write, in ``forked`` workers, and the first-selection
-Monte Carlo), and the fork mechanics of the CSV paths."""
+Monte Carlo), and the fork mechanics of the CSV paths: ``forked`` either
+yields one live child per job or raises ``OSError``, and a child that raises
+exits with status 1."""
 
 from __future__ import annotations
 
@@ -10,7 +12,7 @@ import os
 import warnings
 from contextlib import ExitStack, contextmanager
 from pathlib import Path
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -38,21 +40,20 @@ def usable_cores() -> int:
 
 
 @contextmanager
-def forked(target: Callable[..., None], jobs: Sequence[tuple]) -> Iterator[Optional[list]]:
+def forked(target: Callable[..., None], jobs: Sequence[tuple]) -> Iterator[list]:
     """Run ``target(*job, out)`` in a forked child per job, ``out`` being the
     write end (a descriptor) of a pipe to this process; yield the children in
-    job order as (unbuffered binary read end, process) pairs. Yield None where
-    the platform reports no affinity (Linux does, and can fork) or a fork
-    warns; an ``OSError`` of a pipe or fork propagates. Leaving the block kills
-    and joins every child, done or abandoned, and closes the pipes."""
+    job order as (unbuffered binary read end, process) pairs. ``OSError``
+    where the platform reports no affinity (Linux does, and can fork), where a
+    fork warns, and where a pipe or fork fails. Leaving the block kills and
+    joins every child, done or abandoned, and closes the pipes."""
     if not hasattr(os, "sched_getaffinity"):
-        yield None
-        return
+        raise OSError("no CPU affinity API: not forking")
     # fork, not spawn: a spawned worker would first import numpy, scipy and
     # enns, about a second, and a forked one runs only its job
     ctx = multiprocessing.get_context("fork")
     with ExitStack() as stack:
-        children: Optional[list] = []
+        children = []
         for job in jobs:
             r, w = os.pipe()
             pipe = stack.enter_context(open(r, "rb", buffering=0))
@@ -60,8 +61,7 @@ def forked(target: Callable[..., None], jobs: Sequence[tuple]) -> Iterator[Optio
             # The parent's copy of the write end closes once forked. Python
             # 3.12 and later warn at a fork from a process with more than one
             # thread (a multi-threaded BLAS counts) that the child may
-            # deadlock: recorded, not raised, so that the child is reaped
-            # either way, and taken as a no.
+            # deadlock: recorded, so that the child is reaped, and refused.
             with open(w, "wb"), warnings.catch_warnings(record=True) as warned:
                 warnings.simplefilter("always")
                 proc = ctx.Process(target=_child, args=(target, job, w, reads))
@@ -69,18 +69,21 @@ def forked(target: Callable[..., None], jobs: Sequence[tuple]) -> Iterator[Optio
             stack.callback(proc.join)
             stack.callback(proc.kill)  # runs first: a child is done or abandoned
             if warned:
-                children = None
-                break
+                raise OSError(f"fork warned: {warned[0].message}")
             children.append((pipe, proc))
         yield children
 
 
 def _child(target: Callable[..., None], job: tuple, out: int, reads: list[int]) -> None:
     """Forked child: close the inherited read ends, which would keep a pipe
-    open after the parent died and block its writer for good, then run."""
+    open after the parent died and block its writer for good, then run. An
+    exception is exit status 1 with no traceback; the parent redoes the job."""
     for fd in reads:
         os.close(fd)
-    target(*job, out)
+    try:
+        target(*job, out)
+    except Exception:
+        raise SystemExit(1)
 
 
 def read_into(pipe, buf: np.ndarray) -> None:

@@ -6,6 +6,10 @@ The criteria are folded normal FN(|beta_j|, sigma^2) and independent across
 columns, so pairwise comparisons reduce to bivariate-normal orthant
 probabilities and the first-selection probability to a one-dimensional
 integral of folded-normal densities and CDFs.
+
+Every function rejects a NaN or infinite beta. The Monte-Carlo oracles draw in
+chunks of fixed size, so a seed fixes every estimate, and the first-selection
+one runs in one thread pool per call.
 """
 
 from __future__ import annotations
@@ -23,6 +27,11 @@ from .seeding import spawn_rng
 _SQRT2 = np.sqrt(2.0)
 
 
+def _check_finite(*betas) -> None:
+    if not np.all(np.isfinite(betas)):
+        raise ValueError("betas must be finite")
+
+
 @dataclass(frozen=True)
 class SignalProfile:
     """Linear signal strengths: betas (zero beyond the support), noise sd."""
@@ -36,6 +45,7 @@ class SignalProfile:
         object.__setattr__(self, "betas", betas)
         if not self.sigma > 0:
             raise ValueError("sigma must be positive")
+        _check_finite(betas)
         if not 1 <= self.s <= betas.size:
             raise ValueError("support size must be in 1..p")
         if betas.size > self.s and np.any(betas[self.s :] != 0.0):
@@ -103,6 +113,7 @@ def prob_select_over(beta_j: float, beta_k: float, sigma: float) -> float:
     """
     if not sigma > 0:
         raise ValueError("sigma must be positive")
+    _check_finite(beta_j, beta_k)
     bj, bk = abs(beta_j), abs(beta_k)
     rho = 1.0 / _SQRT2
     diff = (bj - bk) / (_SQRT2 * sigma)
@@ -162,81 +173,73 @@ def _first_hits(q: np.ndarray, eps: np.ndarray, betas: np.ndarray, sigma: float,
 # 2-core x86-64 VM with one BLAS thread, against 1.04 s for the unsplit chunk.
 _BLOCK_BYTES = 12_000_000
 
+# Replications per chunk, and the rows of the pair simulator's designs: they fix
+# which numbers each replication draws, so a seeded estimate depends on them.
+_FIRST_CHUNK = 20_000
+_PAIR_CHUNK = 50_000
+_PAIR_N = 16
 
-def mc_first_selection(
-    profile: SignalProfile, n: int, reps: int, seed: int, chunk: int = 20000
-) -> float:
+
+def _chunks(reps: int, size: int) -> list[int]:
+    """Chunk sizes of at most ``size`` that sum to ``reps``."""
+    if reps < 1:
+        raise ValueError(f"reps must be positive, got {reps}")
+    return [min(size, reps - done) for done in range(0, reps, size)]
+
+
+def mc_first_selection(profile: SignalProfile, n: int, reps: int, seed: int) -> float:
     """Simulate the orthonormalized-design construction directly: draw a
     Gaussian n x p design, orthonormalize its columns, form y = X beta + eps
     and return the fraction of replications whose argmax_j |x_(j)' y| lies in
     the support.
 
-    Replications run in chunks of ``chunk``. A chunk's designs are drawn in
-    blocks of about ``_BLOCK_BYTES``; each block is orthonormalized, and later
-    scored, in a thread pool of up to ``usable_cores()`` threads while the next
-    block is drawn, and the pool ends with the call. A chunk of one block runs
-    in this thread. The random stream and every matrix are those of one draw
-    and one QR per chunk, so the result does not depend on the core count."""
-    if reps < 1 or chunk < 1:
-        raise ValueError(f"reps and chunk must be positive, got reps={reps}, chunk={chunk}")
+    Replications run in chunks of ``_FIRST_CHUNK``. A chunk's designs are
+    drawn in blocks of about ``_BLOCK_BYTES``; each block is orthonormalized,
+    and later scored, in one thread pool of up to ``usable_cores()`` threads
+    while the next block is drawn. The pool ends with the call, and a chunk's
+    designs are freed before the next chunk is drawn. The random stream and
+    every matrix are those of one draw and one QR per chunk, so the result does
+    not depend on the core count."""
+    sizes = _chunks(reps, _FIRST_CHUNK)
     if n < profile.p:
         raise ValueError("need n >= p to orthonormalize the design columns")
     rng = spawn_rng(seed, "mc-first")
-    betas = np.abs(profile.betas)
-    score = partial(_first_hits, betas=betas, sigma=profile.sigma, s=profile.s)
+    score = partial(_first_hits, betas=np.abs(profile.betas), sigma=profile.sigma, s=profile.s)
     block = max(1, _BLOCK_BYTES // (8 * n * profile.p))
     hits = 0
-    done = 0
-    while done < reps:
-        c = min(chunk, reps - done)
-        if c <= block:
-            q = _orthonormal_columns(rng.standard_normal((c, n, profile.p)))
-            hits += score(q, rng.standard_normal((c, n)))
-        else:
+    with ThreadPoolExecutor(usable_cores()) as pool:
+        for c in sizes:
             starts = range(0, c, block)
-            with ThreadPoolExecutor(min(usable_cores(), len(starts))) as pool:
-                # consecutive draws give the numbers of one (c, n, p) draw
-                qs = [
-                    pool.submit(_orthonormal_columns, rng.standard_normal((min(block, c - a), n, profile.p)))
-                    for a in starts
-                ]
-                eps = rng.standard_normal((c, n))
-                counts = [pool.submit(score, q.result(), eps[a : a + block]) for q, a in zip(qs, starts)]
-                hits += sum(f.result() for f in counts)
-        done += c
+            # consecutive draws give the numbers of one (c, n, p) draw
+            qs = [
+                pool.submit(_orthonormal_columns, rng.standard_normal((min(block, c - a), n, profile.p)))
+                for a in starts
+            ]
+            eps = rng.standard_normal((c, n))
+            counts = [pool.submit(score, q.result(), eps[a : a + block]) for q, a in zip(qs, starts)]
+            hits += sum(f.result() for f in counts)
+            del qs, eps, counts  # the chunk's designs, before the next chunk is drawn
     return hits / reps
 
 
-def mc_select_over(
-    beta_j: float,
-    beta_k: float,
-    sigma: float,
-    reps: int,
-    seed: int,
-    n: int = 16,
-    chunk: int = 50000,
-) -> float:
+def mc_select_over(beta_j: float, beta_k: float, sigma: float, reps: int, seed: int) -> float:
     """Monte-Carlo estimate of P(|x_(j)' y| < |x_(k)' y|) with two
-    orthonormalized Gaussian columns and y = beta_j x_(j) + beta_k x_(k) + eps."""
-    if reps < 1 or chunk < 1:
-        raise ValueError(f"reps and chunk must be positive, got reps={reps}, chunk={chunk}")
-    if n < 2:
-        raise ValueError("need n >= 2")
+    orthonormalized Gaussian columns of ``_PAIR_N`` rows and
+    y = beta_j x_(j) + beta_k x_(k) + eps, in chunks of ``_PAIR_CHUNK``."""
+    _check_finite(beta_j, beta_k)
+    sizes = _chunks(reps, _PAIR_CHUNK)
     rng = spawn_rng(seed, "mc-pair")
     wins = 0
-    done = 0
-    while done < reps:
-        c = min(chunk, reps - done)
-        a = rng.standard_normal((c, n))
-        b = rng.standard_normal((c, n))
+    for c in sizes:
+        a = rng.standard_normal((c, _PAIR_N))
+        b = rng.standard_normal((c, _PAIR_N))
         q1 = a / np.linalg.norm(a, axis=1, keepdims=True)
         proj = np.einsum("cn,cn->c", q1, b)
         b_perp = b - proj[:, None] * q1
         q2 = b_perp / np.linalg.norm(b_perp, axis=1, keepdims=True)
-        eps = rng.standard_normal((c, n))
+        eps = rng.standard_normal((c, _PAIR_N))
         y = abs(beta_j) * q1 + abs(beta_k) * q2 + sigma * eps
         cj = np.abs(np.einsum("cn,cn->c", q1, y))
         ck = np.abs(np.einsum("cn,cn->c", q2, y))
         wins += int(np.sum(cj < ck))
-        done += c
     return wins / reps

@@ -63,6 +63,16 @@ def test_gen_data_truth_support_convention(tmp_path):
     assert truth["support"] == [1, 2, 3, 4, 5]
 
 
+@pytest.mark.parametrize("out", ["file", "file/d"])
+def test_gen_data_out_dir_under_a_file_fails_before_any_draw(tmp_path, capsys, monkeypatch, out):
+    (tmp_path / "file").write_text("")
+    monkeypatch.setattr(enns.cli, "gen_design_uniform", no_work)
+    out = tmp_path / out
+    assert run("gen-data", "--out-dir", out, "--n", 10, "--p", 4, "--response", "linear", "--s", 2) == 2
+    assert capsys.readouterr().err == f"data error: cannot write {out}: Not a directory\n"
+    assert sorted(tmp_path.iterdir()) == [tmp_path / "file"]
+
+
 def test_gen_data_deterministic(tmp_path):
     a = gen_small(tmp_path / "a")
     b = gen_small(tmp_path / "b")
@@ -838,6 +848,31 @@ def test_verify_theory_nonpositive_reps_is_usage_error_before_any_work(tmp_path,
     out = tmp_path / "report.json"
     assert run("verify-theory", "--reps", reps, "--out", out) == 1
     assert capsys.readouterr().err == f"error: --reps must be positive, got {reps}\n"
+    assert not out.exists()
+
+
+THEORY_INPUT_ERRORS = {
+    "--first-sigma 0": "sigma must be positive",
+    "--first-cases 0:5": "support size must be in 1..p",
+    "--first-cases 1:2,4:3": "support size must be in 1..p",
+    "--sigmas 1,0": "--sigmas must be positive, got 0.0",
+    "--pair-betas 0,nan": "--pair-betas must be finite, got nan",
+    "--pair-betas inf,1": "--pair-betas must be finite, got inf",
+    "--beta-support nan": "--beta-support must be finite, got nan",
+    "--beta-support=-inf": "--beta-support must be finite, got -inf",
+}
+
+
+@pytest.mark.parametrize("flags", sorted(THEORY_INPUT_ERRORS))
+def test_verify_theory_checks_every_case_before_any_probability(tmp_path, capsys, monkeypatch, flags):
+    def no_probability(*args, **kwargs):
+        raise AssertionError("computed a probability")
+
+    for name in ("prob_select_over", "prob_first_correct", "mc_select_over", "mc_first_selection"):
+        monkeypatch.setattr(enns.cli, name, no_probability)
+    out = tmp_path / "report.json"
+    assert run("verify-theory", *flags.split(), "--out", out) == 1
+    assert capsys.readouterr().err == f"error: {THEORY_INPUT_ERRORS[flags]}\n"
     assert not out.exists()
 
 

@@ -124,28 +124,48 @@ def test_short_pipe_reads_are_completed():
         read_into(Trickle(data[:-1]), got)
 
 
-def test_warned_fork_yields_none_and_reaps_the_child(monkeypatch):
+def test_warned_fork_raises_oserror_and_reaps_the_child(monkeypatch):
     fork = os.fork
+    pids = []
 
     def warned_fork():
         pid = fork()
         if pid:  # as Python 3.12 and later warn in a multi-threaded parent
+            pids.append(pid)
             warnings.warn("use of fork() may lead to deadlocks in the child.", DeprecationWarning)
         return pid
 
     monkeypatch.setattr(os, "fork", warned_fork)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with forked(send_index, [(0,), (1,)]) as children:
-            assert children is None
+        with pytest.raises(OSError, match="fork warned: use of fork"):
+            with forked(send_index, [(0,), (1,)]):
+                raise AssertionError("entered the block")
+    assert len(pids) == 1  # no second fork after the warned one
+    with pytest.raises(ChildProcessError):  # reaped: no child of that pid is left
+        os.waitpid(pids[0], os.WNOHANG)
     assert multiprocessing.active_children() == []
 
 
-def test_forked_yields_none_without_affinity(monkeypatch):
+def test_forked_raises_oserror_without_affinity(monkeypatch):
     monkeypatch.delattr(enns.cores.os, "sched_getaffinity", raising=False)
-    with forked(send_index, [(0,)]) as children:
-        assert children is None
+    with pytest.raises(OSError, match="no CPU affinity"):
+        with forked(send_index, [(0,)]):
+            raise AssertionError("entered the block")
     assert multiprocessing.active_children() == []
+
+
+def raise_value_error(out):
+    raise ValueError("not a number")
+
+
+def test_a_raising_worker_exits_1_without_a_traceback(capfd):
+    with forked(raise_value_error, [()]) as children:
+        pipe, proc = children[0]
+        assert pipe.read() == b""
+        proc.join()
+    assert proc.exitcode == 1
+    assert capfd.readouterr().err == ""
 
 
 def fill_pipe(out):

@@ -1,6 +1,8 @@
-"""Smoke runs of the study scripts at tiny shapes."""
+"""Smoke runs of the study scripts at tiny shapes, and of the README's
+library example."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -29,14 +31,26 @@ CASES = {
 }
 
 
+def python(*args):
+    """Run ``python *args`` from the repo root, importing enns from ``src``."""
+    src = str(ROOT / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, cwd=ROOT, timeout=300
+    )
+
+
 @pytest.mark.parametrize("script", sorted(CASES))
 def test_script_runs_and_prints_its_summary(script):
     args, first_line = CASES[script]
-    src = str(ROOT / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), *args],
-        capture_output=True, text=True, env=env, cwd=ROOT, timeout=300,
-    )
+    proc = python(str(ROOT / "scripts" / script), *args)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0] == first_line
+
+
+def test_readme_library_example_runs():
+    readme = (ROOT / "README.md").read_text()
+    example = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("\n```", 1)[0]
+    proc = python("-c", example)
+    assert proc.returncode == 0, proc.stderr
+    assert re.fullmatch(r"SelectionMetrics\(.*\)\n", proc.stdout)

@@ -1,4 +1,5 @@
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -227,7 +228,8 @@ def test_mc_first_selection_matches_serial_oracle(monkeypatch, seed):
     profile = first_profile(3, 20)
     monkeypatch.setattr(enns.theory, "_BLOCK_BYTES", 7 * 8 * 30 * 20)
     for chunk in (20000, 40, 7):
-        assert mc_first_selection(profile, n=30, reps=100, seed=seed, chunk=chunk) == mc_first_selection_serial(
+        monkeypatch.setattr(enns.theory, "_FIRST_CHUNK", chunk)
+        assert mc_first_selection(profile, n=30, reps=100, seed=seed) == mc_first_selection_serial(
             profile, n=30, reps=100, seed=seed, chunk=chunk
         )
 
@@ -246,9 +248,29 @@ def test_mc_first_selection_threads_end_with_the_call(monkeypatch):
     mc_first_selection(first_profile(5, 50), n=60, reps=1234, seed=0)
     assert threading.active_count() == before
     assert pools == [2]
-    # a chunk of one block runs in this thread
-    mc_first_selection(first_profile(5, 50), n=60, reps=500, seed=0)
-    assert pools == [2]
+    # one pool per call, none left after, also for one chunk of one block and
+    # for three chunks of one block each
+    monkeypatch.setattr(enns.theory, "_FIRST_CHUNK", 500)
+    for reps in (500, 1500):
+        mc_first_selection(first_profile(5, 50), n=60, reps=reps, seed=0)
+        assert threading.active_count() == before
+    assert pools == [2] * 3
+
+
+def test_mc_first_selection_frees_each_chunk_before_the_next(monkeypatch):
+    # 2000 designs of 30 x 20 are one block: a call of three such chunks peaks
+    # where a call of one does
+    profile = first_profile(3, 20)
+    monkeypatch.setattr(enns.theory, "_FIRST_CHUNK", 2000)
+    peaks = []
+    for reps in (2000, 6000):
+        tracemalloc.start()
+        try:
+            mc_first_selection(profile, n=30, reps=reps, seed=0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0]
 
 
 # --- profile validation ---------------------------------------------------------------
@@ -282,15 +304,32 @@ def test_mc_requires_enough_rows():
         mc_first_selection(profile, n=2, reps=100, seed=0)
 
 
-@pytest.mark.parametrize("chunk", [0, -1])
-def test_mc_rejects_chunk_below_one_before_drawing(monkeypatch, chunk):
-    # chunk=0 used to loop forever (no replication ever completes)
+@pytest.mark.parametrize("reps", [0, -1])
+def test_mc_rejects_reps_below_one_before_drawing(monkeypatch, reps):
     def no_draws(*args):
         raise AssertionError("drew random numbers")
 
     monkeypatch.setattr(enns.theory, "spawn_rng", no_draws)
     profile = SignalProfile(np.array([1.0, 0.0]), 1.0, 1)
-    with pytest.raises(ValueError, match="chunk must be positive"):
-        mc_first_selection(profile, n=5, reps=10, seed=0, chunk=chunk)
-    with pytest.raises(ValueError, match="chunk must be positive"):
-        mc_select_over(1.0, 0.5, 1.0, reps=10, seed=0, chunk=chunk)
+    with pytest.raises(ValueError, match=f"reps must be positive, got {reps}"):
+        mc_first_selection(profile, n=5, reps=reps, seed=0)
+    with pytest.raises(ValueError, match=f"reps must be positive, got {reps}"):
+        mc_select_over(1.0, 0.5, 1.0, reps=reps, seed=0)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_betas_are_rejected(monkeypatch, bad):
+    def no_draws(*args):
+        raise AssertionError("drew random numbers")
+
+    monkeypatch.setattr(enns.theory, "spawn_rng", no_draws)
+    for call in (
+        lambda: SignalProfile(np.array([1.0, bad]), 1.0, 2),
+        lambda: SignalProfile(np.array([bad, 0.0]), 1.0, 1),
+        lambda: prob_select_over(bad, 1.0, 1.0),
+        lambda: prob_select_over(1.0, bad, 1.0),
+        lambda: mc_select_over(bad, 1.0, 1.0, reps=10, seed=0),
+        lambda: mc_select_over(1.0, bad, 1.0, reps=10, seed=0),
+    ):
+        with pytest.raises(ValueError, match="betas must be finite"):
+            call()
