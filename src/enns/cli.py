@@ -15,6 +15,7 @@ import io
 import json
 import math
 import os
+import re
 import shutil
 import stat
 import sys
@@ -335,7 +336,7 @@ def _float_list(text: str) -> tuple[float, ...]:
 
 
 def _key(default=dataclasses.MISSING, **metadata) -> dataclasses.Field:
-    """A config key with metadata: "convert", "choices" or "flag"."""
+    """A config key with metadata: "convert", "choices", "flag" or "field" (the value-class field it sets)."""
     return field(default=default, metadata=metadata)
 
 
@@ -363,22 +364,22 @@ class ExperimentConfig:
     noise_sd: float = 1.0
     net_hidden: tuple[int, ...] = _key(DEFAULT_GENERATOR_HIDDEN, convert=_int_list)
     method: str = _key("enns", choices=("enns", "dnp"))
-    s0: int
-    bags: int = 10
-    ps: float = 0.3
+    s0: int = _key(field="target_s0")
+    bags: int = _key(10, field="num_bags")
+    ps: float = _key(0.3, field="appearance_proportion")
     bootstrap_size: Optional[int] = None
     per_round: Optional[int] = None
-    b1: int = 2
+    b1: int = _key(2, field="num_dropouts")
     dropout_rate: float = 0.5
     norm_q: float = 2.0
-    hidden: tuple[int, ...] = _key((10,), convert=_int_list)
+    hidden: tuple[int, ...] = _key((10,), convert=_int_list, field="hidden_sizes")
     activation: str = _key("relu", choices=ACTIVATIONS)
     learning_rate: float = 0.1
     max_epochs: int = _key(50, flag="--epochs")
     batch_size: Optional[int] = None
     patience: int = 0
     sparsity_mode: str = _key("none", choices=("none", *SPARSITY_MODES))
-    sparsity_values: Optional[tuple[float, ...]] = _key(None, convert=_float_list)
+    sparsity_values: Optional[tuple[float, ...]] = _key(None, convert=_float_list, field="per_layer_values")
     repetitions: int = 1
     train_fraction: float = 0.6
     validation_fraction: float = 0.2
@@ -443,8 +444,6 @@ def _validate_experiment_config(cfg: ExperimentConfig) -> None:
             raise UsageError(f"{key} leaves no rows: floor({key} * n) is 0 for n = {cfg.n}")
     if cfg.repetitions < 1:
         raise UsageError("repetitions must be >= 1")
-    if cfg.sparsity_mode != "none" and cfg.sparsity_values is None:
-        raise UsageError("sparsity_values required unless sparsity_mode is none")
 
 
 # --- the pipeline, shared by the subcommands and run-experiment ---------------------
@@ -452,7 +451,52 @@ def _validate_experiment_config(cfg: ExperimentConfig) -> None:
 # are generated from ExperimentConfig's fields, with the field names as dests.
 
 
-def _generate(src, seed: int) -> tuple[np.ndarray, np.ndarray, GroundTruth]:
+def _flag(key: str) -> str:
+    return _FIELDS[key].metadata.get("flag", "--" + key.replace("_", "-"))
+
+
+@contextmanager
+def _named(src):
+    """A ``ValueError`` in the block becomes a ``UsageError`` naming the flags or config keys of ``src``."""
+    try:
+        yield
+    except ValueError as exc:
+        config = isinstance(src, ExperimentConfig)
+        names = {f.metadata.get("field", k): k if config else _flag(k) for k, f in _FIELDS.items() if k in vars(src)}
+        if "val_fraction" in vars(src):  # select's and estimate's own flag
+            names["validation_fraction"] = "--val-fraction"
+        raise UsageError(re.sub(r"\w+", lambda m: names.get(m[0], m[0]), str(exc))) from exc
+
+
+class _Settings(typing.NamedTuple):
+    """A command's value classes, built from ``src`` before any data are read or
+    drawn: the network (``input_dim`` 0), training options, selector and sparsity."""
+
+    arch: NetworkArchitecture
+    opts: TrainOptions
+    selector: Optional[DnpConfig | EnnsConfig]  # None for estimate
+    sparsity: Optional[SparsitySpec]  # None for plain training
+
+
+def _settings(src, validation_fraction: float) -> _Settings:
+    with _named(src):
+        opts = TrainOptions(src.learning_rate, src.max_epochs, src.batch_size, src.patience, validation_fraction)
+        selector = sparsity = None
+        if "method" in vars(src):  # select and run-experiment
+            selector = DnpConfig(src.norm_q, src.b1, src.dropout_rate, opts)
+            if src.method == "enns":
+                selector = EnnsConfig(src.s0, src.bags, src.bootstrap_size, src.ps, src.per_round, selector)
+        if getattr(src, "sparsity_mode", "none") != "none":  # estimate and run-experiment
+            sparsity = SparsitySpec(src.sparsity_mode, src.sparsity_values)
+        return _Settings(NetworkArchitecture(0, src.hidden, src.activation, src.task), opts, selector, sparsity)
+
+
+def _response_spec(src) -> ResponseSpec:
+    with _named(src):
+        return ResponseSpec(src.response, src.task, src.s, src.coef_mean, src.coef_sd, src.noise_sd, src.net_hidden)
+
+
+def _generate(src, spec: ResponseSpec, seed: int) -> tuple[np.ndarray, np.ndarray, GroundTruth]:
     """Design matrix, response and ground truth for one seeded dataset."""
     if src.design == "correlated":
         if src.rho is None:
@@ -460,66 +504,25 @@ def _generate(src, seed: int) -> tuple[np.ndarray, np.ndarray, GroundTruth]:
         x = gen_design_correlated(src.n, src.p, src.rho, derive_seed(seed, "design"))
     else:
         x = gen_design_uniform(src.n, src.p, derive_seed(seed, "design"))
-    spec = ResponseSpec(
-        kind=src.response,
-        task=src.task,
-        s=src.s,
-        coef_mean=src.coef_mean,
-        coef_sd=src.coef_sd,
-        noise_sd=src.noise_sd,
-        net_hidden=src.net_hidden,
-    )
     y, truth = gen_response(x, spec, derive_seed(seed, "response"))
     return x, y, truth
 
 
-def _train_options(src, validation_fraction: float) -> TrainOptions:
-    return TrainOptions(
-        learning_rate=src.learning_rate,
-        max_epochs=src.max_epochs,
-        batch_size=src.batch_size,
-        patience=src.patience,
-        validation_fraction=validation_fraction,
-    )
+def _select(data: Dataset, settings: _Settings, s0: int, seed: int) -> SelectionReport:
+    """Stage-wise selection of ``s0`` features or ensemble selection, seeded by
+    ``seed``; a stage-wise result is one complete pass without rounds."""
+    if isinstance(settings.selector, EnnsConfig):
+        return enns_select(data, settings.arch, settings.selector, seed)
+    order = dnp_run(data, settings.arch, s0, settings.selector, seed)
+    return SelectionReport(tuple(order), per_round_appearances=(), complete=True)
 
 
-def _select(data: Dataset, src, seed: int, validation_fraction: float) -> SelectionReport:
-    """Stage-wise (``dnp``) or ensemble (``enns``) selection of ``src.s0``
-    features; ``seed`` seeds the selector, which derives the seed of every
-    inner training run from it. A stage-wise result is reported as one
-    complete pass without rounds."""
-    arch = NetworkArchitecture(data.p, src.hidden, src.activation, src.task)
-    dnp_cfg = DnpConfig(
-        norm_q=src.norm_q,
-        num_dropouts=src.b1,
-        dropout_rate=src.dropout_rate,
-        train_opts=_train_options(src, validation_fraction),
-    )
-    if src.method == "dnp":
-        order = dnp_run(data, arch, src.s0, dnp_cfg, seed)
-        return SelectionReport(tuple(order), per_round_appearances=(), complete=True)
-    cfg = EnnsConfig(
-        target_s0=src.s0,
-        num_bags=src.bags,
-        appearance_proportion=src.ps,
-        bootstrap_size=src.bootstrap_size,
-        per_round=src.per_round,
-        dnp=dnp_cfg,
-    )
-    return enns_select(data, arch, cfg, seed)
-
-
-def _fit(
-    data_fit: Dataset, src, seed: int, validation_fraction: float
-) -> tuple[NetworkParameters, NetworkArchitecture]:
-    """Plain training or the l1 soft-threshold fit, by ``src.sparsity_mode``."""
-    arch = NetworkArchitecture(data_fit.p, src.hidden, src.activation, src.task)
-    opts = _train_options(src, validation_fraction)
-    if src.sparsity_mode == "none":
-        return train(xavier_init(arch, seed), arch, data_fit, opts, seed), arch
-    if src.sparsity_values is None:
-        raise UsageError("--sparsity-values required with this sparsity mode")
-    return fit_l1(data_fit, arch, SparsitySpec(src.sparsity_mode, src.sparsity_values), opts, seed), arch
+def _fit(data_fit: Dataset, settings: _Settings, seed: int) -> tuple[NetworkParameters, NetworkArchitecture]:
+    """Plain training or the l1 soft-threshold fit, by ``settings.sparsity``."""
+    arch = dataclasses.replace(settings.arch, input_dim=data_fit.p)
+    if settings.sparsity is None:
+        return train(xavier_init(arch, seed), arch, data_fit, settings.opts, seed), arch
+    return fit_l1(data_fit, arch, settings.sparsity, settings.opts, seed), arch
 
 
 def _prediction_metrics(task: str, y: np.ndarray, preds: np.ndarray) -> PredictionMetrics:
@@ -532,10 +535,11 @@ def _prediction_metrics(task: str, y: np.ndarray, preds: np.ndarray) -> Predicti
 
 
 def cmd_gen_data(args) -> int:
+    spec = _response_spec(args)
     out = Path(args.out_dir)
     with _writing(out), suppress(FileNotFoundError):  # made once the data are drawn
         os.stat(os.path.join(out, ""))  # with the slash, a file is ENOTDIR
-    x, y, truth = _generate(args, args.seed)
+    x, y, truth = _generate(args, spec, args.seed)
     with _writing(out):
         out.mkdir(parents=True, exist_ok=True)
     write_matrix_csv(out / "X.csv", [f"x{j + 1}" for j in range(args.p)], x)
@@ -549,12 +553,13 @@ def cmd_gen_data(args) -> int:
 def cmd_select(args) -> int:
     if args.s0 < 1:
         raise UsageError(f"s0 must be positive, got {args.s0}")
+    settings = _settings(args, args.val_fraction)
     _check_output_dirs(args.out)
     data = load_dataset(args.x, args.y, args.task)
     if args.s0 > data.p:
         raise UsageError(f"s0={args.s0} exceeds the number of columns ({data.p})")
     start = time.perf_counter()
-    report = _select(data, args, args.seed, args.val_fraction)
+    report = _select(data, settings, args.s0, args.seed)
     doc = {
         "method": args.method,
         "s0": args.s0,
@@ -574,6 +579,7 @@ def cmd_select(args) -> int:
 def cmd_estimate(args) -> int:
     if not 0.0 <= args.test_fraction < 1.0:
         raise UsageError(f"--test-fraction must be in [0, 1), got {args.test_fraction}")
+    settings = _settings(args, args.val_fraction)
     _check_output_dirs(args.model_out, args.metrics_out)
     data = load_dataset(args.x, args.y, args.task)
     if args.selection_json is not None:
@@ -602,7 +608,7 @@ def cmd_estimate(args) -> int:
     perm = spawn_rng(args.seed, "estimate-split").permutation(data.n)
     test_idx, fit_idx = perm[:n_test], perm[n_test:]
     data_sel = data.subset_columns(selected)
-    params, arch = _fit(data_sel.subset_rows(fit_idx), args, derive_seed(args.seed, "fit"), args.val_fraction)
+    params, arch = _fit(data_sel.subset_rows(fit_idx), settings, derive_seed(args.seed, "fit"))
     _write_json({**model_to_json(params, arch), "selected_columns": [j + 1 for j in selected]}, args.model_out)
 
     metrics_doc = {"task": args.task, "n_test": n_test, "metrics": {}}
@@ -613,21 +619,20 @@ def cmd_estimate(args) -> int:
     return 0
 
 
-def _experiment_repetition(cfg: ExperimentConfig, rep_seed: int) -> list[float]:
+def _experiment_repetition(cfg: ExperimentConfig, spec: ResponseSpec, settings: _Settings, rep_seed: int) -> list[float]:
     """The numeric results-CSV columns of one repetition; NaN for a metric
     that is undefined (AUC with one class in the test rows)."""
-    x, y, truth = _generate(cfg, rep_seed)
+    x, y, truth = _generate(cfg, spec, rep_seed)
     data = Dataset(x, y, cfg.task)
     n_test = int(math.floor(cfg.test_fraction * cfg.n))
     perm = spawn_rng(rep_seed, "split").permutation(cfg.n)
     test_idx, rest_idx = perm[:n_test], perm[n_test:]
     data_rest = data.subset_rows(rest_idx)
-    inner_val = cfg.validation_fraction / max(cfg.train_fraction + cfg.validation_fraction, 1e-12)
 
-    report = _select(data_rest, cfg, derive_seed(rep_seed, cfg.method), inner_val)
+    report = _select(data_rest, settings, cfg.s0, derive_seed(rep_seed, cfg.method))
     selected = list(report.selected)
     if selected:
-        params, arch = _fit(data_rest.subset_columns(selected), cfg, derive_seed(rep_seed, "fit"), inner_val)
+        params, arch = _fit(data_rest.subset_columns(selected), settings, derive_seed(rep_seed, "fit"))
         preds = forward_batch(params, arch, x[test_idx][:, selected])
     else:
         # no features: predict the mean response (a share in [0, 1] for 0/1 labels)
@@ -644,6 +649,9 @@ def _experiment_repetition(cfg: ExperimentConfig, rep_seed: int) -> list[float]:
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[list[str], list[list[str]]]:
     """All repetition rows plus mean and standard-error aggregate rows."""
+    spec = _response_spec(cfg)
+    inner_val = cfg.validation_fraction / max(cfg.train_fraction + cfg.validation_fraction, 1e-12)
+    settings = _settings(cfg, inner_val)
     metric_cols = METRIC_COLUMNS[cfg.task]
     header = ["repetition", "seed", "status", "n_selected", "correct_count", "false_positive_rate", *metric_cols]
     rows: list[list[str]] = []
@@ -651,7 +659,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[str], list[list[str]]]:
     for rep in range(cfg.repetitions):
         rep_seed = derive_seed(cfg.seed, "rep", rep)
         try:
-            record = _experiment_repetition(cfg, rep_seed)
+            record = _experiment_repetition(cfg, spec, settings, rep_seed)
         except NumericalError:
             rows.append([str(rep + 1), str(rep_seed), "failed"] + [""] * (3 + len(metric_cols)))
             continue
@@ -711,9 +719,9 @@ def cmd_verify_theory(args) -> int:
             raise UsageError(f"--sigmas must be positive, got {sigma}")
     profiles = []  # every case checked before any probability is computed
     for s, p in args.first_cases:
-        betas = np.zeros(p)
-        betas[:s] = args.beta_support
-        profiles.append(SignalProfile(betas, args.first_sigma, s))
+        if not 1 <= s <= p:
+            raise UsageError(f"--first-cases {s}:{p}: s must be in 1..p")
+        profiles.append(SignalProfile(np.repeat([args.beta_support, 0.0], [s, p - s]), args.first_sigma, s))
     _check_output_dirs(args.out)
     pair_cases = []
     for sigma in args.sigmas:
@@ -768,8 +776,7 @@ def _add_config_flags(parser: argparse.ArgumentParser, *keys: str) -> None:
     for key in keys:
         f = _FIELDS[key]
         default = {"required": True} if f.default is dataclasses.MISSING else {"default": f.default}
-        flag = f.metadata.get("flag", "--" + key.replace("_", "-"))
-        parser.add_argument(flag, dest=key, type=_converter(key), choices=f.metadata.get("choices"), **default)
+        parser.add_argument(_flag(key), dest=key, type=_converter(key), choices=f.metadata.get("choices"), **default)
 
 
 def build_parser() -> argparse.ArgumentParser:

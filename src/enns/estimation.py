@@ -59,11 +59,13 @@ class SparsitySpec:
     def __post_init__(self):
         if self.mode not in SPARSITY_MODES:
             raise ValueError(f"unknown sparsity mode {self.mode!r}")
+        if self.per_layer_values is None:
+            raise ValueError(f"per_layer_values required in {self.mode} mode")
         object.__setattr__(self, "per_layer_values", tuple(float(v) for v in self.per_layer_values))
         if not all(v >= 0 for v in self.per_layer_values):
-            raise ValueError("sparsity values must be non-negative")
+            raise ValueError("per_layer_values must be non-negative")
         if self.mode == "percentile" and any(v >= 100.0 for v in self.per_layer_values):
-            raise ValueError("percentile values must be < 100")
+            raise ValueError("per_layer_values must be < 100 in percentile mode")
 
 
 @dataclass(frozen=True)

@@ -53,13 +53,6 @@ class SelectionState:
     def candidates(self) -> frozenset[int]:
         return frozenset(range(self.p)).difference(self.selected)
 
-    @classmethod
-    def initial(cls, p: int) -> "SelectionState":
-        return cls((), p)
-
-    def admit(self, j: int) -> "SelectionState":
-        return SelectionState(self.selected + (j,), self.p)
-
 
 @dataclass(frozen=True)
 class DnpConfig:
@@ -136,7 +129,7 @@ def stagewise_fit(
     arch = replace(arch_template, input_dim=p, task=data.task)
     params = xavier_init(arch, derive_seed(seed, "init"))  # full width: later layers match the full network
     params.weights[0] = params.weights[0][:0]  # no column admitted yet
-    state = SelectionState.initial(p)
+    state = SelectionState((), p)
 
     for step in range(s_target):
         rows = sorted(state.selected)
@@ -144,7 +137,7 @@ def stagewise_fit(
         params = train(params, narrow, data.subset_columns(rows), cfg.train_opts, derive_seed(seed, "train", step))
         scores = candidate_scores(params, narrow, data, state, cfg, derive_seed(seed, "score", step))
         j = int(np.argmax(scores))
-        state = state.admit(j)
+        state = SelectionState(state.selected + (j,), p)
         row = xavier_row(arch, derive_seed(seed, "admit", step))
         params.weights[0] = np.insert(params.weights[0], bisect(rows, j), row, axis=0)
     return list(state.selected), params

@@ -27,7 +27,9 @@ from .seeding import spawn_rng
 _SQRT2 = np.sqrt(2.0)
 
 
-def _check_finite(*betas) -> None:
+def _check_signal(sigma: float, *betas) -> None:
+    if not sigma > 0:
+        raise ValueError("sigma must be positive")
     if not np.all(np.isfinite(betas)):
         raise ValueError("betas must be finite")
 
@@ -43,9 +45,7 @@ class SignalProfile:
     def __post_init__(self):
         betas = np.asarray(self.betas, dtype=np.float64).ravel()
         object.__setattr__(self, "betas", betas)
-        if not self.sigma > 0:
-            raise ValueError("sigma must be positive")
-        _check_finite(betas)
+        _check_signal(self.sigma, betas)
         if not 1 <= self.s <= betas.size:
             raise ValueError("support size must be in 1..p")
         if betas.size > self.s and np.any(betas[self.s :] != 0.0):
@@ -111,9 +111,7 @@ def prob_select_over(beta_j: float, beta_k: float, sigma: float) -> float:
     2L((|bj|-|bk|)/(sqrt2 s), -|bk|/s, 1/sqrt2) + 2L((|bj|+|bk|)/(sqrt2 s),
     |bk|/s, 1/sqrt2) + Phi((|bj|-|bk|)/(sqrt2 s)) + Phi((|bj|+|bk|)/(sqrt2 s)) - 2.
     """
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
-    _check_finite(beta_j, beta_k)
+    _check_signal(sigma, beta_j, beta_k)
     bj, bk = abs(beta_j), abs(beta_k)
     rho = 1.0 / _SQRT2
     diff = (bj - bk) / (_SQRT2 * sigma)
@@ -226,7 +224,7 @@ def mc_select_over(beta_j: float, beta_k: float, sigma: float, reps: int, seed: 
     """Monte-Carlo estimate of P(|x_(j)' y| < |x_(k)' y|) with two
     orthonormalized Gaussian columns of ``_PAIR_N`` rows and
     y = beta_j x_(j) + beta_k x_(k) + eps, in chunks of ``_PAIR_CHUNK``."""
-    _check_finite(beta_j, beta_k)
+    _check_signal(sigma, beta_j, beta_k)
     sizes = _chunks(reps, _PAIR_CHUNK)
     rng = spawn_rng(seed, "mc-pair")
     wins = 0

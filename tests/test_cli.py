@@ -589,41 +589,64 @@ def test_estimate_divergent_training_is_numerical_failure_without_warning(tmp_pa
     assert not (tmp_path / "m.json").exists()
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["gen-data", "--noise-sd", "nan"],
-        ["gen-data", "--noise-sd", "inf"],
-        ["gen-data", "--coef-mean", "nan"],
-        ["gen-data", "--coef-mean", "-inf"],
-        ["gen-data", "--coef-sd", "inf"],
-        ["gen-data", "--coef-sd", "nan"],
-        ["gen-data", "--coef-sd", "-1"],
-        ["select", "--norm-q", "nan"],
-        ["select", "--learning-rate", "nan"],
-        ["estimate", "--learning-rate", "nan"],
-        ["estimate", "--sparsity-mode", "explicit_lambda", "--sparsity-values", "nan"],
-        ["verify-theory", "--sigmas", "nan"],
-        ["verify-theory", "--first-sigma", "nan"],
-    ],
-    ids=" ".join,
-)
-def test_nan_and_out_of_range_values_are_usage_errors(tmp_path, capsys, argv):
-    command, *flags = argv
+# Bad values, each rejected with this message before any data are read,
+# drawn or simulated; a run-experiment case is one line of its config file.
+OUT_OF_RANGE_ERRORS = {
+    "gen-data --noise-sd nan": "--noise-sd must be finite and non-negative",
+    "gen-data --noise-sd inf": "--noise-sd must be finite and non-negative",
+    "gen-data --coef-mean nan": "--coef-mean must be finite",
+    "gen-data --coef-mean -inf": "--coef-mean must be finite",
+    "gen-data --coef-sd inf": "--coef-sd must be finite and non-negative",
+    "gen-data --coef-sd nan": "--coef-sd must be finite and non-negative",
+    "gen-data --coef-sd -1": "--coef-sd must be finite and non-negative",
+    "select --norm-q nan": "--norm-q must be >= 1",
+    "select --learning-rate nan": "--learning-rate must be positive",
+    "select --bags 0": "--bags must be positive",
+    "select --val-fraction 1.5": "--val-fraction must be in [0, 1)",
+    "estimate --learning-rate nan": "--learning-rate must be positive",
+    "estimate --sparsity-mode explicit_lambda --sparsity-values nan": "--sparsity-values must be non-negative",
+    "estimate --sparsity-mode percentile": "--sparsity-values required in percentile mode",
+    "verify-theory --sigmas nan": "--sigmas must be positive, got nan",
+    "verify-theory --first-sigma nan": "sigma must be positive",
+    "run-experiment hidden = 0": "hidden must be non-empty with positive entries",
+    "run-experiment bags = 0": "bags must be positive",
+    "run-experiment b1 = 0": "b1 must be positive",
+    "run-experiment learning_rate = nan": "learning_rate must be positive",
+    "run-experiment coef_sd = -1": "coef_sd must be finite and non-negative",
+    "run-experiment sparsity_mode = percentile": "sparsity_values required in percentile mode",
+}
+
+
+@pytest.mark.parametrize("case", list(OUT_OF_RANGE_ERRORS))
+def test_nan_and_out_of_range_values_are_usage_errors(tmp_path, capsys, monkeypatch, case):
+    def no_work(*args, **kwargs):
+        raise AssertionError("read, drew or simulated data before the values were checked")
+
+    command, _, rest = case.partition(" ")
+    words = rest.split()
+    flags = [f"{flag}={value}" for flag, value in zip(words[::2], words[1::2])]  # so that "-inf" is a value
     out = tmp_path / "out"
+    if command in ("select", "estimate"):
+        data = gen_small(tmp_path, n=40, p=6, s=2)
+        xy = ["--x", data / "X.csv", "--y", data / "y.csv"]
+    for name in ("read_matrix_csv", "gen_design_uniform", "prob_select_over", "prob_first_correct",
+                 "mc_select_over", "mc_first_selection"):
+        monkeypatch.setattr(enns.cli, name, no_work)
     if command == "gen-data":
         argv = [command, "--out-dir", out, "--n", 20, "--p", 6, "--response", "linear", "--s", 2, *flags]
     elif command == "verify-theory":
         argv = [command, "--reps", 100, "--pair-betas", "0,1", "--first-cases", "1:2", *flags, "--out", out]
+    elif command == "select":
+        argv = [command, *xy, "--method", "enns", "--s0", 2, "--epochs", 5, *flags, "--out", out]
+    elif command == "estimate":
+        argv = [command, *xy, "--selected", "1,2", "--epochs", 5, *flags, "--model-out", out]
     else:
-        data = gen_small(tmp_path, n=40, p=6, s=2)
-        xy = ["--x", data / "X.csv", "--y", data / "y.csv"]
-        if command == "select":
-            argv = [command, *xy, "--method", "dnp", "--s0", 2, "--epochs", 5, *flags, "--out", out]
-        else:
-            argv = [command, *xy, "--selected", "1,2", "--epochs", 5, *flags, "--model-out", out]
+        cfg = tmp_path / "exp.cfg"
+        key = rest.split(" = ")[0]
+        cfg.write_text(re.sub(rf"^{key} = .*\n", "", BASE_CFG, flags=re.M) + rest + "\n")
+        argv = [command, "--config", cfg, "--out", out]
     assert run(*argv) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err == f"error: {OUT_OF_RANGE_ERRORS[case]}\n"
     assert not out.exists()
 
 
@@ -853,8 +876,9 @@ def test_verify_theory_nonpositive_reps_is_usage_error_before_any_work(tmp_path,
 
 THEORY_INPUT_ERRORS = {
     "--first-sigma 0": "sigma must be positive",
-    "--first-cases 0:5": "support size must be in 1..p",
-    "--first-cases 1:2,4:3": "support size must be in 1..p",
+    "--first-cases 0:5": "--first-cases 0:5: s must be in 1..p",
+    "--first-cases 1:2,4:3": "--first-cases 4:3: s must be in 1..p",
+    "--first-cases 1:-1": "--first-cases 1:-1: s must be in 1..p",
     "--sigmas 1,0": "--sigmas must be positive, got 0.0",
     "--pair-betas 0,nan": "--pair-betas must be finite, got nan",
     "--pair-betas inf,1": "--pair-betas must be finite, got inf",

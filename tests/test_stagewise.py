@@ -49,10 +49,10 @@ def plain_cfg(**kw):
 
 
 def test_state_partition_invariants():
-    state = SelectionState.initial(4)
+    state = SelectionState((), 4)
     assert state.selected == ()
     assert state.candidates == frozenset({0, 1, 2, 3})
-    nxt = state.admit(2)
+    nxt = SelectionState(state.selected + (2,), 4)
     assert nxt.selected == (2,)
     assert 2 not in nxt.candidates
 
@@ -64,12 +64,6 @@ def test_state_rejects_invalid_selected():
         SelectionState((0, 3), 3)  # outside 0..p-1
     with pytest.raises(ValueError):
         SelectionState((-1,), 3)
-
-
-def test_admit_requires_candidate():
-    state = SelectionState.initial(3).admit(1)
-    with pytest.raises(ValueError):
-        state.admit(1)
 
 
 def test_dnp_config_validation():
@@ -92,7 +86,7 @@ def test_scores_duplicate_columns_equal():
     x[:, 4] = x[:, 2]
     data = Dataset(x, rng.normal(size=40), "regression")
     params, arch = null_model(5)
-    scores = candidate_scores(params, arch, data, SelectionState.initial(5), plain_cfg(), seed=3)
+    scores = candidate_scores(params, arch, data, SelectionState((), 5), plain_cfg(), seed=3)
     assert scores[4] == scores[2]
 
 
@@ -103,7 +97,7 @@ def test_scores_null_model_rank_by_correlation():
     y = y - y.mean()
     data = Dataset(x, y, "regression")
     params, arch = null_model(12)
-    scores = candidate_scores(params, arch, data, SelectionState.initial(12), plain_cfg(), seed=5)
+    scores = candidate_scores(params, arch, data, SelectionState((), 12), plain_cfg(), seed=5)
     oracle = np.abs(x.T @ y)
     got = sorted(range(12), key=lambda j: scores[j])
     want = sorted(range(12), key=lambda j: oracle[j])
@@ -119,7 +113,7 @@ def test_scores_zero_residual_all_zero():
     data = Dataset(x, np.zeros(20), "regression")
     params, arch = null_model(4)
     params.weights[-1][:] = 0.0  # zero output layer: eta == 0 == y
-    scores = candidate_scores(params, arch, data, SelectionState.initial(4), plain_cfg(), seed=1)
+    scores = candidate_scores(params, arch, data, SelectionState((), 4), plain_cfg(), seed=1)
     assert np.all(scores == 0.0)
 
 
@@ -130,7 +124,7 @@ def test_scores_reduce_to_backward_norms():
     arch = NetworkArchitecture(6, (5, 3))
     params = xavier_init(arch, 1)
     params.weights[0][:] = 0.0
-    state = SelectionState.initial(6)
+    state = SelectionState((), 6)
     scores = candidate_scores(*narrow(params, arch, ()), data, state, plain_cfg(), seed=8)
     _, grads = backward(params, arch, data)
     for j in range(6):
@@ -144,7 +138,7 @@ def test_scores_reject_width_mismatch():
     arch = NetworkArchitecture(3, (2,))
     params = xavier_init(arch, 0)  # full width, but no column is selected
     with pytest.raises(ValueError):
-        candidate_scores(params, arch, data, SelectionState.initial(3), plain_cfg(), seed=0)
+        candidate_scores(params, arch, data, SelectionState((), 3), plain_cfg(), seed=0)
     sub, sub_arch = narrow(params, arch, (0,))
     with pytest.raises(ValueError):  # one input row, but the state selects two columns
         candidate_scores(sub, sub_arch, data, SelectionState((0, 1), 3), plain_cfg(), seed=0)
@@ -198,7 +192,7 @@ def test_argmax_admission_null_model_matches_correlation_argmax():
     y = y - y.mean()
     data = Dataset(x, y, "regression")
     params, arch = null_model(10)
-    scores = candidate_scores(params, arch, data, SelectionState.initial(10), plain_cfg(), seed=2)
+    scores = candidate_scores(params, arch, data, SelectionState((), 10), plain_cfg(), seed=2)
     assert int(np.argmax(scores)) == int(np.argmax(np.abs(x.T @ y)))
 
 

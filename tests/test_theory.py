@@ -317,6 +317,18 @@ def test_mc_rejects_reps_below_one_before_drawing(monkeypatch, reps):
         mc_select_over(1.0, 0.5, 1.0, reps=reps, seed=0)
 
 
+@pytest.mark.parametrize("sigma", [float("nan"), 0.0, -1.0])
+def test_pair_probabilities_reject_sigma_before_drawing(monkeypatch, sigma):
+    def no_draws(*args):
+        raise AssertionError("drew random numbers")
+
+    monkeypatch.setattr(enns.theory, "spawn_rng", no_draws)
+    with pytest.raises(ValueError, match="sigma must be positive"):
+        prob_select_over(1.0, 0.5, sigma)
+    with pytest.raises(ValueError, match="sigma must be positive"):
+        mc_select_over(1.0, 0.5, sigma, reps=1000, seed=0)
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_non_finite_betas_are_rejected(monkeypatch, bad):
     def no_draws(*args):
