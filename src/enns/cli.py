@@ -486,14 +486,20 @@ def _settings(src, validation_fraction: float) -> _Settings:
             selector = DnpConfig(src.norm_q, src.b1, src.dropout_rate, opts)
             if src.method == "enns":
                 selector = EnnsConfig(src.s0, src.bags, src.bootstrap_size, src.ps, src.per_round, selector)
+        arch = NetworkArchitecture(0, src.hidden, src.activation, src.task)
         if getattr(src, "sparsity_mode", "none") != "none":  # estimate and run-experiment
             sparsity = SparsitySpec(src.sparsity_mode, src.sparsity_values)
-        return _Settings(NetworkArchitecture(0, src.hidden, src.activation, src.task), opts, selector, sparsity)
+            sparsity.validate_for(arch)
+        return _Settings(arch, opts, selector, sparsity)
 
 
 def _response_spec(src) -> ResponseSpec:
+    """The response of gen-data or run-experiment, checked against ``p`` before any design is drawn."""
     with _named(src):
-        return ResponseSpec(src.response, src.task, src.s, src.coef_mean, src.coef_sd, src.noise_sd, src.net_hidden)
+        spec = ResponseSpec(src.response, src.task, src.s, src.coef_mean, src.coef_sd, src.noise_sd, src.net_hidden)
+        if spec.s > src.p:
+            raise ValueError(f"s exceeds p ({spec.s} > {src.p})")
+        return spec
 
 
 def _generate(src, spec: ResponseSpec, seed: int) -> tuple[np.ndarray, np.ndarray, GroundTruth]:
@@ -714,9 +720,13 @@ def cmd_verify_theory(args) -> int:
         for beta in values:
             if not math.isfinite(beta):
                 raise UsageError(f"{flag} must be finite, got {beta}")
-    for sigma in args.sigmas:
-        if not sigma > 0:
-            raise UsageError(f"--sigmas must be positive, got {sigma}")
+    for flag, values in (
+        ("--sigmas", args.sigmas), ("--first-sigma", [args.first_sigma]),
+        ("--pair-tol", [args.pair_tol]), ("--first-tol", [args.first_tol]),
+    ):
+        for value in values:
+            if not value > 0:
+                raise UsageError(f"{flag} must be positive, got {value}")
     profiles = []  # every case checked before any probability is computed
     for s, p in args.first_cases:
         if not 1 <= s <= p:

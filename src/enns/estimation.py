@@ -67,6 +67,14 @@ class SparsitySpec:
         if self.mode == "percentile" and any(v >= 100.0 for v in self.per_layer_values):
             raise ValueError("per_layer_values must be < 100 in percentile mode")
 
+    def validate_for(self, arch: NetworkArchitecture) -> None:
+        """One value per hidden/output weight matrix of ``arch``, that is per hidden layer."""
+        if len(self.per_layer_values) != arch.num_hidden_layers:
+            raise ValueError(
+                "per_layer_values must have one value per hidden_sizes entry "
+                f"({arch.num_hidden_layers}), got {len(self.per_layer_values)}"
+            )
+
 
 @dataclass(frozen=True)
 class BaggedDropoutSpec:
@@ -108,12 +116,7 @@ def fit_l1(
     explicit lambdas the trajectory is identical to plain ``train`` from the
     same initialization and seed.
     """
-    n_layers = arch.num_hidden_layers
-    if len(spec.per_layer_values) != n_layers:
-        raise ValueError(
-            f"need one sparsity value per hidden/output weight matrix ({n_layers}), "
-            f"got {len(spec.per_layer_values)}"
-        )
+    spec.validate_for(arch)
 
     def threshold_epoch(params: NetworkParameters, epoch: int) -> None:
         for layer, value in enumerate(spec.per_layer_values, start=1):

@@ -275,12 +275,10 @@ def _deltas(
         delta = (2.0 / n) * (out - data.y)
     else:
         delta = (sigmoid(out) - data.y) / n
-    m = arch.num_hidden_layers
-    deltas: list[np.ndarray] = [None] * (m + 1)  # type: ignore[list-item]
-    deltas[m] = delta = delta[:, None]  # (n, 1)
+    deltas = [delta[:, None]]  # d_m, (n, 1); d_m-1 .. d_0 follow
     relu = arch.hidden_activation == "relu"
-    for layer in range(m, 0, -1):
-        delta = delta @ params.weights[layer].T
+    for layer in range(arch.num_hidden_layers, 0, -1):
+        delta = deltas[-1] @ params.weights[layer].T
         # relu gradient at exactly 0 is taken as 1 so that cold-start layers
         # (all-zero pre-activations) still pass gradient signal downward.
         if relu:
@@ -288,8 +286,8 @@ def _deltas(
         else:
             a = acts[layer]
             delta *= a * (1.0 - a)
-        deltas[layer - 1] = delta
-    return deltas
+        deltas.append(delta)
+    return deltas[::-1]
 
 
 def layer_deltas(
@@ -321,13 +319,8 @@ def backward(
     acts, zs, out = _forward_internal(params, arch, data.x)
     loss = _loss(_outputs(out, arch.task), data)
     deltas = _deltas(params, arch, data, acts, zs, out)
-    m = arch.num_hidden_layers
-    g_weights: list[np.ndarray] = [None] * (m + 1)  # type: ignore[list-item]
-    g_intercepts: list[np.ndarray] = [None] * (m + 1)  # type: ignore[list-item]
-    for layer in range(m, -1, -1):
-        g_weights[layer] = acts[layer].T @ deltas[layer]
-        g_intercepts[layer] = np.add.reduce(deltas[layer], axis=0)
-    return loss, NetworkParameters(g_weights, g_intercepts)
+    g_weights = [a.T @ d for a, d in zip(acts, deltas)]
+    return loss, NetworkParameters(g_weights, [np.add.reduce(d, axis=0) for d in deltas])
 
 
 def adagrad_step(theta: np.ndarray, grad: np.ndarray, acc: np.ndarray, lr: float) -> None:
@@ -399,8 +392,6 @@ def train(
         fit_data = data.subset_rows(perm[n_val:])
     n_fit = fit_data.n
     full_batch = opts.batch_size is None or opts.batch_size >= n_fit
-    # a full-batch pass on the monitored rows scores the checkpoint it starts from
-    fused = full_batch and n_val == 0
 
     # theta, its Adagrad accumulator and the gradient are flat vectors; cur views theta
     theta = np.concatenate([*params.weights, *params.intercepts], axis=None)
@@ -412,52 +403,41 @@ def train(
     best = np.empty_like(theta)
     best_loss, stale = math.inf, 0
 
-    def record(loss: float) -> bool:
-        """Scores checkpoint ``cur`` with ``loss``; False once patience runs out."""
-        nonlocal best_loss, stale
-        if loss < best_loss:
-            best_loss = loss
-            best[:] = theta
-            stale = 0
-        else:
-            stale += 1
-        return not (opts.patience > 0 and stale >= opts.patience)
-
-    def checked(evaluate: Callable, part: Dataset, epoch: int):
-        """``evaluate(cur, arch, part)``, with a non-finite loss reported at ``epoch``."""
-        try:
-            return evaluate(cur, arch, part)
-        except NumericalError as exc:
-            raise NumericalError(f"non-finite loss at epoch {epoch}") from exc
-
-    def step(g: NetworkParameters) -> None:
-        np.concatenate([*g.weights, *g.intercepts], axis=None, out=grad)
-        adagrad_step(theta, grad, acc, opts.learning_rate)
-
-    # a diverging run overflows to inf or nan, which `checked` reports as a
+    # a diverging run overflows to inf or nan, which is reported as a
     # NumericalError; numpy need not warn about it first
     with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(opts.max_epochs):
-            # score checkpoint epoch - 1 (the starting point at epoch 0); on the
-            # fused path this epoch's backward pass computes it
-            if fused:
-                loss, g = checked(backward, fit_data, epoch - 1)
-            else:
-                loss = checked(empirical_loss, monitor_data, epoch - 1)
-            if not record(loss):
-                break
-            if fused:
-                step(g)
-            elif full_batch:
-                step(checked(backward, fit_data, epoch)[1])
-            else:
-                order = rng.permutation(n_fit)
-                for i in range(0, n_fit, opts.batch_size):
-                    step(checked(backward, fit_data.subset_rows(order[i : i + opts.batch_size]), epoch)[1])
+        for epoch in range(opts.max_epochs + 1):
+            # score checkpoint epoch - 1 (the starting point at epoch 0); while epochs
+            # remain, a full-batch pass on the monitored rows computes it with its gradients
+            fused = full_batch and n_val == 0 and epoch < opts.max_epochs
+            at = epoch - 1  # the epoch a non-finite loss is reported at
+            try:
+                if fused:
+                    loss, g = backward(cur, arch, fit_data)
+                else:
+                    loss = empirical_loss(cur, arch, monitor_data)
+                if loss < best_loss:
+                    best_loss, stale = loss, 0
+                    best[:] = theta
+                else:
+                    stale += 1
+                if epoch == opts.max_epochs or 0 < opts.patience <= stale:
+                    break
+                at = epoch
+                if full_batch:
+                    parts = [fit_data]
+                else:
+                    order, size = rng.permutation(n_fit), opts.batch_size
+                    parts = (fit_data.subset_rows(order[i : i + size]) for i in range(0, n_fit, size))
+                for part in parts:
+                    if not fused:
+                        g = backward(cur, arch, part)[1]
+                    np.concatenate([*g.weights, *g.intercepts], axis=None, out=grad)
+                    adagrad_step(theta, grad, acc, opts.learning_rate)
+            except NumericalError as exc:
+                raise NumericalError(f"non-finite loss at epoch {at}") from exc
             if epoch_hook is not None:
                 epoch_hook(cur, epoch)
-        else:
-            record(checked(empirical_loss, monitor_data, opts.max_epochs - 1))
     return _layer_views(best, arch)
 
 

@@ -41,6 +41,8 @@ class ResponseSpec:
             raise ValueError(f"unknown task {self.task!r}")
         if self.s < 1:
             raise ValueError("support size s must be positive")
+        if self.kind == "additive" and self.s != 5:
+            raise ValueError("support size s must be 5 for the additive kind")
         if not 0 <= self.noise_sd < np.inf:
             raise ValueError("noise_sd must be finite and non-negative")
         if self.coef_mean is not None and not np.isfinite(self.coef_mean):
@@ -128,8 +130,6 @@ def gen_response(x: np.ndarray, spec: ResponseSpec, seed: int) -> tuple[np.ndarr
     n, p = x.shape
     if spec.s > p:
         raise ValueError("support size exceeds number of columns")
-    if spec.kind == "additive" and spec.s != 5:
-        raise ValueError("the additive response has exactly 5 signal columns")
 
     w_rng = spawn_rng(seed, "weights")
     beta = gen_params = None

@@ -590,7 +590,7 @@ def test_estimate_divergent_training_is_numerical_failure_without_warning(tmp_pa
 
 
 # Bad values, each rejected with this message before any data are read,
-# drawn or simulated; a run-experiment case is one line of its config file.
+# drawn or simulated; a run-experiment case is lines of its config file, split by "; ".
 OUT_OF_RANGE_ERRORS = {
     "gen-data --noise-sd nan": "--noise-sd must be finite and non-negative",
     "gen-data --noise-sd inf": "--noise-sd must be finite and non-negative",
@@ -606,14 +606,24 @@ OUT_OF_RANGE_ERRORS = {
     "estimate --learning-rate nan": "--learning-rate must be positive",
     "estimate --sparsity-mode explicit_lambda --sparsity-values nan": "--sparsity-values must be non-negative",
     "estimate --sparsity-mode percentile": "--sparsity-values required in percentile mode",
+    "estimate --sparsity-mode percentile --sparsity-values 50,50":
+        "--sparsity-values must have one value per --hidden entry (1), got 2",
+    "estimate --hidden 4,3 --sparsity-mode explicit_lambda --sparsity-values 1":
+        "--sparsity-values must have one value per --hidden entry (2), got 1",
+    "gen-data --response additive": "support size --s must be 5 for the additive kind",
+    "gen-data --s 7": "--s exceeds --p (7 > 6)",
     "verify-theory --sigmas nan": "--sigmas must be positive, got nan",
-    "verify-theory --first-sigma nan": "sigma must be positive",
+    "verify-theory --first-sigma nan": "--first-sigma must be positive, got nan",
     "run-experiment hidden = 0": "hidden must be non-empty with positive entries",
     "run-experiment bags = 0": "bags must be positive",
     "run-experiment b1 = 0": "b1 must be positive",
     "run-experiment learning_rate = nan": "learning_rate must be positive",
     "run-experiment coef_sd = -1": "coef_sd must be finite and non-negative",
     "run-experiment sparsity_mode = percentile": "sparsity_values required in percentile mode",
+    "run-experiment sparsity_mode = percentile; sparsity_values = 50,50":
+        "sparsity_values must have one value per hidden entry (1), got 2",
+    "run-experiment response = additive": "support size s must be 5 for the additive kind",
+    "run-experiment s = 20": "s exceeds p (20 > 15)",
 }
 
 
@@ -641,9 +651,11 @@ def test_nan_and_out_of_range_values_are_usage_errors(tmp_path, capsys, monkeypa
     elif command == "estimate":
         argv = [command, *xy, "--selected", "1,2", "--epochs", 5, *flags, "--model-out", out]
     else:
-        cfg = tmp_path / "exp.cfg"
-        key = rest.split(" = ")[0]
-        cfg.write_text(re.sub(rf"^{key} = .*\n", "", BASE_CFG, flags=re.M) + rest + "\n")
+        cfg, text = tmp_path / "exp.cfg", BASE_CFG
+        for line in rest.split("; "):
+            key = line.split(" = ")[0]
+            text = re.sub(rf"^{key} = .*\n", "", text, flags=re.M) + line + "\n"
+        cfg.write_text(text)
         argv = [command, "--config", cfg, "--out", out]
     assert run(*argv) == 1
     assert capsys.readouterr().err == f"error: {OUT_OF_RANGE_ERRORS[case]}\n"
@@ -875,7 +887,11 @@ def test_verify_theory_nonpositive_reps_is_usage_error_before_any_work(tmp_path,
 
 
 THEORY_INPUT_ERRORS = {
-    "--first-sigma 0": "sigma must be positive",
+    "--first-sigma 0": "--first-sigma must be positive, got 0.0",
+    "--pair-tol nan": "--pair-tol must be positive, got nan",
+    "--pair-tol=-0.01": "--pair-tol must be positive, got -0.01",
+    "--first-tol 0": "--first-tol must be positive, got 0.0",
+    "--first-tol nan": "--first-tol must be positive, got nan",
     "--first-cases 0:5": "--first-cases 0:5: s must be in 1..p",
     "--first-cases 1:2,4:3": "--first-cases 4:3: s must be in 1..p",
     "--first-cases 1:-1": "--first-cases 1:-1: s must be in 1..p",

@@ -128,7 +128,7 @@ def test_fit_l1_requires_one_value_per_layer():
     data = toy_regression(seed=4)
     arch = NetworkArchitecture(3, (5, 5))
     opts = TrainOptions(max_epochs=5, patience=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"one value per hidden_sizes entry \(2\), got 1"):
         fit_l1(data, arch, SparsitySpec("percentile", (50.0,)), opts, 0)
 
 

@@ -630,6 +630,12 @@ def _golden_run(name):
     if name == "train_full_batch":
         opts = TrainOptions(learning_rate=0.1, max_epochs=100, patience=0)
         return [], train(xavier_init(reg, 3), reg, random_dataset(reg, n=20, seed=1), opts, 5)
+    if name == "train_full_batch_validation":
+        opts = TrainOptions(learning_rate=0.1, max_epochs=60, patience=5, validation_fraction=0.25)
+        return [], train(xavier_init(reg, 3), reg, random_dataset(reg, n=20, seed=1), opts, 5)
+    if name == "train_full_batch_patience":  # fused; patience stops it (see the test below)
+        opts = TrainOptions(learning_rate=0.5, max_epochs=100, patience=5)
+        return [], train(xavier_init(reg, 3), reg, random_dataset(reg, n=20, seed=1), opts, 5)
     if name == "train_minibatch_validation":
         opts = TrainOptions(
             learning_rate=0.05, max_epochs=80, batch_size=7, patience=10, validation_fraction=0.25
@@ -654,6 +660,8 @@ GOLDEN_PARAMETERS = {
     "fit_stagewise": "d574b41b56716f0393cb5263de0aed18fd876fcf57876939a3fb7f2cf1fbc6ca",
     "stagewise_fit": "97b470d4a6184d31a5fd373f1bf3afd9da6392fed86cb5a9e7c60b7d18765f81",
     "train_full_batch": "11599839896c83bdfce122c918df868f19c4d6849b75510f92205b13600a22c9",
+    "train_full_batch_patience": "0950ed4cb646ecaa78b9bdbac0d53c75da5ba8a108ac20a564ed1d87825e9ce9",
+    "train_full_batch_validation": "8e7c637c8b814905b04609e50c184fc0917f80726ffe2ce37e3dfc024f5597f6",
     "train_minibatch_validation": "9a2209c32ab7642aea5e77b16ba2cfaee191a84d2dae0e6c2d171bbf72be7d23",
 }
 
@@ -665,3 +673,11 @@ def test_golden_final_parameters(name):
     for arr in (*prefix, *params.weights, *params.intercepts):
         h.update(arr.tobytes())
     assert h.hexdigest() == GOLDEN_PARAMETERS[name]
+
+
+def test_golden_patience_run_stops_early(monkeypatch):
+    calls = []
+    original = enns.network.backward
+    monkeypatch.setattr(enns.network, "backward", lambda *args: calls.append(args) or original(*args))
+    _golden_run("train_full_batch_patience")
+    assert len(calls) == 57  # checkpoints -1..55 of 100 epochs scored, then patience ran out

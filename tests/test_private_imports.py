@@ -63,3 +63,40 @@ def test_every_imported_name_is_used():
         if names:
             offenders[path.name] = names
     assert offenders == {}
+
+
+def unread_private_names(source: str) -> list[str]:
+    """Module-level ``_``-prefixed functions, classes and constants that the
+    module never reads (dunder names such as ``__version__`` are exempt)."""
+    tree = ast.parse(source)
+    defined = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined += [t.id for t in targets if isinstance(t, ast.Name)]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [name for name in defined if name.startswith("_") and not name.startswith("__") and name not in read]
+
+
+def test_detector_flags_unread_private_names():
+    source = (
+        "import os\n__version__ = '1'\n_USED = 1\n_UNUSED: int = 2\n"
+        "def _helper():\n    _local = _USED\n    return _local\n"
+        "def _orphan():\n    return os.sep\n"
+        "class _Gone:\n    _attr = 3\n"
+        "def public() -> int:\n    return _helper()\n"
+    )
+    assert unread_private_names(source) == ["_UNUSED", "_orphan", "_Gone"]
+
+
+def test_every_private_name_is_read_in_its_module():
+    modules = sorted(PACKAGE_DIR.glob("*.py"))
+    assert modules
+    offenders = {}
+    for path in modules:
+        names = unread_private_names(path.read_text(encoding="utf8"))
+        if names:
+            offenders[path.name] = names
+    assert offenders == {}

@@ -88,9 +88,8 @@ def test_additive_hand_value_at_origin():
 
 
 def test_additive_requires_five_signals():
-    x = gen_design_uniform(10, 6, seed=0)
-    with pytest.raises(ValueError):
-        gen_response(x, ResponseSpec(kind="additive", s=4), seed=0)
+    with pytest.raises(ValueError, match="must be 5 for the additive kind"):
+        ResponseSpec(kind="additive", s=4)
 
 
 def test_network_response_ignores_null_columns():
