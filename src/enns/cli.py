@@ -474,7 +474,7 @@ class _Settings(typing.NamedTuple):
 
     arch: NetworkArchitecture
     opts: TrainOptions
-    selector: Optional[DnpConfig | EnnsConfig]  # None for estimate
+    selector: Optional[EnnsConfig]  # None for estimate; under dnp, its target_s0 and dnp settings
     sparsity: Optional[SparsitySpec]  # None for plain training
 
 
@@ -483,30 +483,31 @@ def _settings(src, validation_fraction: float) -> _Settings:
         opts = TrainOptions(src.learning_rate, src.max_epochs, src.batch_size, src.patience, validation_fraction)
         selector = sparsity = None
         if "method" in vars(src):  # select and run-experiment
-            selector = DnpConfig(src.norm_q, src.b1, src.dropout_rate, opts)
-            if src.method == "enns":
-                selector = EnnsConfig(src.s0, src.bags, src.bootstrap_size, src.ps, src.per_round, selector)
+            dnp = DnpConfig(src.norm_q, src.b1, src.dropout_rate, opts)
+            selector = EnnsConfig(src.s0, src.bags, src.bootstrap_size, src.ps, src.per_round, dnp)
         arch = NetworkArchitecture(0, src.hidden, src.activation, src.task)
         if getattr(src, "sparsity_mode", "none") != "none":  # estimate and run-experiment
             sparsity = SparsitySpec(src.sparsity_mode, src.sparsity_values)
             sparsity.validate_for(arch)
+        elif getattr(src, "sparsity_values", None) is not None:
+            raise ValueError("per_layer_values need a sparsity_mode other than none")
         return _Settings(arch, opts, selector, sparsity)
 
 
 def _response_spec(src) -> ResponseSpec:
-    """The response of gen-data or run-experiment, checked against ``p`` before any design is drawn."""
+    """The response of gen-data or run-experiment, checked with ``p`` and ``rho`` before any design is drawn."""
     with _named(src):
         spec = ResponseSpec(src.response, src.task, src.s, src.coef_mean, src.coef_sd, src.noise_sd, src.net_hidden)
         if spec.s > src.p:
             raise ValueError(f"s exceeds p ({spec.s} > {src.p})")
+        if (src.design == "correlated") != (src.rho is not None):
+            raise ValueError("rho must be given exactly when design is correlated")
         return spec
 
 
 def _generate(src, spec: ResponseSpec, seed: int) -> tuple[np.ndarray, np.ndarray, GroundTruth]:
     """Design matrix, response and ground truth for one seeded dataset."""
     if src.design == "correlated":
-        if src.rho is None:
-            raise UsageError("the correlated design needs rho")
         x = gen_design_correlated(src.n, src.p, src.rho, derive_seed(seed, "design"))
     else:
         x = gen_design_uniform(src.n, src.p, derive_seed(seed, "design"))
@@ -514,12 +515,11 @@ def _generate(src, spec: ResponseSpec, seed: int) -> tuple[np.ndarray, np.ndarra
     return x, y, truth
 
 
-def _select(data: Dataset, settings: _Settings, s0: int, seed: int) -> SelectionReport:
-    """Stage-wise selection of ``s0`` features or ensemble selection, seeded by
-    ``seed``; a stage-wise result is one complete pass without rounds."""
-    if isinstance(settings.selector, EnnsConfig):
+def _select(data: Dataset, settings: _Settings, method: str, seed: int) -> SelectionReport:
+    """Ensemble or stage-wise selection by ``method``; a stage-wise result is one complete pass without rounds."""
+    if method == "enns":
         return enns_select(data, settings.arch, settings.selector, seed)
-    order = dnp_run(data, settings.arch, s0, settings.selector, seed)
+    order = dnp_run(data, settings.arch, settings.selector.target_s0, settings.selector.dnp, seed)
     return SelectionReport(tuple(order), per_round_appearances=(), complete=True)
 
 
@@ -557,15 +557,13 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_select(args) -> int:
-    if args.s0 < 1:
-        raise UsageError(f"s0 must be positive, got {args.s0}")
     settings = _settings(args, args.val_fraction)
     _check_output_dirs(args.out)
     data = load_dataset(args.x, args.y, args.task)
     if args.s0 > data.p:
         raise UsageError(f"s0={args.s0} exceeds the number of columns ({data.p})")
     start = time.perf_counter()
-    report = _select(data, settings, args.s0, args.seed)
+    report = _select(data, settings, args.method, args.seed)
     doc = {
         "method": args.method,
         "s0": args.s0,
@@ -586,9 +584,11 @@ def cmd_estimate(args) -> int:
     if not 0.0 <= args.test_fraction < 1.0:
         raise UsageError(f"--test-fraction must be in [0, 1), got {args.test_fraction}")
     settings = _settings(args, args.val_fraction)
-    _check_output_dirs(args.model_out, args.metrics_out)
-    data = load_dataset(args.x, args.y, args.task)
-    if args.selection_json is not None:
+    if (args.selected is None) == (args.selection_json is None):
+        raise UsageError("give exactly one of --selected and --selection-json")
+    if args.selection_json is None:
+        selected_1based = list(args.selected)
+    else:
         try:
             with open(args.selection_json, encoding="utf8") as fh:
                 selected_1based = json.load(fh)["selected"]
@@ -597,17 +597,15 @@ def cmd_estimate(args) -> int:
         # bool is an int subclass, so compare types exactly
         if not isinstance(selected_1based, list) or any(type(j) is not int for j in selected_1based):
             raise DataError(f"{args.selection_json}: 'selected' must be a list of integers")
-    elif args.selected is not None:
-        selected_1based = list(args.selected)
-    else:
-        raise UsageError("provide --selected or --selection-json")
-    for j in selected_1based:
-        if not 1 <= j <= data.p:
-            raise UsageError(f"selected column {j} outside 1..{data.p}")
     if len(set(selected_1based)) != len(selected_1based):
         raise UsageError(f"selected columns repeat: {selected_1based}")
     if not selected_1based:
         raise UsageError("no columns selected")
+    _check_output_dirs(args.model_out, args.metrics_out)
+    data = load_dataset(args.x, args.y, args.task)
+    for j in selected_1based:
+        if not 1 <= j <= data.p:
+            raise UsageError(f"selected column {j} outside 1..{data.p}")
     selected = [j - 1 for j in selected_1based]
 
     n_test = int(math.floor(args.test_fraction * data.n))
@@ -635,7 +633,7 @@ def _experiment_repetition(cfg: ExperimentConfig, spec: ResponseSpec, settings: 
     test_idx, rest_idx = perm[:n_test], perm[n_test:]
     data_rest = data.subset_rows(rest_idx)
 
-    report = _select(data_rest, settings, cfg.s0, derive_seed(rep_seed, cfg.method))
+    report = _select(data_rest, settings, cfg.method, derive_seed(rep_seed, cfg.method))
     selected = list(report.selected)
     if selected:
         params, arch = _fit(data_rest.subset_columns(selected), settings, derive_seed(rep_seed, "fit"))
@@ -714,19 +712,16 @@ def _agreement(tol: float, analytic: float, mc: float, **case) -> dict:
 def cmd_verify_theory(args) -> int:
     if not (args.pair_betas and args.sigmas or args.first_cases):
         raise UsageError("no cases to verify")
-    if args.reps < 1:
-        raise UsageError(f"--reps must be positive, got {args.reps}")
-    for flag, values in ("--pair-betas", args.pair_betas), ("--beta-support", [args.beta_support]):
-        for beta in values:
-            if not math.isfinite(beta):
-                raise UsageError(f"{flag} must be finite, got {beta}")
-    for flag, values in (
-        ("--sigmas", args.sigmas), ("--first-sigma", [args.first_sigma]),
-        ("--pair-tol", [args.pair_tol]), ("--first-tol", [args.first_tol]),
+    rules = {"finite": math.isfinite, "positive": lambda value: value > 0}
+    for flag, values, rule in (
+        ("--reps", [args.reps], "positive"), ("--pair-betas", args.pair_betas, "finite"),
+        ("--beta-support", [args.beta_support], "finite"), ("--sigmas", args.sigmas, "positive"),
+        ("--first-sigma", [args.first_sigma], "positive"), ("--pair-tol", [args.pair_tol], "positive"),
+        ("--first-tol", [args.first_tol], "positive"),
     ):
         for value in values:
-            if not value > 0:
-                raise UsageError(f"{flag} must be positive, got {value}")
+            if not rules[rule](value):
+                raise UsageError(f"{flag} must be {rule}, got {value}")
     profiles = []  # every case checked before any probability is computed
     for s, p in args.first_cases:
         if not 1 <= s <= p:

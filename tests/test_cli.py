@@ -140,10 +140,13 @@ def test_select_strong_signal_finds_support(tmp_path):
 def test_select_rejects_oversized_s0(tmp_path, capsys):
     data = gen_small(tmp_path, p=4, s=2)
     assert run("select", "--x", data / "X.csv", "--y", data / "y.csv", "--s0", 9) == 1
-    for s0 in (0, -1):
-        # a usage error naming s0, raised before the (missing) CSVs are read
-        assert run("select", "--x", tmp_path / "no.csv", "--y", tmp_path / "no2.csv", "--s0", s0) == 1
-        assert re.search(r"\bs0\b", capsys.readouterr().err)
+    assert capsys.readouterr().err == "error: s0=9 exceeds the number of columns (4)\n"
+    for method in ("dnp", "enns"):
+        for s0 in (0, -1):
+            # a usage error naming --s0, raised before the (missing) CSVs are read
+            argv = ["--x", tmp_path / "no.csv", "--y", tmp_path / "no2.csv", "--method", method, "--s0", s0]
+            assert run("select", *argv) == 1
+            assert capsys.readouterr().err == "error: --s0 must be positive\n"
 
 
 def test_select_malformed_csv_is_data_error(tmp_path):
@@ -554,6 +557,37 @@ def test_estimate_rejects_non_integer_selection_json(tmp_path, capsys, doc):
     assert not (tmp_path / "m.json").exists()
 
 
+# estimate's column errors, each with its stderr, raised before either CSV is
+# read; "{sel}" is a selection JSON holding the given text (None: no file).
+ESTIMATE_COLUMN_ERRORS = {
+    "neither": ((), None, "error: give exactly one of --selected and --selection-json"),
+    "both": (("--selected", "1,2", "--selection-json", "{sel}"), '{"selected": [2, 5]}',
+             "error: give exactly one of --selected and --selection-json"),
+    "unreadable-json": (("--selection-json", "{sel}"), None,
+                        "data error: cannot read selection from {sel}: [Errno 2] No such file or directory: '{sel}'"),
+    "malformed-json": (("--selection-json", "{sel}"), "{not json",
+                       "data error: cannot read selection from {sel}: "
+                       "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    "repeated": (("--selected", "1,1,2"), None, "error: selected columns repeat: [1, 1, 2]"),
+    "repeated-json": (("--selection-json", "{sel}"), '{"selected": [2, 2]}', "error: selected columns repeat: [2, 2]"),
+    "empty": (("--selected", ""), None, "error: no columns selected"),
+}
+
+
+@pytest.mark.parametrize("case", list(ESTIMATE_COLUMN_ERRORS))
+def test_estimate_resolves_columns_before_reading_csvs(tmp_path, capsys, monkeypatch, case):
+    flags, text, message = ESTIMATE_COLUMN_ERRORS[case]
+    sel = tmp_path / "sel.json"
+    if text is not None:
+        sel.write_text(text)
+    monkeypatch.setattr(enns.cli, "read_matrix_csv", no_work)
+    argv = [flag.format(sel=sel) for flag in flags]
+    xy = ["--x", tmp_path / "X.csv", "--y", tmp_path / "y.csv"]
+    code = run("estimate", *xy, *argv, "--model-out", tmp_path / "m.json")
+    assert code == (2 if message.startswith("data error") else 1)
+    assert capsys.readouterr().err == message.format(sel=sel) + "\n"
+
+
 def test_estimate_rejects_test_fraction_outside_unit_interval(tmp_path):
     data = gen_small(tmp_path, n=40, p=4, s=2)
     for fraction in (-0.25, 1.0, 1.5):
@@ -602,6 +636,10 @@ OUT_OF_RANGE_ERRORS = {
     "select --norm-q nan": "--norm-q must be >= 1",
     "select --learning-rate nan": "--learning-rate must be positive",
     "select --bags 0": "--bags must be positive",
+    "select --method dnp --bags 0": "--bags must be positive",
+    "select --method dnp --bags 1": "--bags * --ps must be at least 1",
+    "select --method dnp --ps 7": "--ps must be in (0, 1]",
+    "select --method dnp --per-round 3": "--per-round must be in 1..--s0",
     "select --val-fraction 1.5": "--val-fraction must be in [0, 1)",
     "estimate --learning-rate nan": "--learning-rate must be positive",
     "estimate --sparsity-mode explicit_lambda --sparsity-values nan": "--sparsity-values must be non-negative",
@@ -610,12 +648,16 @@ OUT_OF_RANGE_ERRORS = {
         "--sparsity-values must have one value per --hidden entry (1), got 2",
     "estimate --hidden 4,3 --sparsity-mode explicit_lambda --sparsity-values 1":
         "--sparsity-values must have one value per --hidden entry (2), got 1",
+    "estimate --sparsity-values 50,50,50": "--sparsity-values need a --sparsity-mode other than none",
+    "gen-data --rho 0.5": "--rho must be given exactly when --design is correlated",
+    "gen-data --design correlated": "--rho must be given exactly when --design is correlated",
     "gen-data --response additive": "support size --s must be 5 for the additive kind",
     "gen-data --s 7": "--s exceeds --p (7 > 6)",
     "verify-theory --sigmas nan": "--sigmas must be positive, got nan",
     "verify-theory --first-sigma nan": "--first-sigma must be positive, got nan",
     "run-experiment hidden = 0": "hidden must be non-empty with positive entries",
     "run-experiment bags = 0": "bags must be positive",
+    "run-experiment method = dnp; bags = 0": "bags must be positive",
     "run-experiment b1 = 0": "b1 must be positive",
     "run-experiment learning_rate = nan": "learning_rate must be positive",
     "run-experiment coef_sd = -1": "coef_sd must be finite and non-negative",
@@ -624,6 +666,8 @@ OUT_OF_RANGE_ERRORS = {
         "sparsity_values must have one value per hidden entry (1), got 2",
     "run-experiment response = additive": "support size s must be 5 for the additive kind",
     "run-experiment s = 20": "s exceeds p (20 > 15)",
+    "run-experiment sparsity_values = 50": "sparsity_values need a sparsity_mode other than none",
+    "run-experiment rho = 0.5": "rho must be given exactly when design is correlated",
 }
 
 
@@ -959,7 +1003,7 @@ task = {task}
 s = 2
 coef_mean = 5
 coef_sd = 1
-method = enns
+method = {method}
 s0 = 2
 bags = 3
 ps = 0.5
@@ -987,6 +1031,7 @@ GOLDEN_DIGESTS = {
     "estimate_percentile/metrics.json": "45fec9fe5277d24cc42981ca8cc366d5d42d4aafbf5011b2d96d7af154a68a59",
     "experiment_regression.csv": "b5c463edfc072d9c78ac80931c1d5d61c9fe582688f8d719a735fd939aa72f38",
     "experiment_classification.csv": "9ac1392184954c5cc3ded7edf4cd3f66e57d76745e99574f629425feb5a5e752",
+    "experiment_dnp.csv": "275ef11bfed18562d7cc1c92c989f991d5f97baba46ccae6e3d0e255dc3d8b24",
     "verify_theory.json": "dd45e360520146de88eb8dd255557e4b167583f3e58b429263de8045f98d32af",
 }
 
@@ -1037,10 +1082,14 @@ def golden_outputs(tmp_path_factory):
             "--batch-size", 16, "--sparsity-mode", mode, *extra, "--seed", 14,
             "--model-out", out / "model.json", "--metrics-out", out / "metrics.json",
         ) == 0
-    for task in ("regression", "classification"):
-        cfg = root / f"{task}.cfg"
-        cfg.write_text(GOLDEN_EXPERIMENT_CFG.format(task=task))
-        assert run("run-experiment", "--config", cfg, "--out", root / f"experiment_{task}.csv") == 0
+    for name, task, method in (
+        ("regression", "regression", "enns"),
+        ("classification", "classification", "enns"),
+        ("dnp", "regression", "dnp"),
+    ):
+        cfg = root / f"{name}.cfg"
+        cfg.write_text(GOLDEN_EXPERIMENT_CFG.format(task=task, method=method))
+        assert run("run-experiment", "--config", cfg, "--out", root / f"experiment_{name}.csv") == 0
     assert run(
         "verify-theory", "--reps", 2000, "--pair-betas", "0,1", "--sigmas", "1",
         "--first-cases", "1:2,2:5", "--seed", 15, "--out", root / "verify_theory.json",
@@ -1049,11 +1098,13 @@ def golden_outputs(tmp_path_factory):
     return {name: golden_digest(name, root / name) for name in GOLDEN_DIGESTS}
 
 
+@pytest.mark.golden
 @pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
 def test_golden_cli_output(golden_outputs, name):
     assert golden_outputs[name] == GOLDEN_DIGESTS[name]
 
 
+@pytest.mark.golden
 @pytest.mark.parametrize("method", ["dnp", "enns"])
 def test_golden_select_with_csv_split_into_ranges(tmp_path, monkeypatch, method):
     uni = tmp_path / "gen_uniform"
@@ -1065,6 +1116,7 @@ def test_golden_select_with_csv_split_into_ranges(tmp_path, monkeypatch, method)
     assert golden_digest(name, tmp_path / name) == GOLDEN_DIGESTS[name]
 
 
+@pytest.mark.golden
 @pytest.mark.parametrize("cores", [1, 2, 3])
 def test_golden_gen_data_with_matrices_written_in_ranges(tmp_path, monkeypatch, cores):
     splits = force_write_ranges(monkeypatch, cores)

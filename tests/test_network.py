@@ -666,6 +666,7 @@ GOLDEN_PARAMETERS = {
 }
 
 
+@pytest.mark.golden
 @pytest.mark.parametrize("name", sorted(GOLDEN_PARAMETERS))
 def test_golden_final_parameters(name):
     prefix, params = _golden_run(name)
@@ -675,6 +676,7 @@ def test_golden_final_parameters(name):
     assert h.hexdigest() == GOLDEN_PARAMETERS[name]
 
 
+@pytest.mark.golden
 def test_golden_patience_run_stops_early(monkeypatch):
     calls = []
     original = enns.network.backward

@@ -52,6 +52,7 @@ STUDY_DIGESTS = {
 }
 
 
+@pytest.mark.golden
 @pytest.mark.parametrize("name", STUDY_DIGESTS)
 def test_study_output_is_pinned(name):
     study, digest = STUDY_DIGESTS[name]
