@@ -502,6 +502,8 @@ def _response_spec(src) -> ResponseSpec:
             raise ValueError(f"s exceeds p ({spec.s} > {src.p})")
         if (src.design == "correlated") != (src.rho is not None):
             raise ValueError("rho must be given exactly when design is correlated")
+        if src.rho is not None and not 0.0 <= src.rho < 1.0:
+            raise ValueError("rho must be in [0, 1)")
         return spec
 
 

@@ -1,8 +1,8 @@
-"""How many cores this process can run on at once, for the parallel paths
-(the split CSV read and write, in ``forked`` workers, and the first-selection
-Monte Carlo), and the fork mechanics of the CSV paths: ``forked`` either
-yields one live child per job or raises ``OSError``, and a child that raises
-exits with status 1."""
+"""How many cores this process can run on and how many threads its BLAS runs,
+for the parallel paths (the split CSV read and write and an ENNS round's bags,
+in ``forked`` workers, and the first-selection Monte Carlo), and the fork
+mechanics they share: ``forked`` either yields one live child per job or
+raises ``OSError``, and a child that raises exits with status 1."""
 
 from __future__ import annotations
 
@@ -37,6 +37,17 @@ def usable_cores() -> int:
     if quota > 0 and period > 0:
         cores = min(cores, math.ceil(quota / period))
     return max(cores, 1)
+
+
+def blas_threads() -> int:
+    """The thread count numpy's bundled OpenBLAS reads at load: the first
+    positive integer among ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` and
+    ``OMP_NUM_THREADS``, else ``usable_cores()``."""
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(name, "").strip()
+        if value.isdecimal() and int(value) > 0:  # else OpenBLAS reads the next one
+            return int(value)
+    return usable_cores()
 
 
 @contextmanager

@@ -9,11 +9,14 @@ from __future__ import annotations
 
 import logging
 import math
+import pickle
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
+from .cores import blas_threads, forked, usable_cores
 from .network import Dataset, NetworkArchitecture, NumericalError
 from .seeding import derive_seed
 from .stagewise import DnpConfig, dnp_run
@@ -92,6 +95,30 @@ def filter_appearances(
     return survivors, counts
 
 
+def _run_bags(sub: Dataset, s_j: int, cfg: EnnsConfig, arch_template: NetworkArchitecture, seed: int,
+              bags: range, out: int | None = None) -> list[tuple[int, list[int] | None, list[str]]]:
+    """A (bag, picked columns of ``sub`` or None if dropped, warning texts)
+    record per bag of ``bags``; pickled to pipe ``out`` if given."""
+    n_r = cfg.bootstrap_size if cfg.bootstrap_size is not None else sub.n
+    records = []
+    for b in bags:
+        picked, texts = None, []
+        for attempt in range(2):
+            bag_seed = derive_seed(seed, "bag", b, attempt)
+            rows = bootstrap_indices(sub.n, n_r, derive_seed(bag_seed, "rows"), cfg.with_replacement)
+            try:
+                picked = dnp_run(sub.subset_rows(rows), arch_template, s_j, cfg.dnp, derive_seed(bag_seed, "dnp"))
+                break
+            except NumericalError as exc:
+                texts.append(f"bag {b} failed twice ({exc}); dropping it" if attempt
+                             else f"bag {b} failed ({exc}); retrying with a fresh seed")
+        records.append((b, picked, texts))
+    if out is None:
+        return records
+    with open(out, "wb") as pipe:  # a forked worker's share
+        pickle.dump(records, pipe)
+
+
 def enns_round(
     data: Dataset,
     active_features: Sequence[int],
@@ -106,29 +133,32 @@ def enns_round(
 
     A bag whose training fails is retried once with a fresh seed, then
     dropped with a warning (the consensus threshold shrinks accordingly).
+    Bags run in k = usable_cores() // blas_threads() strided shares, 1..k-1 in
+    forked workers and 0 here, gathered and logged in bag order as one process
+    would; a refused fork, or a failed worker's share, runs here instead.
     """
     active = sorted(int(j) for j in active_features)
     if s_j < 1 or s_j > len(active):
         raise ValueError("s_j must be in 1..len(active_features)")
-    n_r = cfg.bootstrap_size if cfg.bootstrap_size is not None else data.n
-    sub = data.subset_columns(active)
-
-    bag_results: list[list[int]] = []
-    for b in range(cfg.num_bags):
-        for attempt in range(2):
-            bag_seed = derive_seed(seed, "bag", b, attempt)
-            rows = bootstrap_indices(data.n, n_r, derive_seed(bag_seed, "rows"), cfg.with_replacement)
-            try:
-                picked = dnp_run(
-                    sub.subset_rows(rows), arch_template, s_j, cfg.dnp, derive_seed(bag_seed, "dnp")
-                )
-                bag_results.append([active[k] for k in picked])
-                break
-            except NumericalError as exc:
-                if attempt == 0:
-                    logger.warning("bag %d failed (%s); retrying with a fresh seed", b, exc)
-                else:
-                    logger.warning("bag %d failed twice (%s); dropping it", b, exc)
+    run_bags = partial(_run_bags, data.subset_columns(active), s_j, cfg, arch_template, seed)
+    k = max(1, min(usable_cores() // blas_threads(), cfg.num_bags))
+    shares = [range(w, cfg.num_bags, k) for w in range(k)]
+    try:
+        with forked(run_bags, [(bags,) for bags in shares[1:]]) as workers:
+            records = run_bags(shares[0])
+            for (pipe, proc), bags in zip(workers, shares[1:]):
+                try:
+                    share = pickle.load(pipe)
+                except (EOFError, pickle.UnpicklingError):  # the worker failed
+                    share = None
+                proc.join()
+                records += run_bags(bags) if share is None or proc.exitcode != 0 else share
+    except OSError:  # no fork
+        records = run_bags(range(cfg.num_bags))
+    records.sort()  # bag order
+    for text in (text for _, _, texts in records for text in texts):
+        logger.warning(text)
+    bag_results = [[active[j] for j in picked] for _, picked, _ in records if picked is not None]
     if not bag_results:
         raise NumericalError("every bag of the ensemble round failed")
     return filter_appearances(bag_results, cfg.appearance_proportion)

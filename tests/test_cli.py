@@ -651,6 +651,9 @@ OUT_OF_RANGE_ERRORS = {
     "estimate --sparsity-values 50,50,50": "--sparsity-values need a --sparsity-mode other than none",
     "gen-data --rho 0.5": "--rho must be given exactly when --design is correlated",
     "gen-data --design correlated": "--rho must be given exactly when --design is correlated",
+    "gen-data --design correlated --rho 1.0": "--rho must be in [0, 1)",
+    "gen-data --design correlated --rho -0.5": "--rho must be in [0, 1)",
+    "gen-data --design correlated --rho nan": "--rho must be in [0, 1)",
     "gen-data --response additive": "support size --s must be 5 for the additive kind",
     "gen-data --s 7": "--s exceeds --p (7 > 6)",
     "verify-theory --sigmas nan": "--sigmas must be positive, got nan",
@@ -668,6 +671,7 @@ OUT_OF_RANGE_ERRORS = {
     "run-experiment s = 20": "s exceeds p (20 > 15)",
     "run-experiment sparsity_values = 50": "sparsity_values need a sparsity_mode other than none",
     "run-experiment rho = 0.5": "rho must be given exactly when design is correlated",
+    "run-experiment design = correlated; rho = 1.5": "rho must be in [0, 1)",
 }
 
 
@@ -683,8 +687,8 @@ def test_nan_and_out_of_range_values_are_usage_errors(tmp_path, capsys, monkeypa
     if command in ("select", "estimate"):
         data = gen_small(tmp_path, n=40, p=6, s=2)
         xy = ["--x", data / "X.csv", "--y", data / "y.csv"]
-    for name in ("read_matrix_csv", "gen_design_uniform", "prob_select_over", "prob_first_correct",
-                 "mc_select_over", "mc_first_selection"):
+    for name in ("read_matrix_csv", "gen_design_uniform", "gen_design_correlated", "prob_select_over",
+                 "prob_first_correct", "mc_select_over", "mc_first_selection"):
         monkeypatch.setattr(enns.cli, name, no_work)
     if command == "gen-data":
         argv = [command, "--out-dir", out, "--n", 20, "--p", 6, "--response", "linear", "--s", 2, *flags]

@@ -1,4 +1,5 @@
 """usable_cores: the CPU affinity count, capped by a cgroup v2 CPU quota;
+blas_threads: the thread count numpy's OpenBLAS reads from the environment;
 forked and read_into: forked workers with a pipe each, and exact pipe reads."""
 
 import multiprocessing
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import enns.cores
-from enns.cores import forked, read_into, usable_cores
+from enns.cores import blas_threads, forked, read_into, usable_cores
 
 
 @pytest.mark.parametrize(
@@ -46,6 +47,33 @@ def test_usable_cores_without_affinity_uses_cpu_count(tmp_path, monkeypatch):
     assert usable_cores() == 3
     monkeypatch.setattr(enns.cores.os, "cpu_count", lambda: None)
     assert usable_cores() == 1
+
+
+BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+@pytest.mark.parametrize(
+    "env, threads",
+    [
+        ({}, 3),  # unset: one thread per usable core
+        ({"OPENBLAS_NUM_THREADS": "1"}, 1),
+        ({"OPENBLAS_NUM_THREADS": "2"}, 2),
+        ({"OPENBLAS_NUM_THREADS": "0"}, 3),
+        ({"OPENBLAS_NUM_THREADS": "abc"}, 3),
+        ({"OPENBLAS_NUM_THREADS": "", "OMP_NUM_THREADS": "2"}, 2),
+        ({"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "abc", "OMP_NUM_THREADS": "1"}, 1),
+        ({"GOTO_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 4),
+        ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, 1),  # OpenBLAS's own first
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2),
+    ],
+)
+def test_blas_threads_reads_the_first_positive_count(monkeypatch, env, threads):
+    for name in BLAS_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    monkeypatch.setattr(enns.cores, "usable_cores", lambda: 3)
+    assert blas_threads() == threads
 
 
 # --- forked: one child per job, each with a pipe to the parent ------------------------

@@ -1,4 +1,8 @@
 import logging
+import multiprocessing
+import os
+import pickle
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from enns.ensemble import (
     enns_select,
     filter_appearances,
 )
+from enns.cores import forked
 from enns.network import Dataset, NetworkArchitecture, NumericalError, TrainOptions
 from enns.seeding import derive_seed
 from enns.simulate import ResponseSpec, gen_design_uniform, gen_response
@@ -144,23 +149,51 @@ def test_round_high_signal_consensus():
     assert counts.get(1, 0) >= 9
 
 
-def test_round_threshold_counts_only_bags_that_ran(monkeypatch, caplog):
+def on_workers(monkeypatch, k):
+    """Run a round's bags in k processes: in-process for 1, forked workers
+    (with a one-thread BLAS) for more. Returns the list that collects every
+    (pipe, process) pair the rounds fork."""
+    monkeypatch.setattr(ensemble, "usable_cores", lambda: k)
+    monkeypatch.setattr(ensemble, "blas_threads", lambda: 1)
+    seen = []
+
+    @contextmanager
+    def recorded(target, jobs):
+        with forked(target, jobs) as workers:
+            seen.extend(workers)
+            yield workers
+
+    monkeypatch.setattr(ensemble, "forked", recorded)
+    return seen
+
+
+def dnp_seed(round_seed, b, attempt):
+    return derive_seed(derive_seed(round_seed, "bag", b, attempt), "dnp")
+
+
+@pytest.mark.parametrize("k", [1, 2], ids=["serial", "forked"])
+def test_round_threshold_counts_only_bags_that_ran(monkeypatch, caplog, k):
     # bags 0 and 1 fail twice and are dropped; the two that run disagree, so
     # they pass only the threshold floor(2 * 0.5) = 1, not floor(4 * 0.5) = 2
-    calls = []
+    failing = {dnp_seed(0, b, attempt) for b in (0, 1) for attempt in (0, 1)}
+    picks = {dnp_seed(0, 2, 0): [1], dnp_seed(0, 3, 0): [0]}
+    calls = []  # in this process only: a forked worker's calls are its own
 
     def fake_dnp_run(data, arch, s_target, cfg, seed):
         calls.append(seed)
-        if len(calls) <= 4:
+        if seed in failing:
             raise NumericalError("diverged")
-        return [len(calls) % 2]
+        return picks[seed]
 
     monkeypatch.setattr(ensemble, "dnp_run", fake_dnp_run)
+    seen = on_workers(monkeypatch, k)
     data = small_noise_data()
     cfg = EnnsConfig(target_s0=1, num_bags=4, appearance_proportion=0.5, dnp=fast_dnp(5))
     with caplog.at_level(logging.WARNING, logger="enns.ensemble"):
         survivors, counts = enns_round(data, range(data.p), 1, cfg, NetworkArchitecture(data.p, (4,)), seed=0)
-    assert len(calls) == 6
+    # serially every attempt runs here; forked, only bags 0 and 2 of share 0
+    assert len(calls) == (6 if k == 1 else 3)
+    assert len(seen) == k - 1
     assert counts == {1: 1, 0: 1}
     assert survivors == [0, 1]
     assert [r.getMessage() for r in caplog.records] == [
@@ -171,6 +204,7 @@ def test_round_threshold_counts_only_bags_that_ran(monkeypatch, caplog):
             f"bag {b} failed twice (diverged); dropping it",
         )
     ]
+    assert multiprocessing.active_children() == []
 
 
 def test_round_validates_s_j():
@@ -248,6 +282,97 @@ def test_select_false_positives_not_worse_than_dnp_on_average():
         fpr_e.append(selection_metrics(report.selected, truth.support).false_positive_rate)
         fpr_d.append(selection_metrics(dnp_sel, truth.support).false_positive_rate)
     assert np.mean(fpr_e) <= np.mean(fpr_d) + 1e-12
+
+
+# --- bags in forked workers: the same report as one process ------------------------
+
+
+EQUIVALENCE_CASES = {
+    "bootstrap": dict(target_s0=2, num_bags=5, appearance_proportion=0.4),
+    "subsample": dict(target_s0=2, num_bags=4, appearance_proportion=0.5, bootstrap_size=30,
+                      with_replacement=False),
+    "per_round": dict(target_s0=4, num_bags=3, appearance_proportion=0.67, per_round=2),
+}
+
+
+@pytest.mark.parametrize("case", list(EQUIVALENCE_CASES))
+def test_select_identical_on_one_and_two_workers(monkeypatch, case):
+    data = small_noise_data(seed=15, n=50, p=8)
+    arch = NetworkArchitecture(8, (4,))
+    cfg = EnnsConfig(dnp=fast_dnp(10), **EQUIVALENCE_CASES[case])
+    reports = {}
+    for k in (1, 2):
+        seen = on_workers(monkeypatch, k)
+        reports[k] = [enns_select(data, arch, cfg, seed) for seed in range(3)]
+        assert all(proc.exitcode == 0 for _, proc in seen) and (k == 1) == (not seen)
+        assert multiprocessing.active_children() == []
+    assert repr(reports[1]) == repr(reports[2])  # the appearance counts' key order too
+    if case == "per_round":
+        assert all(len(r.per_round_appearances) >= 2 for r in reports[1])
+
+
+def select_four_bags():
+    data = small_noise_data(seed=16, n=50, p=8)
+    cfg = EnnsConfig(target_s0=2, num_bags=4, appearance_proportion=0.5, dnp=fast_dnp(10))
+    return enns_select(data, NetworkArchitecture(8, (4,)), cfg, 5)
+
+
+def test_worker_that_dies_mid_share_is_rerun_here(monkeypatch):
+    on_workers(monkeypatch, 1)
+    serial = select_four_bags()
+    parent, calls = os.getpid(), []
+
+    def dies_in_a_worker(*args):
+        calls.append(args[-1])
+        if os.getpid() != parent and len(calls) == 2:  # the worker's second bag
+            os._exit(1)
+        return dnp_run(*args)
+
+    monkeypatch.setattr(ensemble, "dnp_run", dies_in_a_worker)
+    seen = on_workers(monkeypatch, 2)
+    assert select_four_bags() == serial
+    assert [proc.exitcode for _, proc in seen] == [1]
+    # share 0 (bags 0, 2) here, then share 1 (bags 1, 3) again after its worker died
+    assert len(calls) == 4
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_with_an_undecodable_result_is_rerun_here(monkeypatch):
+    on_workers(monkeypatch, 1)
+    serial = select_four_bags()
+    seen = on_workers(monkeypatch, 2)
+    monkeypatch.setattr(pickle, "dump", lambda obj, file: file.write(b"garbage"))  # in the worker
+    assert select_four_bags() == serial
+    assert [proc.exitcode for _, proc in seen] == [0]
+    assert multiprocessing.active_children() == []
+
+
+def test_refused_fork_runs_every_bag_here(monkeypatch):
+    on_workers(monkeypatch, 1)
+    serial = select_four_bags()
+
+    def refused(target, jobs):
+        raise OSError("fork refused")
+
+    on_workers(monkeypatch, 2)
+    monkeypatch.setattr(ensemble, "forked", refused)
+    assert select_four_bags() == serial
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("k", [1, 2], ids=["serial", "forked"])
+def test_error_in_a_workers_bag_reads_as_in_one_process(monkeypatch, k):
+    def fails_on_bag_3(data, arch, s_target, cfg, seed):
+        if seed == dnp_seed(derive_seed(5, "round", 0), 3, 0):
+            raise ValueError("bag 3 is broken")
+        return [0, 1]
+
+    monkeypatch.setattr(ensemble, "dnp_run", fails_on_bag_3)
+    seen = on_workers(monkeypatch, k)
+    with pytest.raises(ValueError, match="^bag 3 is broken$"):
+        select_four_bags()
+    assert [proc.exitcode for _, proc in seen] == [1] * (k - 1)
+    assert multiprocessing.active_children() == []
 
 
 def test_config_validation():
