@@ -171,8 +171,7 @@ def dnp_seed(round_seed, b, attempt):
     return derive_seed(derive_seed(round_seed, "bag", b, attempt), "dnp")
 
 
-@pytest.mark.parametrize("k", [1, 2], ids=["serial", "forked"])
-def test_round_threshold_counts_only_bags_that_ran(monkeypatch, caplog, k):
+def round_with_two_dropped_bags(monkeypatch, caplog, k):
     # bags 0 and 1 fail twice and are dropped; the two that run disagree, so
     # they pass only the threshold floor(2 * 0.5) = 1, not floor(4 * 0.5) = 2
     failing = {dnp_seed(0, b, attempt) for b in (0, 1) for attempt in (0, 1)}
@@ -205,6 +204,14 @@ def test_round_threshold_counts_only_bags_that_ran(monkeypatch, caplog, k):
         )
     ]
     assert multiprocessing.active_children() == []
+
+
+def test_round_threshold_counts_only_bags_that_ran(monkeypatch, caplog):
+    round_with_two_dropped_bags(monkeypatch, caplog, 1)
+
+
+def test_round_threshold_counts_only_bags_that_ran_forked(monkeypatch, caplog):
+    round_with_two_dropped_bags(monkeypatch, caplog, 2)
 
 
 def test_round_validates_s_j():
