@@ -134,15 +134,15 @@ def _write_json(doc: dict, path: Optional[str]) -> None:
 # --- CSV input and output -----------------------------------------------------------
 
 
-# A file's data lines are split over k = min(usable_cores(), data bytes // _RANGE_BYTES)
-# forked workers when k >= 2. Forking, the pipe transfer and reaping cost about
-# 35 ms for two workers on a 2-core x86-64 VM: a split 3 MB file (1.5 MB
-# ranges) lost about 20 ms and a split 6 MB one (3 MB ranges) won about 30 ms,
-# so the break-even lies between. 4 MB is above it on purpose, to keep a 6.2 MB
-# file (n=300, p=1000) one in-process range with its timing unchanged; a 31 MB
-# one (p=5000) parses in two workers. Formatting costs more than parsing, so the
-# write splits by cells (_RANGE_CELLS), and writes the 6.2 MB file in two ranges.
-_RANGE_BYTES = 4_000_000
+# A file's data lines are split into k = min(usable_cores(), data bytes // _RANGE_BYTES)
+# ranges when k >= 2: range 0 parsed here, 1..k-1 in forked workers. Reading 1 to
+# 6 MB files of 300 rows on a 2-core x86-64 VM took 12, 24, 35, 46, 57 and 68 ms
+# in one range; 16, 23, 30, 36, 43 and 53 ms in two workers (the earlier scheme);
+# 13, 19, 26, 32, 38 and 45 ms in range 0 here and one worker. The break-even
+# lies near a 1.2 MB file (0.6 MB ranges); 2 MB keeps a margin for the costlier
+# fork of a larger process and splits a 6.2 MB file (n=300, p=1000). Formatting
+# costs more than parsing, so the write splits by cells (_RANGE_CELLS).
+_RANGE_BYTES = 2_000_000
 
 # A matrix is written over k = min(usable_cores(), cells // _RANGE_CELLS) row
 # ranges, each formatted in a forked worker, when k >= 2. On the same VM two
@@ -214,18 +214,35 @@ def _parse_lines(lines) -> np.ndarray:
         return np.loadtxt(lines, dtype=np.float64, delimiter=",", ndmin=2, comments=None)
 
 
-def _range_worker(fd: int, start: int, stop: int, out: int) -> None:
-    """Forked worker: parse bytes [start, stop) of the file open as ``fd`` and
-    write the matrix's shape (two int64), then its rows, to pipe ``out``. A
-    range that fails to parse writes nothing, and the parent parses the whole
-    file."""
-    chunks = []
-    while start < stop:  # Linux returns at most about 2 GiB per read
-        chunks.append(os.pread(fd, stop - start, start))
-        if not chunks[-1]:
+class _Range(io.RawIOBase):
+    """Bytes [start, stop) of the file open as ``fd``, read with ``os.pread``,
+    which leaves the descriptor's offset, shared with forked children, alone."""
+
+    def __init__(self, fd: int, start: int, stop: int):
+        self.fd, self.at, self.stop = fd, start, stop
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buf) -> int:
+        data = os.pread(self.fd, min(len(buf), self.stop - self.at), self.at)
+        if not data and self.at < self.stop:
             raise OSError("file shrank during the parse")
-        start += len(chunks[-1])
-    x = _parse_lines(io.TextIOWrapper(io.BytesIO(b"".join(chunks)), encoding="utf8"))
+        buf[: len(data)] = data
+        self.at += len(data)
+        return len(data)
+
+
+def _parse_range(fd: int, start: int, stop: int) -> np.ndarray:
+    """``_parse_lines`` of bytes [start, stop) of the file open as ``fd``, decoded
+    with universal newlines as the one-range parse reads them."""
+    return _parse_lines(io.TextIOWrapper(_Range(fd, start, stop), encoding="utf8"))
+
+
+def _range_worker(fd: int, start: int, stop: int, out: int) -> None:
+    """Forked worker: ``_parse_range``'s matrix to pipe ``out``, its shape (two
+    int64) first; a range that fails to parse writes nothing."""
+    x = _parse_range(fd, start, stop)
     with open(out, "wb") as pipe:
         pipe.write(np.array(x.shape, dtype=np.int64).tobytes())
         pipe.write(x)
@@ -233,13 +250,13 @@ def _range_worker(fd: int, start: int, stop: int, out: int) -> None:
 
 def _parse_split(path, opened: os.stat_result, fields: int) -> Optional[np.ndarray]:
     """The matrix of the data lines of ``path`` parsed over line-aligned byte
-    ranges in forked workers, read straight into one preallocated array.
+    ranges, the first here and the others in forked workers, grown in place.
     ``opened`` is the status of the handle the caller read the header from.
 
     None, and the caller parses the file as one range, when that handle is not
     a regular file (a pipe cannot be read twice), when the file is too small
-    to split, when ``forked`` raises, or when a worker fails or disagrees with
-    the header on the column count."""
+    to split, when ``forked`` raises, or when any range fails to parse (here
+    or in a worker) or disagrees with the header on the column count."""
     if not stat.S_ISREG(opened.st_mode):
         return None
     with open(path, "rb") as fh:  # the workers read it too
@@ -260,18 +277,19 @@ def _parse_split(path, opened: os.stat_result, fields: int) -> Optional[np.ndarr
             cuts.append(fh.tell())
         cuts.append(size)
         try:
-            with forked(_range_worker, [(fh.fileno(), a, b) for a, b in zip(cuts, cuts[1:])]) as workers:
-                pipes = [pipe for pipe, _ in workers]
-                shapes = np.empty((len(pipes), 2), dtype=np.int64)
-                for pipe, shape in zip(pipes, shapes):
+            with forked(_range_worker, [(fh.fileno(), a, b) for a, b in zip(cuts[1:], cuts[2:])]) as workers:
+                first = _parse_range(fh.fileno(), cuts[0], cuts[1])
+                shapes = np.array([first.shape] * k, dtype=np.int64)
+                for (pipe, _), shape in zip(workers, shapes[1:]):
                     read_into(pipe, shape)
                 rows, cols = shapes.T
                 if np.any((rows > 0) & (cols != fields)):
                     return None
-                x = np.empty((rows.sum(), fields))
-                for pipe, end, n in zip(pipes, np.cumsum(rows), rows):
+                x, first = first, None  # x is the one reference: resize grows it in place
+                x.resize((rows.sum(), fields))
+                for (pipe, _), end, n in zip(workers, np.cumsum(rows)[1:], rows[1:]):
                     read_into(pipe, x[end - n : end])
-        except (OSError, EOFError):
+        except (OSError, EOFError, ValueError):  # ValueError: range 0's parse, or resize
             return None
     return x
 
@@ -280,10 +298,10 @@ def read_matrix_csv(path) -> tuple[list[str], np.ndarray]:
     """Header and float64 matrix of a comma-separated file; blank lines are
     skipped, and every other data line must have one field per header name.
 
-    The data lines of a large file are parsed over line-aligned byte ranges in
-    forked workers, one per usable core (``usable_cores``). The matrix is the
-    one a single parse gives, bit for bit: if any worker fails, the whole file
-    is parsed here instead, so every error reads as it would from that parse."""
+    The data lines of a large file are parsed in line-aligned byte ranges, one
+    per usable core: the first here, the others in forked workers. The matrix
+    is the one a single parse gives, bit for bit: if any range fails, the whole
+    file is parsed here instead, so every error reads as from that parse."""
     try:
         with open(path, encoding="utf8") as fh:
             header_line = fh.readline()

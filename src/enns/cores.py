@@ -2,7 +2,8 @@
 for the parallel paths (the split CSV read and write and an ENNS round's bags,
 in ``forked`` workers, and the first-selection Monte Carlo), and the fork
 mechanics they share: ``forked`` either yields one live child per job or
-raises ``OSError``, and a child that raises exits with status 1."""
+raises ``OSError``, and a child that raises exits with status 1. The split read
+and an ENNS round fork for shares 1..k-1 and run share 0 inside the block."""
 
 from __future__ import annotations
 

@@ -4,7 +4,8 @@ At n=300, p=1000 OpenBLAS splits the candidate-scoring product x' d_0 (and the
 training products) across threads when it has two, so each command runs in a
 subprocess with OPENBLAS_NUM_THREADS set to 1 and then 2 and the output bytes
 are compared. The select commands are also compared, in this process, with
-their X.csv parsed in one range and in three forked workers, and the
+their X.csv parsed in one range and in three ranges (two forked workers and
+the calling process), and the
 verify-theory report with its Monte Carlo blocks on one and two threads.
 """
 

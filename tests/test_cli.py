@@ -6,6 +6,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -276,6 +277,12 @@ def test_split_worker_count_follows_cgroup_quota(tmp_path, monkeypatch, cpu_max,
 
 
 SPLIT_ERRORS = {
+    "bad-cell-first-range": "x1,x2\n0.5,oops\n" + "0.5,1.5\n" * 30,
+    # The bad byte lies past the 8 KB that the header's text reader decodes
+    # first. The message counts its position within a decoded chunk, and range
+    # 0's own reader starts its chunks elsewhere: only a fallback reads the same.
+    "bad-utf8-first-range": b"x1,x2\n" + b"0.5,1.5\n" * 1100 + b"0.5,\xff\n" + b"0.5,1.5\n" * 3000,
+    "ragged-first-range": "x1,x2\n" + "0.5,1.5\n" * 2 + "0.5,1.5,2.5\n" + "0.5,1.5\n" * 30,
     "bad-cell-last-range": "x1,x2\n" + "0.5,1.5\n" * 30 + "0.5,oops\n",
     "ragged-last-range": "x1,x2\n" + "0.5,1.5\n" * 30 + "0.5,1.5,2.5\n" * 20,
     "long-rows-every-range": "x1,x2\n" + "0.5,1.5,2.5\n" * 30,
@@ -288,7 +295,8 @@ SPLIT_ERRORS = {
 @pytest.mark.parametrize("name", sorted(SPLIT_ERRORS))
 def test_split_errors_match_one_range(tmp_path, monkeypatch, recwarn, capsys, name, worker):
     x = tmp_path / "X.csv"
-    x.write_text(SPLIT_ERRORS[name])
+    data = SPLIT_ERRORS[name]
+    x.write_bytes(data if isinstance(data, bytes) else data.encode())
     y = tmp_path / "y.csv"
     y.write_text("y\n" + "1\n" * 31)
     with pytest.raises(enns.cli.DataError) as one_range:
@@ -315,6 +323,41 @@ def test_dead_worker_falls_back_to_one_range(tmp_path, monkeypatch):
     assert splits == [None]
     assert got_header == header and got.tobytes() == x.tobytes()
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_calling_process_parses_the_first_range(tmp_path, monkeypatch, k):
+    path, (header, x) = split_input(tmp_path)
+    splits = force_ranges(monkeypatch, k)
+    jobs = []
+    fork = enns.cli.forked
+
+    def counted(target, todo):
+        jobs.append(len(todo))
+        return fork(target, todo)
+
+    monkeypatch.setattr(enns.cli, "forked", counted)
+    got_header, got = read_matrix_csv(path)
+    assert jobs == [k - 1] and splits[0] is not None
+    assert got_header == header and got.tobytes() == x.tobytes()
+    assert multiprocessing.active_children() == []
+
+
+def test_split_read_grows_the_first_range_in_place(tmp_path, monkeypatch):
+    # a copy of range 0's rows into a fresh array peaks near 1.5 matrices
+    path = tmp_path / "m.csv"
+    write_matrix_csv(path, [f"x{j}" for j in range(50)], np.random.default_rng(3).normal(size=(2000, 50)))
+    x = read_one_range(path)[1]
+    splits = force_ranges(monkeypatch, 2)
+    read_matrix_csv(path)  # warm up one-time allocations
+    tracemalloc.start()
+    try:
+        got = read_matrix_csv(path)[1]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert splits[-1] is not None and got.tobytes() == x.tobytes()
+    assert peak <= 1.15 * x.nbytes
 
 
 def split_input(tmp_path, rows=100):
@@ -349,6 +392,41 @@ def test_short_reads_in_a_worker_are_completed(tmp_path, monkeypatch):
     splits = force_ranges(monkeypatch, 2)
     got_header, got = read_matrix_csv(path)
     assert splits[0] is not None
+    assert got_header == header and got.tobytes() == x.tobytes()
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("shrinks_in", ["calling-process", "worker"])
+def test_file_that_shrinks_during_the_split_falls_back_to_one_range(tmp_path, monkeypatch, shrinks_in):
+    path, (header, x) = split_input(tmp_path)
+    caller = os.getpid()
+    pread = os.pread
+
+    def shrunk(fd, n, offset):  # end of file at the range's first read
+        return b"" if (os.getpid() == caller) == (shrinks_in == "calling-process") else pread(fd, n, offset)
+
+    monkeypatch.setattr(os, "pread", shrunk)
+    splits = force_ranges(monkeypatch, 2)
+    got_header, got = read_matrix_csv(path)
+    assert splits == [None]
+    assert got_header == header and got.tobytes() == x.tobytes()
+    assert multiprocessing.active_children() == []
+
+
+def test_path_replaced_before_the_split_parses_the_opened_file(tmp_path, monkeypatch):
+    path, (header, x) = split_input(tmp_path)
+    other = tmp_path / "other.csv"
+    write_matrix_csv(other, header, np.random.default_rng(4).normal(size=(200, 12)))  # larger
+    splits = force_ranges(monkeypatch, 2)
+    split = enns.cli._parse_split
+
+    def replaced_first(*args):  # after the header was read from the opened file
+        os.replace(other, path)
+        return split(*args)
+
+    monkeypatch.setattr(enns.cli, "_parse_split", replaced_first)
+    got_header, got = read_matrix_csv(path)
+    assert splits == [None]
     assert got_header == header and got.tobytes() == x.tobytes()
     assert multiprocessing.active_children() == []
 
