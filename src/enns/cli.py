@@ -123,7 +123,7 @@ def _write_csv(path, header: Sequence[str], rows: Iterable[Iterable[str]]) -> No
 
 
 def _write_json(doc: dict, path: Optional[str]) -> None:
-    text = json.dumps(doc, indent=2)
+    text = json.dumps(doc, indent=2, allow_nan=False)  # NaN and Infinity are not JSON
     if path is None:
         print(text)
     else:
@@ -336,18 +336,26 @@ def load_dataset(x_path, y_path, task: str) -> Dataset:
 # --- small flag parsers --------------------------------------------------------------
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(v) for v in text.split(",") if v != "")
-    except ValueError as exc:
-        raise UsageError(f"expected a comma-separated integer list, got {text!r}") from exc
+def _list_of(item: Callable[[str], object], expected: str) -> Callable[[str], tuple]:
+    """A converter of comma-separated ``item``s, empty ones skipped, whose ``UsageError`` expects ``expected``."""
+
+    def convert(text: str) -> tuple:
+        try:
+            return tuple(item(v) for v in text.split(",") if v != "")
+        except ValueError as exc:
+            raise UsageError(f"expected {expected}, got {text!r}") from exc
+
+    return convert
 
 
-def _float_list(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(v) for v in text.split(",") if v != "")
-    except ValueError as exc:
-        raise UsageError(f"expected a comma-separated number list, got {text!r}") from exc
+def _pair(text: str) -> tuple[int, int]:
+    s, p = text.split(":")  # ValueError unless one colon
+    return int(s), int(p)
+
+
+_int_list = _list_of(int, "a comma-separated integer list")
+_float_list = _list_of(float, "a comma-separated number list")
+_pairs = _list_of(_pair, "s:p pairs like '1:2,3:20'")
 
 
 # --- experiment config file -----------------------------------------------------------
@@ -516,6 +524,8 @@ def _response_spec(src) -> ResponseSpec:
     """The response of gen-data or run-experiment, checked with ``p`` and ``rho`` before any design is drawn."""
     with _named(src):
         spec = ResponseSpec(src.response, src.task, src.s, src.coef_mean, src.coef_sd, src.noise_sd, src.net_hidden)
+        if src.n < 1:
+            raise ValueError(f"n must be positive, got {src.n}")
         if spec.s > src.p:
             raise ValueError(f"s exceeds p ({spec.s} > {src.p})")
         if (src.design == "correlated") != (src.rho is not None):
@@ -638,7 +648,8 @@ def cmd_estimate(args) -> int:
     metrics_doc = {"task": args.task, "n_test": n_test, "metrics": {}}
     if n_test > 0:
         preds = forward_batch(params, arch, data_sel.x[test_idx])
-        metrics_doc["metrics"] = _prediction_metrics(args.task, data.y[test_idx], preds).as_dict()
+        values = _prediction_metrics(args.task, data.y[test_idx], preds).as_dict()  # null: not finite or n/a
+        metrics_doc["metrics"] = {k: None if v is None or not math.isfinite(v) else v for k, v in values.items()}
     _write_json(metrics_doc, args.metrics_out)
     return 0
 
@@ -733,15 +744,16 @@ def cmd_verify_theory(args) -> int:
     if not (args.pair_betas and args.sigmas or args.first_cases):
         raise UsageError("no cases to verify")
     rules = {"finite": math.isfinite, "positive": lambda value: value > 0}
-    for flag, values, rule in (
+    for flag, values, checks in (
         ("--reps", [args.reps], "positive"), ("--pair-betas", args.pair_betas, "finite"),
-        ("--beta-support", [args.beta_support], "finite"), ("--sigmas", args.sigmas, "positive"),
-        ("--first-sigma", [args.first_sigma], "positive"), ("--pair-tol", [args.pair_tol], "positive"),
-        ("--first-tol", [args.first_tol], "positive"),
+        ("--beta-support", [args.beta_support], "finite"), ("--sigmas", args.sigmas, "positive finite"),
+        ("--first-sigma", [args.first_sigma], "positive finite"), ("--pair-tol", [args.pair_tol], "positive finite"),
+        ("--first-tol", [args.first_tol], "positive finite"),
     ):
         for value in values:
-            if not rules[rule](value):
-                raise UsageError(f"{flag} must be {rule}, got {value}")
+            for rule in checks.split():  # in order, so NaN reads as not positive
+                if not rules[rule](value):
+                    raise UsageError(f"{flag} must be {rule}, got {value}")
     profiles = []  # every case checked before any probability is computed
     for s, p in args.first_cases:
         if not 1 <= s <= p:
@@ -779,19 +791,6 @@ def cmd_verify_theory(args) -> int:
 
 
 # --- parser ------------------------------------------------------------------------
-
-
-def _pairs(text: str) -> tuple[tuple[int, int], ...]:
-    cases = []
-    for part in text.split(","):
-        if not part:
-            continue
-        try:
-            s, p = part.split(":")
-            cases.append((int(s), int(p)))
-        except ValueError as exc:
-            raise UsageError(f"expected s:p pairs like '1:2,3:20', got {text!r}") from exc
-    return tuple(cases)
 
 
 def _add_config_flags(parser: argparse.ArgumentParser, *keys: str) -> None:

@@ -1,9 +1,9 @@
 """How many cores this process can run on and how many threads its BLAS runs,
-for the parallel paths (the split CSV read and write and an ENNS round's bags,
-in ``forked`` workers, and the first-selection Monte Carlo), and the fork
-mechanics they share: ``forked`` either yields one live child per job or
-raises ``OSError``, and a child that raises exits with status 1. The split read
-and an ENNS round fork for shares 1..k-1 and run share 0 inside the block."""
+for the parallel paths (the split CSV read and write and an ENNS round's bags
+in ``forked`` workers, the first-selection Monte Carlo in threads), and the one
+protocol of the forked paths: ``forked`` yields a live child per job or raises
+``OSError``, a child that raises exits with status 1, and a refused fork or any
+result that does not arrive whole has the caller redo every job itself."""
 
 from __future__ import annotations
 

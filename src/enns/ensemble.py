@@ -12,7 +12,7 @@ import math
 import pickle
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -95,28 +95,26 @@ def filter_appearances(
     return survivors, counts
 
 
-def _run_bags(sub: Dataset, s_j: int, cfg: EnnsConfig, arch_template: NetworkArchitecture, seed: int,
-              bags: range, out: int | None = None) -> list[tuple[int, list[int] | None, list[str]]]:
-    """A (bag, picked columns of ``sub`` or None if dropped, warning texts)
-    record per bag of ``bags``; pickled to pipe ``out`` if given."""
+def _bag_record(sub: Dataset, s_j: int, cfg: EnnsConfig, arch_template: NetworkArchitecture, seed: int,
+                b: int) -> tuple[list[int] | None, list[str]]:
+    """Bag ``b``'s (picked columns of ``sub``, or None if dropped, warning texts)."""
     n_r = cfg.bootstrap_size if cfg.bootstrap_size is not None else sub.n
-    records = []
-    for b in bags:
-        picked, texts = None, []
-        for attempt in range(2):
-            bag_seed = derive_seed(seed, "bag", b, attempt)
-            rows = bootstrap_indices(sub.n, n_r, derive_seed(bag_seed, "rows"), cfg.with_replacement)
-            try:
-                picked = dnp_run(sub.subset_rows(rows), arch_template, s_j, cfg.dnp, derive_seed(bag_seed, "dnp"))
-                break
-            except NumericalError as exc:
-                texts.append(f"bag {b} failed twice ({exc}); dropping it" if attempt
-                             else f"bag {b} failed ({exc}); retrying with a fresh seed")
-        records.append((b, picked, texts))
-    if out is None:
-        return records
-    with open(out, "wb") as pipe:  # a forked worker's share
-        pickle.dump(records, pipe)
+    texts = []
+    for attempt in range(2):
+        bag_seed = derive_seed(seed, "bag", b, attempt)
+        rows = bootstrap_indices(sub.n, n_r, derive_seed(bag_seed, "rows"), cfg.with_replacement)
+        try:
+            return dnp_run(sub.subset_rows(rows), arch_template, s_j, cfg.dnp, derive_seed(bag_seed, "dnp")), texts
+        except NumericalError as exc:
+            texts.append(f"bag {b} failed twice ({exc}); dropping it" if attempt
+                         else f"bag {b} failed ({exc}); retrying with a fresh seed")
+    return None, texts
+
+
+def _records_worker(record: Callable[[int], tuple], bags: range, out: int) -> None:
+    """Forked worker: the list of ``record(b)`` over ``bags``, pickled to pipe ``out``."""
+    with open(out, "wb") as pipe:
+        pickle.dump([record(b) for b in bags], pipe)
 
 
 def enns_round(
@@ -133,32 +131,29 @@ def enns_round(
 
     A bag whose training fails is retried once with a fresh seed, then
     dropped with a warning (the consensus threshold shrinks accordingly).
-    Bags run in k = usable_cores() // blas_threads() strided shares, 1..k-1 in
-    forked workers and 0 here, gathered and logged in bag order as one process
-    would; a refused fork, or a failed worker's share, runs here instead.
+    Bags run in k = usable_cores() // blas_threads() contiguous shares, 1..k-1
+    in forked workers and 0 here, so records arrive and are logged in bag order
+    as one process would; a refused fork, or a worker whose records do not
+    arrive whole, reruns every bag here.
     """
     active = sorted(int(j) for j in active_features)
     if s_j < 1 or s_j > len(active):
         raise ValueError("s_j must be in 1..len(active_features)")
-    run_bags = partial(_run_bags, data.subset_columns(active), s_j, cfg, arch_template, seed)
+    record = partial(_bag_record, data.subset_columns(active), s_j, cfg, arch_template, seed)
     k = max(1, min(usable_cores() // blas_threads(), cfg.num_bags))
-    shares = [range(w, cfg.num_bags, k) for w in range(k)]
+    cuts = [w * cfg.num_bags // k for w in range(k + 1)]
     try:
-        with forked(run_bags, [(bags,) for bags in shares[1:]]) as workers:
-            records = run_bags(shares[0])
-            for (pipe, proc), bags in zip(workers, shares[1:]):
-                try:
-                    share = pickle.load(pipe)
-                except (EOFError, pickle.UnpicklingError):  # the worker failed
-                    share = None
-                proc.join()
-                records += run_bags(bags) if share is None or proc.exitcode != 0 else share
-    except OSError:  # no fork
-        records = run_bags(range(cfg.num_bags))
-    records.sort()  # bag order
-    for text in (text for _, _, texts in records for text in texts):
+        with forked(_records_worker, [(record, range(a, b)) for a, b in zip(cuts[1:], cuts[2:])]) as workers:
+            records = [record(b) for b in range(cuts[1])]
+            for pipe, proc in workers:
+                share = pipe.read()
+                proc.join()  # here, not at the block's exit, which kills a live worker
+                records += pickle.loads(share)  # a worker that failed wrote no whole list
+    except (OSError, EOFError, pickle.UnpicklingError):  # no fork, or a worker failed
+        records = [record(b) for b in range(cfg.num_bags)]
+    for text in (text for _, texts in records for text in texts):
         logger.warning(text)
-    bag_results = [[active[j] for j in picked] for _, picked, _ in records if picked is not None]
+    bag_results = [[active[j] for j in picked] for picked, _ in records if picked is not None]
     if not bag_results:
         raise NumericalError("every bag of the ensemble round failed")
     return filter_appearances(bag_results, cfg.appearance_proportion)

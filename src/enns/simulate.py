@@ -50,8 +50,8 @@ class ResponseSpec:
         if self.coef_sd is not None and not 0 <= self.coef_sd < np.inf:
             raise ValueError("coef_sd must be finite and non-negative")
         object.__setattr__(self, "net_hidden", tuple(int(h) for h in self.net_hidden))
-        if self.kind == "network" and not self.net_hidden:
-            raise ValueError("network responses need at least one hidden layer")
+        if self.kind == "network" and not (self.net_hidden and min(self.net_hidden) > 0):
+            raise ValueError("net_hidden must be non-empty with positive entries for network responses")
 
     def resolved_coefs(self) -> tuple[float, float]:
         network_regression = self.kind == "network" and self.task == "regression"

@@ -27,6 +27,8 @@ from .seeding import derive_seed, spawn_rng
 from .simulate import ResponseSpec, gen_design_uniform, gen_response
 from .stagewise import DnpConfig, SelectionState, candidate_scores, dnp_run
 
+_HIDDEN = (10,)  # the hidden layers of the selection studies' networks
+
 
 def selection_dnp_config(epochs: int = 50) -> DnpConfig:
     """Scoring and inner-training controls used by the selection studies."""
@@ -41,7 +43,6 @@ def next_selection_hit_rate(
     pre_included: int,
     reps: int,
     seed: int,
-    hidden: tuple[int, ...] = (10,),
     epochs: int = 60,
 ) -> float:
     """Share of replications where the next admitted feature is a still-missing
@@ -52,7 +53,7 @@ def next_selection_hit_rate(
     """
     cfg = selection_dnp_config(epochs)
     spec = ResponseSpec(kind="network", task="regression", s=s, coef_mean=0.0, coef_sd=1.0)
-    arch = NetworkArchitecture(p, hidden)
+    arch = NetworkArchitecture(p, _HIDDEN)
     hits = 0
     for rep in range(reps):
         rep_seed = derive_seed(seed, "rep", rep)
@@ -62,7 +63,7 @@ def next_selection_hit_rate(
         params = xavier_init(arch, derive_seed(rep_seed, "init"))  # full width, as in stagewise_fit
         pre = sorted(spawn_rng(rep_seed, "pre").choice(s, size=pre_included, replace=False))
         rows = [xavier_row(arch, derive_seed(rep_seed, "row", k)) for k in range(pre_included)]
-        params.weights[0] = np.array(rows).reshape(pre_included, hidden[0])
+        params.weights[0] = np.array(rows).reshape(pre_included, _HIDDEN[0])
         narrow = replace(arch, input_dim=pre_included)
         params = train(params, narrow, data.subset_columns(pre), cfg.train_opts, derive_seed(rep_seed, "train"))
         state = SelectionState(tuple(pre), p)
@@ -87,7 +88,6 @@ def paired_false_positive_study(
     s: int,
     seeds: int,
     seed: int = 0,
-    hidden: tuple[int, ...] = (10,),
     epochs: int = 50,
     num_bags: int = 10,
     proportion: float = 0.3,
@@ -97,7 +97,7 @@ def paired_false_positive_study(
     dnp_cfg = selection_dnp_config(epochs)
     cfg = EnnsConfig(target_s0=s, num_bags=num_bags, appearance_proportion=proportion, dnp=dnp_cfg)
     spec = ResponseSpec(kind="network", task="regression", s=s)
-    arch = NetworkArchitecture(p, hidden)
+    arch = NetworkArchitecture(p, _HIDDEN)
     fpr_e, fpr_d = [], []
     for k in range(seeds):
         rep_seed = derive_seed(seed, "pair", k)
@@ -142,35 +142,32 @@ def high_signal_recovery_rate(
     seed: int = 0,
     coef_mean: float = 10.0,
     task: str = "regression",
-    hidden: tuple[int, ...] = (10,),
     epochs: int = 50,
-    subsample_fraction: float = 0.9,
-    min_signal_floor: float = 0.2,
 ) -> float:
     """Share of seeds where the ensemble recovers the exact true support under
     strong generator signal.
 
-    Bags use without-replacement subsampling (keeping more distinct rows per
-    bag than a classic bootstrap, which matters at this n); generator draws
-    whose support features fail the effective-signal floor are redrawn.
+    Bags subsample 90% of the rows without replacement (keeping more distinct
+    rows per bag than a classic bootstrap, which matters at this n); generator
+    draws whose support features fail the effective-signal floor of 0.2 are redrawn.
     """
     cfg = EnnsConfig(
         target_s0=s,
         num_bags=10,
         appearance_proportion=0.3,
-        bootstrap_size=int(round(subsample_fraction * n)),
+        bootstrap_size=int(round(0.9 * n)),
         with_replacement=False,
         dnp=selection_dnp_config(epochs),
     )
     spec = ResponseSpec(kind="network", task=task, s=s, coef_mean=coef_mean, coef_sd=1.0)
-    arch = NetworkArchitecture(p, hidden, task=task)
+    arch = NetworkArchitecture(p, _HIDDEN, task=task)
     hits = 0
     for k in range(seeds):
         rep_seed = derive_seed(seed, "hs", k)
         x = gen_design_uniform(n, p, seed=derive_seed(rep_seed, "x"))
         response_seed = derive_seed(rep_seed, "y")
         for attempt in range(20):
-            if _effective_signal_floor(p, spec, rep_seed, response_seed, min_signal_floor):
+            if _effective_signal_floor(p, spec, rep_seed, response_seed, 0.2):
                 break
             response_seed = derive_seed(rep_seed, "y", attempt + 1)
         y, truth = gen_response(x, spec, seed=response_seed)
@@ -193,25 +190,22 @@ def sparse_versus_plain_rmse(
     seeds: int,
     seed: int = 0,
     n: int = 800,
-    s: int = 2,
     n_train: int = 100,
     noise_sd: float = 40.0,
     hidden: tuple[int, ...] = (100, 50),
-    percentiles: tuple[float, ...] = (70.0, 70.0),
     epochs: int = 1000,
-    batch_size: int = 10,
-    learning_rate: float = 0.3,
 ) -> SparsePlainResult:
     """Paired test RMSE of the l1 soft-threshold fit versus plain training on
-    noisy network-generated regression over the true support columns.
+    noisy network-generated regression over the s = 2 true support columns.
 
-    The plain arm trains a heavily over-parameterized net to convergence; the
-    soft-threshold arm runs the identical schedule with per-epoch percentile
-    shrinkage.
+    The plain arm trains a heavily over-parameterized net to convergence (rate
+    0.3, minibatches of 10); the soft-threshold arm runs the identical schedule
+    with per-epoch shrinkage at the 70th percentile of both hidden layers.
     """
+    s = 2
     arch = NetworkArchitecture(s, hidden)
-    opts = TrainOptions(learning_rate=learning_rate, max_epochs=epochs, batch_size=batch_size, patience=0)
-    sparsity = SparsitySpec("percentile", percentiles)
+    opts = TrainOptions(learning_rate=0.3, max_epochs=epochs, batch_size=10, patience=0)
+    sparsity = SparsitySpec("percentile", (70.0, 70.0))
     spec = ResponseSpec(kind="network", task="regression", s=s, coef_mean=0.0, coef_sd=2.0, noise_sd=noise_sd)
     sparse, plain = [], []
     for k in range(seeds):

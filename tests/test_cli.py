@@ -589,6 +589,37 @@ def test_estimate_round_trip_and_metrics(tmp_path):
     assert got == pytest.approx(expected, abs=1e-12)
 
 
+def strict_json(path):
+    """The JSON document in ``path``; NaN, Infinity and -Infinity are errors."""
+
+    def refuse(token):
+        raise ValueError(f"not JSON: {token}")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+def test_estimate_writes_a_metric_that_is_not_finite_as_null(tmp_path):
+    # every response 0: MAPE averages over no nonzero response, so it is NaN
+    data = gen_small(tmp_path, n=40, p=6, s=2)
+    write_matrix_csv(data / "y.csv", ["y"], np.zeros((40, 1)))
+    metrics = tmp_path / "metrics.json"
+    code = run(
+        "estimate", "--x", data / "X.csv", "--y", data / "y.csv", "--selected", "1,2", "--epochs", 5,
+        "--model-out", tmp_path / "model.json", "--metrics-out", metrics,
+    )
+    assert code == 0
+    doc = strict_json(metrics)["metrics"]
+    assert doc["mape"] is None
+    assert all(np.isfinite(doc[name]) for name in ("rmse", "mae"))
+
+
+def test_json_output_refuses_nan_and_writes_no_file(tmp_path):
+    out = tmp_path / "doc.json"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        enns.cli._write_json({"value": float("nan")}, out)
+    assert sorted(tmp_path.iterdir()) == []
+
+
 def test_estimate_percentile_sparsity_contract(tmp_path):
     data = gen_small(tmp_path, n=80, p=5, s=2, seed=6)
     model = tmp_path / "model.json"
@@ -734,9 +765,17 @@ OUT_OF_RANGE_ERRORS = {
     "gen-data --design correlated --rho nan": "--rho must be in [0, 1)",
     "gen-data --response additive": "support size --s must be 5 for the additive kind",
     "gen-data --s 7": "--s exceeds --p (7 > 6)",
+    "gen-data --n 0": "--n must be positive, got 0",
+    "gen-data --response network --net-hidden 0":
+        "--net-hidden must be non-empty with positive entries for network responses",
+    "gen-data --response network --net-hidden 5,-1":
+        "--net-hidden must be non-empty with positive entries for network responses",
     "verify-theory --sigmas nan": "--sigmas must be positive, got nan",
     "verify-theory --first-sigma nan": "--first-sigma must be positive, got nan",
+    "verify-theory --sigmas inf": "--sigmas must be finite, got inf",
     "run-experiment hidden = 0": "hidden must be non-empty with positive entries",
+    "run-experiment net_hidden = 0": "net_hidden must be non-empty with positive entries for network responses",
+    "run-experiment net_hidden = 8,0": "net_hidden must be non-empty with positive entries for network responses",
     "run-experiment bags = 0": "bags must be positive",
     "run-experiment method = dnp; bags = 0": "bags must be positive",
     "run-experiment b1 = 0": "b1 must be positive",
@@ -1018,6 +1057,11 @@ THEORY_INPUT_ERRORS = {
     "--pair-tol=-0.01": "--pair-tol must be positive, got -0.01",
     "--first-tol 0": "--first-tol must be positive, got 0.0",
     "--first-tol nan": "--first-tol must be positive, got nan",
+    "--pair-tol inf": "--pair-tol must be finite, got inf",
+    "--first-tol inf": "--first-tol must be finite, got inf",
+    "--first-sigma inf": "--first-sigma must be finite, got inf",
+    "--first-sigma=-inf": "--first-sigma must be positive, got -inf",
+    "--sigmas 1,inf": "--sigmas must be finite, got inf",
     "--first-cases 0:5": "--first-cases 0:5: s must be in 1..p",
     "--first-cases 1:2,4:3": "--first-cases 4:3: s must be in 1..p",
     "--first-cases 1:-1": "--first-cases 1:-1: s must be in 1..p",

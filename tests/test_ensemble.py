@@ -190,8 +190,8 @@ def round_with_two_dropped_bags(monkeypatch, caplog, k):
     cfg = EnnsConfig(target_s0=1, num_bags=4, appearance_proportion=0.5, dnp=fast_dnp(5))
     with caplog.at_level(logging.WARNING, logger="enns.ensemble"):
         survivors, counts = enns_round(data, range(data.p), 1, cfg, NetworkArchitecture(data.p, (4,)), seed=0)
-    # serially every attempt runs here; forked, only bags 0 and 2 of share 0
-    assert len(calls) == (6 if k == 1 else 3)
+    # serially every attempt runs here; forked, only those of share 0 (bags 0 and 1)
+    assert len(calls) == (6 if k == 1 else 4)
     assert len(seen) == k - 1
     assert counts == {1: 1, 0: 1}
     assert survivors == [0, 1]
@@ -302,18 +302,19 @@ EQUIVALENCE_CASES = {
 }
 
 
+# 5, 4 and 3 bags: three processes take uneven shares, and one bag each under per_round
 @pytest.mark.parametrize("case", list(EQUIVALENCE_CASES))
-def test_select_identical_on_one_and_two_workers(monkeypatch, case):
+def test_select_identical_on_one_two_and_three_workers(monkeypatch, case):
     data = small_noise_data(seed=15, n=50, p=8)
     arch = NetworkArchitecture(8, (4,))
     cfg = EnnsConfig(dnp=fast_dnp(10), **EQUIVALENCE_CASES[case])
     reports = {}
-    for k in (1, 2):
+    for k in (1, 2, 3):
         seen = on_workers(monkeypatch, k)
         reports[k] = [enns_select(data, arch, cfg, seed) for seed in range(3)]
         assert all(proc.exitcode == 0 for _, proc in seen) and (k == 1) == (not seen)
         assert multiprocessing.active_children() == []
-    assert repr(reports[1]) == repr(reports[2])  # the appearance counts' key order too
+    assert repr(reports[1]) == repr(reports[2]) == repr(reports[3])  # the appearance counts' key order too
     if case == "per_round":
         assert all(len(r.per_round_appearances) >= 2 for r in reports[1])
 
@@ -339,8 +340,8 @@ def test_worker_that_dies_mid_share_is_rerun_here(monkeypatch):
     seen = on_workers(monkeypatch, 2)
     assert select_four_bags() == serial
     assert [proc.exitcode for _, proc in seen] == [1]
-    # share 0 (bags 0, 2) here, then share 1 (bags 1, 3) again after its worker died
-    assert len(calls) == 4
+    # share 0 (bags 0, 1) here, then every bag again after the worker died
+    assert len(calls) == 2 + 4
     assert multiprocessing.active_children() == []
 
 

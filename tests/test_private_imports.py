@@ -1,9 +1,12 @@
-"""Module boundaries: no enns module imports another module's private names."""
+"""Module boundaries: no enns module imports another module's private names,
+and every name an enns module defines is used."""
 
 import ast
+import re
 from pathlib import Path
 
-PACKAGE_DIR = Path(__file__).resolve().parents[1] / "src" / "enns"
+REPO_DIR = Path(__file__).resolve().parents[1]
+PACKAGE_DIR = REPO_DIR / "src" / "enns"
 
 
 def private_imports(source: str) -> list[str]:
@@ -65,19 +68,29 @@ def test_every_imported_name_is_used():
     assert offenders == {}
 
 
+def defined_names(node: ast.stmt) -> list[str]:
+    """The names a top-level statement defines: a function, a class or assigned constants."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [t.id for t in targets if isinstance(t, ast.Name)]
+    return []
+
+
+def read_names(node: ast.AST) -> set[str]:
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+
+
 def unread_private_names(source: str) -> list[str]:
     """Module-level ``_``-prefixed functions, classes and constants that the
     module never reads (dunder names such as ``__version__`` are exempt)."""
     tree = ast.parse(source)
-    defined = []
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            defined.append(node.name)
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            defined += [t.id for t in targets if isinstance(t, ast.Name)]
-    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
-    return [name for name in defined if name.startswith("_") and not name.startswith("__") and name not in read]
+    read = read_names(tree)
+    return [
+        name for node in tree.body for name in defined_names(node)
+        if name.startswith("_") and not name.startswith("__") and name not in read
+    ]
 
 
 def test_detector_flags_unread_private_names():
@@ -97,6 +110,51 @@ def test_every_private_name_is_read_in_its_module():
     offenders = {}
     for path in modules:
         names = unread_private_names(path.read_text(encoding="utf8"))
+        if names:
+            offenders[path.name] = names
+    assert offenders == {}
+
+
+def unused_public_names(source: str, elsewhere: str) -> list[str]:
+    """Module-level public functions, classes and constants of ``source`` that
+    no other top-level statement of it reads and no word of the text
+    ``elsewhere`` names (a function that only calls itself is unused)."""
+    tree = ast.parse(source)
+    reads = [read_names(node) for node in tree.body]
+    words = set(re.findall(r"\w+", elsewhere))
+    unused = []
+    for i, node in enumerate(tree.body):
+        used = words.union(*reads[:i], *reads[i + 1 :])
+        unused += [name for name in defined_names(node) if not name.startswith("_") and name not in used]
+    return unused
+
+
+def test_detector_flags_public_names_used_nowhere():
+    source = (
+        "import os\nUSED = 1\nREAD_HERE = 2\nUNUSED: int = 3\n_PRIVATE = 4\n"
+        "def helper():\n    return os.sep\n"
+        "def orphan():\n    inner = READ_HERE\n    return inner\n"
+        "def recursive(k):\n    return recursive(k - 1) if k else 0\n"
+        "class Gone:\n    attr = 5\n"
+    )
+    elsewhere = "from m import USED, helper\norphans = Gone_ = attr = inner = None\n"
+    assert unused_public_names(source, elsewhere) == ["UNUSED", "orphan", "recursive", "Gone"]
+
+
+def test_every_public_name_is_used():
+    """Read by another top-level statement of its module, or named in another
+    enns module (not ``__init__.py``, which only re-exports), a script, the
+    benchmark, a test or the README."""
+    paths = [
+        *PACKAGE_DIR.glob("*.py"), *REPO_DIR.glob("scripts/**/*.py"), *REPO_DIR.glob("bench/**/*.py"),
+        *REPO_DIR.glob("tests/**/*.py"), REPO_DIR / "README.md",
+    ]
+    texts = {path: path.read_text(encoding="utf8") for path in paths if path != PACKAGE_DIR / "__init__.py"}
+    modules = sorted(p for p in PACKAGE_DIR.glob("*.py") if p.name != "__init__.py")
+    assert modules and len(texts) > len(modules)
+    offenders = {}
+    for path in modules:
+        names = unused_public_names(texts[path], "\n".join(text for other, text in texts.items() if other != path))
         if names:
             offenders[path.name] = names
     assert offenders == {}

@@ -92,6 +92,13 @@ def test_additive_requires_five_signals():
         ResponseSpec(kind="additive", s=4)
 
 
+@pytest.mark.parametrize("net_hidden", [(), (0,), (5, -1)])
+def test_network_response_needs_positive_hidden_layers(net_hidden):
+    with pytest.raises(ValueError, match="^net_hidden must be non-empty with positive entries"):
+        ResponseSpec(kind="network", s=2, net_hidden=net_hidden)
+    ResponseSpec(kind="linear", s=2, net_hidden=net_hidden)  # other kinds draw no generator
+
+
 def test_network_response_ignores_null_columns():
     x = gen_design_uniform(50, 12, seed=4)
     spec = ResponseSpec(kind="network", task="regression", s=3, net_hidden=(8, 4))
