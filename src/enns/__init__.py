@@ -59,7 +59,6 @@ from .theory import (
     folded_normal_pdf,
     mc_first_selection,
     mc_select_over,
-    orthant_prob,
     prob_first_correct,
     prob_select_over,
 )

@@ -3,13 +3,18 @@ c_j = |x_(j)' y| under an orthonormalized Gaussian design, together with
 Monte-Carlo oracles that simulate the construction directly.
 
 The criteria are folded normal FN(|beta_j|, sigma^2) and independent across
-columns, so pairwise comparisons reduce to bivariate-normal orthant
-probabilities and the first-selection probability to a one-dimensional
-integral of folded-normal densities and CDFs.
+columns, and both probabilities have exact short forms:
 
-Every function rejects a NaN or infinite beta. The Monte-Carlo oracles draw in
-chunks of fixed size, so a seed fixes every estimate, and the first-selection
-one runs in one thread pool per call.
+- P(c_j < c_k) = Phi(a) Phi(b) + Phi(-a) Phi(-b), a, b = (|beta_k| -+
+  |beta_j|) / (sqrt2 sigma): c_k^2 - c_j^2 = (V - U)(V + U) for the normals
+  U, V behind c_j, c_k, and V - U, V + U are independent.
+- P(first correct) = 1 - m integral f_0 F_0^(m-1) prod_{k<=s} F_k dx: the first
+  pick misses only when the largest of the m = p - s half-normal null criteria
+  beats every support criterion.
+
+Every function rejects a NaN or infinite beta and a sigma that is not positive
+and finite. The Monte-Carlo oracles draw in fixed-size chunks, so a seed fixes
+every estimate; the first-selection one runs one thread pool per call.
 """
 
 from __future__ import annotations
@@ -28,8 +33,8 @@ _SQRT2 = np.sqrt(2.0)
 
 
 def _check_signal(sigma: float, *betas) -> None:
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
+    if not 0 < sigma < np.inf:
+        raise ValueError("sigma must be positive and finite")
     if not np.all(np.isfinite(betas)):
         raise ValueError("betas must be finite")
 
@@ -60,8 +65,7 @@ def folded_normal_cdf(x, mu: float, sigma: float):
     """CDF of |N(mu, sigma^2)| at x >= 0:
     (erf((x+|mu|)/sqrt(2 sigma^2)) + erf((x-|mu|)/sqrt(2 sigma^2))) / 2."""
     x = np.asarray(x, dtype=np.float64)
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
+    _check_signal(sigma, mu)
     if np.any(x < 0):
         raise ValueError("x must be non-negative")
     mu = abs(mu)
@@ -71,13 +75,11 @@ def folded_normal_cdf(x, mu: float, sigma: float):
 
 
 def folded_normal_pdf(x, mu: float, sigma: float):
-    """Density of |N(mu, sigma^2)| at x >= 0, computed in the overflow-safe
-    two-Gaussian form phi(x-mu) + phi(x+mu) (identical to the
-    sqrt(2/(pi sigma^2)) exp(-(x^2+mu^2)/(2 sigma^2)) cosh(mu x / sigma^2)
-    expression)."""
+    """Density of |N(mu, sigma^2)| at x >= 0 in the overflow-safe form
+    phi(x-mu) + phi(x+mu), identical to the expression
+    sqrt(2/(pi sigma^2)) exp(-(x^2+mu^2)/(2 sigma^2)) cosh(mu x / sigma^2)."""
     x = np.asarray(x, dtype=np.float64)
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
+    _check_signal(sigma, mu)
     if np.any(x < 0):
         raise ValueError("x must be non-negative")
     mu = abs(mu)
@@ -89,68 +91,33 @@ def folded_normal_pdf(x, mu: float, sigma: float):
     return val if val.ndim else float(val)
 
 
-def orthant_prob(a: float, b: float, rho: float) -> float:
-    """Upper-orthant probability P(X1 > a, X2 > b) of a standard bivariate
-    normal with correlation rho, by conditional-normal reduction to a 1-D
-    integral (accurate well below 1e-8)."""
-    if not -1.0 < rho < 1.0:
-        raise ValueError("rho must be strictly inside (-1, 1)")
-    scale = np.sqrt(1.0 - rho * rho)
-
-    def integrand(x: float) -> float:
-        return float(np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi) * special.ndtr((rho * x - b) / scale))
-
-    lower = max(a, -40.0)
-    val, _ = integrate.quad(integrand, lower, 40.0, epsabs=1e-12, epsrel=1e-12, limit=200)
-    return float(min(max(val, 0.0), 1.0))
-
-
 def prob_select_over(beta_j: float, beta_k: float, sigma: float) -> float:
     """P(c_j < c_k) for null-model criteria c = |beta + sigma Z|:
-
-    2L((|bj|-|bk|)/(sqrt2 s), -|bk|/s, 1/sqrt2) + 2L((|bj|+|bk|)/(sqrt2 s),
-    |bk|/s, 1/sqrt2) + Phi((|bj|-|bk|)/(sqrt2 s)) + Phi((|bj|+|bk|)/(sqrt2 s)) - 2.
-    """
+    (1 + erf((|bk|-|bj|)/(2 sigma)) erf((|bk|+|bj|)/(2 sigma))) / 2, exactly
+    1/2 at |bj| = |bk|."""
     _check_signal(sigma, beta_j, beta_k)
     bj, bk = abs(beta_j), abs(beta_k)
-    rho = 1.0 / _SQRT2
-    diff = (bj - bk) / (_SQRT2 * sigma)
-    summ = (bj + bk) / (_SQRT2 * sigma)
-    val = (
-        2.0 * orthant_prob(diff, -bk / sigma, rho)
-        + 2.0 * orthant_prob(summ, bk / sigma, rho)
-        + float(special.ndtr(diff))
-        + float(special.ndtr(summ))
-        - 2.0
-    )
+    val = 0.5 + 0.5 * float(special.erf((bk - bj) / (2.0 * sigma)) * special.erf((bk + bj) / (2.0 * sigma)))
     return float(min(max(val, 0.0), 1.0))
 
 
 def prob_first_correct(profile: SignalProfile) -> float:
     """Probability that the largest criterion lies in the support:
-    sum_{k<=s} integral_0^inf f_k(x) prod_{j!=k} F_j(x) dx, with the product
-    evaluated in the log domain."""
-    betas = np.abs(profile.betas)
-    sigma = profile.sigma
-    upper = float(betas.max()) + 12.0 * sigma  # tail mass beyond is < 1e-30
+    1 - m integral_0^inf f_0(x) F_0(x)^(m-1) prod_{k<=s} F_k(x) dx, with f_0
+    and F_0 the half-normal null density and CDF and m = p - s; 1 at p = s."""
+    m = profile.p - profile.s
+    if m == 0:
+        return 1.0
+    sigma, support = profile.sigma, np.abs(profile.betas[: profile.s])
 
-    def make_integrand(k: int):
-        def integrand(x: float) -> float:
-            cdfs = 0.5 * (
-                special.erf((x + betas) / (_SQRT2 * sigma))
-                + special.erf((x - betas) / (_SQRT2 * sigma))
-            )
-            cdfs = np.clip(cdfs, 1e-300, 1.0)
-            log_prod = float(np.sum(np.log(cdfs)) - np.log(cdfs[k]))
-            return folded_normal_pdf(x, betas[k], sigma) * np.exp(log_prod)
+    def integrand(x: float) -> float:
+        cdfs = 0.5 * (special.erf((x + support) / (_SQRT2 * sigma)) + special.erf((x - support) / (_SQRT2 * sigma)))
+        null_max = m * folded_normal_pdf(x, 0.0, sigma) * folded_normal_cdf(x, 0.0, sigma) ** (m - 1)
+        return null_max * float(np.prod(cdfs))
 
-        return integrand
-
-    total = 0.0
-    for k in range(profile.s):
-        val, _ = integrate.quad(make_integrand(k), 0.0, upper, epsabs=1e-11, epsrel=1e-11, limit=300)
-        total += val
-    return float(min(max(total, 0.0), 1.0))
+    # the null maximum's mass beyond 12 sigma is below m * 1e-32
+    val, _ = integrate.quad(integrand, 0.0, 12.0 * sigma, epsabs=1e-13, epsrel=1e-13, limit=300)
+    return float(min(max(1.0 - val, 0.0), 1.0))
 
 
 def _orthonormal_columns(g: np.ndarray) -> np.ndarray:

@@ -9,14 +9,17 @@ scored by the loss that the next full-batch ``backward`` returns:
 ``train_reference`` ignores that loss and scores every checkpoint with its
 own ``empirical_loss`` call). ``mc_first_selection_serial`` is the
 first-selection Monte Carlo as one draw, one QR and one scoring pass per
-chunk, all in the calling thread.
+chunk, all in the calling thread. ``printed_select_over`` and
+``printed_first_correct`` are the two selection probabilities as the paper
+prints them, by quadrature: bivariate-normal orthant probabilities
+(``orthant_prob``) and one integral per support feature.
 """
-
 from __future__ import annotations
 
 import math
 
 import numpy as np
+from scipy import integrate, special
 
 from enns.network import EPS_ADAGRAD, Dataset, NetworkArchitecture, NetworkParameters, backward, empirical_loss
 from enns.seeding import spawn_rng
@@ -191,3 +194,59 @@ def mc_first_selection_serial(profile: SignalProfile, n: int, reps: int, seed: i
         hits += int(np.sum(np.argmax(scores, axis=1) < profile.s))
         done += c
     return hits / reps
+
+
+def orthant_prob(a: float, b: float, rho: float) -> float:
+    """Upper-orthant probability P(X1 > a, X2 > b) of a standard bivariate
+    normal with correlation rho, by conditional-normal reduction to a 1-D
+    integral (accurate well below 1e-8)."""
+    if not -1.0 < rho < 1.0:
+        raise ValueError("rho must be strictly inside (-1, 1)")
+    scale = np.sqrt(1.0 - rho * rho)
+
+    def integrand(x: float) -> float:
+        return float(np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi) * special.ndtr((rho * x - b) / scale))
+
+    val, _ = integrate.quad(integrand, max(a, -40.0), 40.0, epsabs=1e-12, epsrel=1e-12, limit=200)
+    return float(min(max(val, 0.0), 1.0))
+
+
+def printed_select_over(beta_j: float, beta_k: float, sigma: float) -> float:
+    """P(c_j < c_k) as printed, with L the upper-orthant probability:
+    2L((|bj|-|bk|)/(sqrt2 s), -|bk|/s, 1/sqrt2) + 2L((|bj|+|bk|)/(sqrt2 s),
+    |bk|/s, 1/sqrt2) + Phi((|bj|-|bk|)/(sqrt2 s)) + Phi((|bj|+|bk|)/(sqrt2 s)) - 2."""
+    bj, bk = abs(beta_j), abs(beta_k)
+    rho = 1.0 / np.sqrt(2.0)
+    diff = (bj - bk) / (np.sqrt(2.0) * sigma)
+    summ = (bj + bk) / (np.sqrt(2.0) * sigma)
+    val = (
+        2.0 * orthant_prob(diff, -bk / sigma, rho)
+        + 2.0 * orthant_prob(summ, bk / sigma, rho)
+        + float(special.ndtr(diff))
+        + float(special.ndtr(summ))
+        - 2.0
+    )
+    return float(min(max(val, 0.0), 1.0))
+
+
+def printed_first_correct(profile: SignalProfile) -> float:
+    """P(first pick in the support) as printed, one integral per support
+    feature: sum_{k<=s} integral_0^inf f_k(x) prod_{j!=k} F_j(x) dx, with the
+    product over all p features in the log domain."""
+    betas = np.abs(profile.betas)
+    sigma = profile.sigma
+    scale = np.sqrt(2.0) * sigma
+    upper = float(betas.max()) + 12.0 * sigma  # tail mass beyond is < 1e-30
+
+    def integrand(x: float, k: int) -> float:
+        below, above = (x - betas) / scale, (x + betas) / scale
+        cdfs = np.clip(0.5 * (special.erf(above) + special.erf(below)), 1e-300, 1.0)
+        pdf = (np.exp(-below[k] ** 2) + np.exp(-above[k] ** 2)) / (np.sqrt(np.pi) * scale)
+        return float(pdf * np.exp(np.sum(np.log(cdfs)) - np.log(cdfs[k])))
+
+    peaks = np.unique(betas[: profile.s])  # each integrand's peak, as a breakpoint
+    total = sum(
+        integrate.quad(integrand, 0.0, upper, args=(k,), points=peaks, epsabs=1e-13, epsrel=1e-13, limit=300)[0]
+        for k in range(profile.s)
+    )
+    return float(min(max(total, 0.0), 1.0))

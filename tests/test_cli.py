@@ -1158,7 +1158,7 @@ GOLDEN_DIGESTS = {
     "experiment_regression.csv": "b5c463edfc072d9c78ac80931c1d5d61c9fe582688f8d719a735fd939aa72f38",
     "experiment_classification.csv": "9ac1392184954c5cc3ded7edf4cd3f66e57d76745e99574f629425feb5a5e752",
     "experiment_dnp.csv": "275ef11bfed18562d7cc1c92c989f991d5f97baba46ccae6e3d0e255dc3d8b24",
-    "verify_theory.json": "dd45e360520146de88eb8dd255557e4b167583f3e58b429263de8045f98d32af",
+    "verify_theory.json": "11af1375818d23ee0b0dfc768c63805a078a4facbf7f763551ec9f520d92fdc9",
 }
 
 

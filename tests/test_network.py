@@ -459,6 +459,27 @@ def test_train_aborts_on_non_finite_loss():
         assert not seen, [str(w.message) for w in seen]
 
 
+def test_minibatch_loss_stops_a_divergent_run_before_steps_on_non_finite_gradients(monkeypatch):
+    # the loss that backward computes for each minibatch is checked, not only
+    # returned: after one step at a huge learning rate the second batch's loss
+    # overflows and the run stops there, where without the check it would take
+    # all four of the epoch's steps
+    arch = NetworkArchitecture(3, (4,))
+    data = random_dataset(arch, n=20, seed=6)
+    steps = []
+
+    def counted_step(*args):
+        steps.append(1)
+        adagrad_step(*args)
+
+    monkeypatch.setattr(enns.network, "adagrad_step", counted_step)
+    opts = TrainOptions(learning_rate=1e200, max_epochs=5, patience=0, batch_size=5)
+    with pytest.raises(NumericalError, match="non-finite loss at epoch 0") as raised:
+        train(xavier_init(arch, 4), arch, data, opts, 0)
+    assert len(steps) == 1
+    assert str(raised.value.__cause__) == "non-finite empirical loss"
+
+
 @pytest.mark.parametrize(
     "extra, passes, losses",
     [

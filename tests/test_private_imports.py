@@ -144,7 +144,8 @@ def test_detector_flags_public_names_used_nowhere():
 def test_every_public_name_is_used():
     """Read by another top-level statement of its module, or named in another
     enns module (not ``__init__.py``, which only re-exports), a script, the
-    benchmark, a test or the README."""
+    benchmark, a test or the README. A test oracle in ``tests/_oracles.py`` is
+    read by another of its top-level statements or named in a test module."""
     paths = [
         *PACKAGE_DIR.glob("*.py"), *REPO_DIR.glob("scripts/**/*.py"), *REPO_DIR.glob("bench/**/*.py"),
         *REPO_DIR.glob("tests/**/*.py"), REPO_DIR / "README.md",
@@ -157,4 +158,9 @@ def test_every_public_name_is_used():
         names = unused_public_names(texts[path], "\n".join(text for other, text in texts.items() if other != path))
         if names:
             offenders[path.name] = names
+    oracles = REPO_DIR / "tests" / "_oracles.py"
+    test_modules = oracles.parent.glob("test_*.py")
+    names = unused_public_names(texts[oracles], "\n".join(texts[path] for path in test_modules))
+    if names:
+        offenders[oracles.name] = names
     assert offenders == {}

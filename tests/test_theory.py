@@ -4,6 +4,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
 import enns.theory
@@ -13,12 +15,11 @@ from enns.theory import (
     folded_normal_pdf,
     mc_first_selection,
     mc_select_over,
-    orthant_prob,
     prob_first_correct,
     prob_select_over,
 )
 
-from _oracles import mc_first_selection_serial
+from _oracles import mc_first_selection_serial, orthant_prob, printed_first_correct, printed_select_over
 
 
 # --- folded normal -------------------------------------------------------------
@@ -79,7 +80,7 @@ def test_folded_pdf_large_signal_no_overflow():
     assert np.isfinite(folded_normal_pdf(500.0, 500.0, 1.0))
 
 
-# --- orthant probability ---------------------------------------------------------
+# --- orthant probability, the printed pairwise form's building block -------------
 
 
 def test_orthant_independence_at_origin():
@@ -179,6 +180,38 @@ def test_first_correct_monotone_in_signal():
         betas[0] = b
         vals.append(prob_first_correct(SignalProfile(betas, 1.0, 1)))
     assert all(b >= a - 1e-10 for a, b in zip(vals, vals[1:]))
+
+
+# --- closed forms against the printed forms --------------------------------------
+
+betas_up_to_40 = st.floats(-40.0, 40.0)
+sigmas = st.floats(0.05, 10.0)
+
+
+@settings(deadline=None, max_examples=100)
+@given(beta_j=betas_up_to_40, beta_k=betas_up_to_40, sigma=sigmas)
+def test_select_over_closed_form_matches_printed_form(beta_j, beta_k, sigma):
+    assert abs(prob_select_over(beta_j, beta_k, sigma) - printed_select_over(beta_j, beta_k, sigma)) <= 1e-12
+    assert prob_select_over(beta_j, beta_j, sigma) == prob_select_over(beta_j, -beta_j, sigma) == 0.5
+    assert abs(printed_select_over(beta_j, beta_j, sigma) - 0.5) <= 1e-12
+
+
+@st.composite
+def support_profiles(draw):
+    s = draw(st.integers(1, 10))
+    p = draw(st.one_of(st.just(s), st.integers(s + 1, 2000)))
+    betas = np.zeros(p)
+    betas[:s] = draw(st.lists(betas_up_to_40, min_size=s, max_size=s))
+    return SignalProfile(betas, draw(sigmas), s)
+
+
+@settings(deadline=None, max_examples=30)
+@given(profile=support_profiles())
+def test_first_correct_closed_form_matches_printed_form(profile):
+    closed = prob_first_correct(profile)
+    assert abs(closed - printed_first_correct(profile)) <= 1e-12
+    if profile.p == profile.s:
+        assert closed == 1.0
 
 
 # --- Monte-Carlo oracle ------------------------------------------------------------
@@ -287,15 +320,15 @@ def test_profile_rejects_bad_sigma():
 
 
 def test_nan_sigma_is_rejected():
-    nan = float("nan")
-    for call in (
-        lambda: SignalProfile(np.array([1.0]), nan, 1),
-        lambda: folded_normal_cdf(np.array([1.0]), 0.0, nan),
-        lambda: folded_normal_pdf(np.array([1.0]), 0.0, nan),
-        lambda: prob_select_over(1.0, 0.0, nan),
-    ):
-        with pytest.raises(ValueError, match="sigma"):
-            call()
+    for bad in (float("nan"), float("inf")):
+        for call in (
+            lambda: SignalProfile(np.array([1.0]), bad, 1),
+            lambda: folded_normal_cdf(np.array([1.0]), 0.0, bad),
+            lambda: folded_normal_pdf(np.array([1.0]), 0.0, bad),
+            lambda: prob_select_over(1.0, 0.0, bad),
+        ):
+            with pytest.raises(ValueError, match="sigma must be positive"):
+                call()
 
 
 def test_mc_requires_enough_rows():
@@ -317,7 +350,7 @@ def test_mc_rejects_reps_below_one_before_drawing(monkeypatch, reps):
         mc_select_over(1.0, 0.5, 1.0, reps=reps, seed=0)
 
 
-@pytest.mark.parametrize("sigma", [float("nan"), 0.0, -1.0])
+@pytest.mark.parametrize("sigma", [float("nan"), 0.0, -1.0, float("inf")])
 def test_pair_probabilities_reject_sigma_before_drawing(monkeypatch, sigma):
     def no_draws(*args):
         raise AssertionError("drew random numbers")
@@ -338,6 +371,8 @@ def test_non_finite_betas_are_rejected(monkeypatch, bad):
     for call in (
         lambda: SignalProfile(np.array([1.0, bad]), 1.0, 2),
         lambda: SignalProfile(np.array([bad, 0.0]), 1.0, 1),
+        lambda: folded_normal_cdf(1.0, bad, 1.0),
+        lambda: folded_normal_pdf(1.0, bad, 1.0),
         lambda: prob_select_over(bad, 1.0, 1.0),
         lambda: prob_select_over(1.0, bad, 1.0),
         lambda: mc_select_over(bad, 1.0, 1.0, reps=10, seed=0),
