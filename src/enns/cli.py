@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import io
 import json
 import math
@@ -25,11 +26,11 @@ import warnings
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence
+from typing import BinaryIO, Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .cores import forked, read_into, usable_cores
+from .cores import forked, usable_cores
 from .ensemble import EnnsConfig, SelectionReport, enns_select
 from .estimation import SPARSITY_MODES, SparsitySpec, fit_l1
 from .metrics import METRIC_COLUMNS, PredictionMetrics, classification_metrics, regression_metrics, selection_metrics
@@ -108,11 +109,13 @@ def _atomic_open(path):
 
 
 def _check_output_dirs(*paths: Optional[str]) -> None:
-    """Before any work, the ``DataError`` that ``_atomic_open`` would raise
-    after it for an output (None is standard output) in a missing directory."""
+    """Before any work, the ``DataError`` that ``_atomic_open`` would raise after
+    it for an output (None is standard output) that is a directory or in a missing one."""
     for path in (Path(p) for p in paths if p is not None):
         with _writing(path):
             os.stat(os.path.join(path.parent, ""))  # with the slash, a file is ENOTDIR
+            if path.is_dir() and not path.is_symlink():  # os.replace replaces a symlink
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
 
 
 def _write_csv(path, header: Sequence[str], rows: Iterable[Iterable[str]]) -> None:
@@ -159,14 +162,13 @@ def _write_rows(fh, matrix: np.ndarray) -> None:
         fh.write(line % tuple(row.tolist()))
 
 
-def _rows_worker(matrix: np.ndarray, start: int, stop: int, out: int) -> None:
-    """Forked worker: rows [start, stop) of ``matrix`` to pipe ``out``, formatted
-    first, as the parent copies the ranges in order (streamed, a later range
-    would wait on its pipe)."""
+def _rows_worker(matrix: np.ndarray, start: int, stop: int, out: BinaryIO) -> None:
+    """Forked worker: rows [start, stop) of ``matrix`` to the binary pipe ``out``,
+    formatted first, as the parent copies the ranges in order (streamed, a
+    later range would wait on its pipe)."""
     text = io.StringIO()
     _write_rows(text, matrix[start:stop])
-    with open(out, "w", encoding="utf8", newline="\n") as pipe:
-        pipe.write(text.getvalue())
+    out.write(text.getvalue().encode("utf8"))
 
 
 def _write_split(fh, matrix: np.ndarray) -> bool:
@@ -239,13 +241,12 @@ def _parse_range(fd: int, start: int, stop: int) -> np.ndarray:
     return _parse_lines(io.TextIOWrapper(_Range(fd, start, stop), encoding="utf8"))
 
 
-def _range_worker(fd: int, start: int, stop: int, out: int) -> None:
-    """Forked worker: ``_parse_range``'s matrix to pipe ``out``, its shape (two
-    int64) first; a range that fails to parse writes nothing."""
+def _range_worker(fd: int, start: int, stop: int, out: BinaryIO) -> None:
+    """Forked worker: ``_parse_range``'s matrix to the binary pipe ``out``, its
+    shape (two int64) first; a range that fails to parse writes nothing."""
     x = _parse_range(fd, start, stop)
-    with open(out, "wb") as pipe:
-        pipe.write(np.array(x.shape, dtype=np.int64).tobytes())
-        pipe.write(x)
+    out.write(np.array(x.shape, dtype=np.int64).tobytes())
+    out.write(x)
 
 
 def _parse_split(path, opened: os.stat_result, fields: int) -> Optional[np.ndarray]:
@@ -281,14 +282,16 @@ def _parse_split(path, opened: os.stat_result, fields: int) -> Optional[np.ndarr
                 first = _parse_range(fh.fileno(), cuts[0], cuts[1])
                 shapes = np.array([first.shape] * k, dtype=np.int64)
                 for (pipe, _), shape in zip(workers, shapes[1:]):
-                    read_into(pipe, shape)
+                    if pipe.readinto(shape) < shape.nbytes:
+                        raise EOFError
                 rows, cols = shapes.T
                 if np.any((rows > 0) & (cols != fields)):
                     return None
                 x, first = first, None  # x is the one reference: resize grows it in place
                 x.resize((rows.sum(), fields))
                 for (pipe, _), end, n in zip(workers, np.cumsum(rows)[1:], rows[1:]):
-                    read_into(pipe, x[end - n : end])
+                    if pipe.readinto(x[end - n : end]) < n * fields * x.itemsize:
+                        raise EOFError
         except (OSError, EOFError, ValueError):  # ValueError: range 0's parse, or resize
             return None
     return x
@@ -470,6 +473,8 @@ def _validate_experiment_config(cfg: ExperimentConfig) -> None:
             raise UsageError(f"{key} leaves no rows: floor({key} * n) is 0 for n = {cfg.n}")
     if cfg.repetitions < 1:
         raise UsageError("repetitions must be >= 1")
+    if cfg.seed < 0:
+        raise UsageError(f"seed must be non-negative, got {cfg.seed}")
 
 
 # --- the pipeline, shared by the subcommands and run-experiment ---------------------
@@ -575,6 +580,7 @@ def cmd_gen_data(args) -> int:
     out = Path(args.out_dir)
     with _writing(out), suppress(FileNotFoundError):  # made once the data are drawn
         os.stat(os.path.join(out, ""))  # with the slash, a file is ENOTDIR
+        _check_output_dirs(out / "X.csv", out / "y.csv", out / "truth.json")
     x, y, truth = _generate(args, spec, args.seed)
     with _writing(out):
         out.mkdir(parents=True, exist_ok=True)
@@ -863,6 +869,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "seed", 0) < 0:  # every command but run-experiment, whose config is checked
+            raise UsageError(f"--seed must be non-negative, got {args.seed}")
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

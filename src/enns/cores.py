@@ -2,8 +2,9 @@
 for the parallel paths (the split CSV read and write and an ENNS round's bags
 in ``forked`` workers, the first-selection Monte Carlo in threads), and the one
 protocol of the forked paths: ``forked`` yields a live child per job or raises
-``OSError``, a child that raises exits with status 1, and a refused fork or any
-result that does not arrive whole has the caller redo every job itself."""
+``OSError``, a child writes to a buffered file that is closed when it returns
+and exits with status 1 if it raises, and a refused fork or any result that
+does not arrive whole has the caller redo every job itself."""
 
 from __future__ import annotations
 
@@ -14,8 +15,6 @@ import warnings
 from contextlib import ExitStack, contextmanager
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
-
-import numpy as np
 
 # cgroup v2 CPU bandwidth limit of this process's cgroup: "<quota> <period>"
 # in microseconds, or "max <period>" when there is no limit.
@@ -53,12 +52,12 @@ def blas_threads() -> int:
 
 @contextmanager
 def forked(target: Callable[..., None], jobs: Sequence[tuple]) -> Iterator[list]:
-    """Run ``target(*job, out)`` in a forked child per job, ``out`` being the
-    write end (a descriptor) of a pipe to this process; yield the children in
-    job order as (unbuffered binary read end, process) pairs. ``OSError``
-    where the platform reports no affinity (Linux does, and can fork), where a
-    fork warns, and where a pipe or fork fails. Leaving the block kills and
-    joins every child, done or abandoned, and closes the pipes."""
+    """Run ``target(*job, out)`` in a forked child per job, ``out`` being a
+    pipe's write end as a buffered binary file, closed once ``target`` ends;
+    yield the children in job order as (buffered read end, process) pairs.
+    ``OSError`` where the platform reports no affinity (Linux does, and can
+    fork), where a fork warns, and where a pipe or fork fails. Leaving the
+    block kills and joins every child, done or abandoned, and closes the pipes."""
     if not hasattr(os, "sched_getaffinity"):
         raise OSError("no CPU affinity API: not forking")
     # fork, not spawn: a spawned worker would first import numpy, scipy and
@@ -68,7 +67,7 @@ def forked(target: Callable[..., None], jobs: Sequence[tuple]) -> Iterator[list]
         children = []
         for job in jobs:
             r, w = os.pipe()
-            pipe = stack.enter_context(open(r, "rb", buffering=0))
+            pipe = stack.enter_context(open(r, "rb"))
             reads = [r, *(earlier.fileno() for earlier, _ in children)]
             # The parent's copy of the write end closes once forked. Python
             # 3.12 and later warn at a fork from a process with more than one
@@ -93,17 +92,7 @@ def _child(target: Callable[..., None], job: tuple, out: int, reads: list[int]) 
     for fd in reads:
         os.close(fd)
     try:
-        target(*job, out)
+        with open(out, "wb") as pipe:
+            target(*job, pipe)
     except Exception:
         raise SystemExit(1)
-
-
-def read_into(pipe, buf: np.ndarray) -> None:
-    """Fill the C-contiguous array ``buf`` from ``pipe`` over short reads;
-    EOFError if the writer stops first."""
-    view = memoryview(buf.view(np.uint8).reshape(-1))
-    while view:
-        n = pipe.readinto(view)
-        if not n:
-            raise EOFError
-        view = view[n:]

@@ -12,7 +12,7 @@ import math
 import pickle
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Sequence
+from typing import BinaryIO, Callable, Sequence
 
 import numpy as np
 
@@ -111,10 +111,9 @@ def _bag_record(sub: Dataset, s_j: int, cfg: EnnsConfig, arch_template: NetworkA
     return None, texts
 
 
-def _records_worker(record: Callable[[int], tuple], bags: range, out: int) -> None:
-    """Forked worker: the list of ``record(b)`` over ``bags``, pickled to pipe ``out``."""
-    with open(out, "wb") as pipe:
-        pickle.dump([record(b) for b in bags], pipe)
+def _records_worker(record: Callable[[int], tuple], bags: range, out: BinaryIO) -> None:
+    """Forked worker: the list of ``record(b)`` over ``bags``, pickled to the binary pipe ``out``."""
+    pickle.dump([record(b) for b in bags], out)
 
 
 def enns_round(

@@ -254,10 +254,18 @@ def _loss(eta: np.ndarray, data: Dataset) -> float:
     return loss
 
 
+def _check_fits(arch: NetworkArchitecture, data: Dataset) -> None:
+    if data.p != arch.input_dim:
+        raise ValueError("data does not match architecture input_dim")
+    if data.task != arch.task:
+        raise ValueError("data task does not match architecture task")
+
+
 def empirical_loss(params: NetworkParameters, arch: NetworkArchitecture, data: Dataset) -> float:
     """Mean squared error (regression) or negative mean log-likelihood
     (classification, probabilities clipped into [EPS_CLIP, 1 - EPS_CLIP]
     before logs; ``backward`` differentiates the unclipped loss)."""
+    _check_fits(arch, data)
     return _loss(forward_batch(params, arch, data.x), data)
 
 
@@ -300,8 +308,7 @@ def layer_deltas(
     differentiates the unclipped log-likelihood, while ``empirical_loss`` clips
     at ``EPS_CLIP``; they differ only where |raw output| > log(1/EPS_CLIP) ~ 27.6.
     """
-    if data.p != arch.input_dim:
-        raise ValueError("data does not match architecture input_dim")
+    _check_fits(arch, data)
     acts, zs, out = _forward_internal(params, arch, data.x)
     return acts, _deltas(params, arch, data, acts, zs, out)
 
@@ -314,8 +321,7 @@ def backward(
     weight and intercept are exact (see ``layer_deltas``); an all-zero input
     row gets its gradient too. A non-finite loss raises ``NumericalError``
     before any gradient arithmetic runs."""
-    if data.p != arch.input_dim:
-        raise ValueError("data does not match architecture input_dim")
+    _check_fits(arch, data)
     acts, zs, out = _forward_internal(params, arch, data.x)
     loss = _loss(_outputs(out, arch.task), data)
     deltas = _deltas(params, arch, data, acts, zs, out)
@@ -377,10 +383,7 @@ def train(
     one with the lowest training loss; ties keep the earlier checkpoint. The
     result shares no memory with ``params``.
     """
-    if data.p != arch.input_dim:
-        raise ValueError("data does not match architecture input_dim")
-    if data.task != arch.task:
-        raise ValueError("data task does not match architecture task")
+    _check_fits(arch, data)
     params.validate_for(arch)
 
     rng = spawn_rng(seed, "train-loop")

@@ -74,6 +74,15 @@ def test_gen_data_out_dir_under_a_file_fails_before_any_draw(tmp_path, capsys, m
     assert sorted(tmp_path.iterdir()) == [tmp_path / "file"]
 
 
+@pytest.mark.parametrize("name", ["X.csv", "y.csv", "truth.json"])
+def test_gen_data_output_that_is_a_directory_fails_before_any_draw(tmp_path, capsys, monkeypatch, name):
+    (tmp_path / "d" / name).mkdir(parents=True)
+    monkeypatch.setattr(enns.cli, "gen_design_uniform", no_work)
+    assert run("gen-data", "--out-dir", tmp_path / "d", "--n", 10, "--p", 4, "--response", "linear", "--s", 2) == 2
+    assert capsys.readouterr().err == f"data error: cannot write {tmp_path / 'd' / name}: Is a directory\n"
+    assert sorted(tmp_path.rglob("*")) == [tmp_path / "d", tmp_path / "d" / name]
+
+
 def test_gen_data_deterministic(tmp_path):
     a = gen_small(tmp_path / "a")
     b = gen_small(tmp_path / "b")
@@ -494,8 +503,8 @@ def dies_after_the_first_range(rows_worker):
     def worker(matrix, start, stop, out):
         if start == 0:
             rows_worker(matrix, start, stop, out)
-        else:  # a partial row, then an exit that is not clean
-            os.write(out, b"0.5,")
+        else:  # a partial row, past the file's buffer, then an exit that is not clean
+            os.write(out.fileno(), b"0.5,")
             os._exit(1)
 
     return worker
@@ -766,6 +775,10 @@ OUT_OF_RANGE_ERRORS = {
     "gen-data --response additive": "support size --s must be 5 for the additive kind",
     "gen-data --s 7": "--s exceeds --p (7 > 6)",
     "gen-data --n 0": "--n must be positive, got 0",
+    "gen-data --seed -1": "--seed must be non-negative, got -1",
+    "select --seed -3": "--seed must be non-negative, got -3",
+    "estimate --seed -5": "--seed must be non-negative, got -5",
+    "run-experiment seed = -2": "seed must be non-negative, got -2",
     "gen-data --response network --net-hidden 0":
         "--net-hidden must be non-empty with positive entries for network responses",
     "gen-data --response network --net-hidden 5,-1":
@@ -1070,6 +1083,7 @@ THEORY_INPUT_ERRORS = {
     "--pair-betas inf,1": "--pair-betas must be finite, got inf",
     "--beta-support nan": "--beta-support must be finite, got nan",
     "--beta-support=-inf": "--beta-support must be finite, got -inf",
+    "--seed=-1": "--seed must be non-negative, got -1",
 }
 
 
@@ -1296,7 +1310,11 @@ OUTPUT_TARGETS = {
 }
 
 
-@pytest.mark.parametrize("parent", ["missing", "file"])
+STRERRORS = {"missing": "No such file or directory", "file": "Not a directory", "directory": "Is a directory"}
+
+
+# "directory": the output path names a directory; otherwise it lies under a missing path or a file
+@pytest.mark.parametrize("parent", list(STRERRORS))
 @pytest.mark.parametrize(
     "command, flag", [(c, f) for c, flags in OUTPUT_TARGETS.items() for f in flags]
 )
@@ -1305,11 +1323,12 @@ def test_output_in_a_missing_directory_fails_before_any_work(tmp_path, capsys, m
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(BASE_CFG)
     (tmp_path / "file").write_text("")
+    (tmp_path / "directory").mkdir()
     for name in ("read_matrix_csv", "gen_design_uniform", "dnp_run", "enns_select", "train", "fit_l1",
                  "prob_select_over", "prob_first_correct", "mc_select_over", "mc_first_selection"):
         monkeypatch.setattr(enns.cli, name, no_work)
     outputs = {f: tmp_path / f.strip("-").replace("-", ".") for f in OUTPUT_TARGETS[command]}
-    target = outputs[flag] = tmp_path / parent / "out.json"
+    target = outputs[flag] = tmp_path / parent / ("" if parent == "directory" else "out.json")
     xy = ["--x", data / "X.csv", "--y", data / "y.csv"]
     argv = {
         "select": ["select", *xy, "--s0", 2],
@@ -1320,8 +1339,7 @@ def test_output_in_a_missing_directory_fails_before_any_work(tmp_path, capsys, m
     before = sorted(tmp_path.rglob("*"))
     capsys.readouterr()
     assert run(*argv, *[a for f, path in outputs.items() for a in (f, path)]) == 2
-    strerror = "No such file or directory" if parent == "missing" else "Not a directory"
-    assert capsys.readouterr().err == f"data error: cannot write {target}: {strerror}\n"
+    assert capsys.readouterr().err == f"data error: cannot write {target}: {STRERRORS[parent]}\n"
     # no output, not even the one in a writable directory, and no temp file
     assert sorted(tmp_path.rglob("*")) == before
 

@@ -1,7 +1,9 @@
 """usable_cores: the CPU affinity count, capped by a cgroup v2 CPU quota;
 blas_threads: the thread count numpy's OpenBLAS reads from the environment;
-forked and read_into: forked workers with a pipe each, and exact pipe reads."""
+forked: a forked worker per job, each writing to a buffered file on a pipe
+that the parent reads whole."""
 
+import io
 import multiprocessing
 import os
 import signal
@@ -13,7 +15,7 @@ import numpy as np
 import pytest
 
 import enns.cores
-from enns.cores import blas_threads, forked, read_into, usable_cores
+from enns.cores import blas_threads, forked, usable_cores
 
 
 @pytest.mark.parametrize(
@@ -77,14 +79,16 @@ def test_blas_threads_reads_the_first_positive_count(monkeypatch, env, threads):
 
 
 # --- forked: one child per job, each with a pipe to the parent ------------------------
+# A worker writes to ``out``, a buffered binary file; a fake that must leave a
+# partial result in the pipe writes to its descriptor, past the buffer.
 
 
 def send_index(i, out):
-    os.write(out, np.int64(i).tobytes())
+    out.write(np.int64(i).tobytes())
 
 
 def send_half_then_die(out):
-    os.write(out, b"\0" * 4)
+    os.write(out.fileno(), b"\0" * 4)
     os._exit(1)
 
 
@@ -94,15 +98,20 @@ def sleep_long(out):
 
 def send_bytewise(data, out):
     for b in data:
-        os.write(out, bytes([b]))
+        out.write(bytes([b]))
+        out.flush()
         time.sleep(0.001)
+
+
+def send_unflushed(data, out):
+    out.write(data)  # left in the file's buffer when the worker returns
 
 
 def test_forked_yields_children_in_job_order_and_reaps_them():
     with forked(send_index, [(i,) for i in range(3)]) as children:
         got = np.empty(3, dtype=np.int64)
         for (pipe, _), slot in zip(children, got.reshape(3, 1)):
-            read_into(pipe, slot)
+            assert pipe.readinto(slot) == slot.nbytes
     assert got.tolist() == [0, 1, 2]
     # done or not, each child is killed and joined on leaving the block
     assert all(proc.exitcode is not None for _, proc in children)
@@ -111,10 +120,11 @@ def test_forked_yields_children_in_job_order_and_reaps_them():
 
 
 def test_worker_that_exits_early_ends_the_read_and_survives_nothing():
-    with pytest.raises(EOFError):
-        with forked(send_half_then_die, [()]) as children:
-            read_into(children[0][0], np.empty(1, dtype=np.int64))
-    assert children[0][1].exitcode == 1
+    with forked(send_half_then_die, [()]) as children:
+        pipe, proc = children[0]
+        assert pipe.readinto(np.empty(1, dtype=np.int64)) == 4  # short: the writer is gone
+        assert pipe.read() == b""
+    assert proc.exitcode == 1
     assert multiprocessing.active_children() == []
 
 
@@ -132,24 +142,36 @@ def test_short_pipe_reads_are_completed():
     data = bytes(range(1, 25))
     with forked(send_bytewise, [(data,)]) as children:
         got = np.empty(3, dtype=np.int64)
-        read_into(children[0][0], got)
+        assert children[0][0].readinto(got) == got.nbytes
     assert got.tobytes() == data
     assert multiprocessing.active_children() == []
 
-    class Trickle:  # at most 3 bytes a read
+    class Trickle(io.RawIOBase):  # at most 3 bytes a read
         def __init__(self, data):
             self.data = data
+
+        def readable(self):
+            return True
 
         def readinto(self, view):
             n = min(3, len(view), len(self.data))
             view[:n], self.data = self.data[:n], self.data[n:]
             return n
 
-    got = np.empty(3, dtype=np.int64)
-    read_into(Trickle(data), got)
+    got = np.zeros(3, dtype=np.int64)
+    assert io.BufferedReader(Trickle(data)).readinto(got) == got.nbytes
     assert got.tobytes() == data
-    with pytest.raises(EOFError):
-        read_into(Trickle(data[:-1]), got)
+    assert io.BufferedReader(Trickle(data[:-1])).readinto(got) == got.nbytes - 1
+
+
+def test_a_worker_that_returns_without_flushing_is_read_whole():
+    data = bytes(range(1, 25))  # far less than the file's buffer
+    with forked(send_unflushed, [(data,)]) as children:
+        pipe, proc = children[0]
+        assert pipe.read() == data  # the child closed, so flushed, the file
+        proc.join()
+    assert proc.exitcode == 0
+    assert multiprocessing.active_children() == []
 
 
 def test_warned_fork_raises_oserror_and_reaps_the_child(monkeypatch):
@@ -199,7 +221,7 @@ def test_a_raising_worker_exits_1_without_a_traceback(capfd):
 def fill_pipe(out):
     try:
         while True:
-            os.write(out, b"\0" * 65536)
+            out.write(b"\0" * 65536)
     except BrokenPipeError:
         os._exit(0)
 
@@ -216,8 +238,8 @@ def test_children_of_a_killed_parent_do_not_block_on_their_pipes():
     parent.start()
     os.close(w)
     pids = np.empty(2, dtype=np.int64)
-    with open(r, "rb", buffering=0) as report:
-        read_into(report, pids)
+    with open(r, "rb") as report:
+        assert report.readinto(pids) == pids.nbytes
     parent.kill()  # no chance to leave the block
     parent.join()
 

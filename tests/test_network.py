@@ -19,6 +19,7 @@ from enns.network import (
     dropout_mask,
     empirical_loss,
     forward_batch,
+    layer_deltas,
     load_model,
     model_from_json,
     model_to_json,
@@ -128,6 +129,28 @@ def test_forward_dimension_mismatch():
     params = xavier_init(arch, 0)
     with pytest.raises(ValueError):
         forward_batch(params, arch, np.zeros((1, arch.input_dim + 1)))
+
+
+ENGINE_ENTRY_POINTS = {
+    "backward": backward,
+    "layer_deltas": layer_deltas,
+    "empirical_loss": empirical_loss,
+    "train": lambda params, arch, data: train(params, arch, data, TrainOptions(max_epochs=1, patience=0), 0),
+}
+
+
+@pytest.mark.parametrize("entry", list(ENGINE_ENTRY_POINTS))
+def test_data_that_do_not_fit_the_network_are_rejected(entry):
+    # 0/1 responses in a regression Dataset for a classification network would
+    # give the squared error of probabilities, or the regression deltas
+    arch = small_arch(task="classification")
+    params = xavier_init(arch, 0)
+    data = random_dataset(arch)
+    call = ENGINE_ENTRY_POINTS[entry]
+    with pytest.raises(ValueError, match="^data task does not match architecture task$"):
+        call(params, arch, Dataset(data.x, data.y, "regression"))
+    with pytest.raises(ValueError, match="^data does not match architecture input_dim$"):
+        call(params, arch, data.subset_columns([0, 1]))
 
 
 def test_forward_classification_strictly_inside_unit_interval():
