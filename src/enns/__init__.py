@@ -53,15 +53,6 @@ from .simulate import (
     gen_design_uniform,
     gen_response,
 )
-from .theory import (
-    SignalProfile,
-    folded_normal_cdf,
-    folded_normal_pdf,
-    mc_first_selection,
-    mc_select_over,
-    prob_first_correct,
-    prob_select_over,
-)
 from .metrics import (
     PredictionMetrics,
     SelectionMetrics,
@@ -71,3 +62,17 @@ from .metrics import (
 )
 
 __version__ = "0.1.0"
+_THEORY_NAMES = ("theory", "SignalProfile", "folded_normal_cdf", "folded_normal_pdf", "mc_first_selection",
+                 "mc_select_over", "prob_first_correct", "prob_select_over")
+
+
+def __getattr__(name):  # enns.theory imports scipy, which only these names need: load it on first use
+    if name not in _THEORY_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module  # "from . import theory" would call this function again
+    theory = import_module(".theory", __name__)
+    return theory if name == "theory" else getattr(theory, name)
+
+
+def __dir__():
+    return sorted({*globals(), *_THEORY_NAMES})

@@ -51,7 +51,6 @@ from .seeding import derive_seed, spawn_rng
 from .simulate import DEFAULT_GENERATOR_HIDDEN, RESPONSE_KINDS, GroundTruth, ResponseSpec, gen_response
 from .simulate import gen_design_correlated, gen_design_uniform
 from .stagewise import DnpConfig, dnp_run
-from .theory import SignalProfile, mc_first_selection, mc_select_over, prob_first_correct, prob_select_over
 
 FLOAT_FMT = "%.17g"
 
@@ -637,6 +636,8 @@ def cmd_estimate(args) -> int:
         raise UsageError(f"selected columns repeat: {selected_1based}")
     if not selected_1based:
         raise UsageError("no columns selected")
+    if args.metrics_out is not None and os.path.realpath(args.metrics_out) == os.path.realpath(args.model_out):
+        raise UsageError(f"--model-out and --metrics-out name the same file: {args.metrics_out}")
     _check_output_dirs(args.model_out, args.metrics_out)
     data = load_dataset(args.x, args.y, args.task)
     for j in selected_1based:
@@ -747,6 +748,7 @@ def _agreement(tol: float, analytic: float, mc: float, **case) -> dict:
 
 
 def cmd_verify_theory(args) -> int:
+    from . import theory  # scipy loads here, for this command only
     if not (args.pair_betas and args.sigmas or args.first_cases):
         raise UsageError("no cases to verify")
     rules = {"finite": math.isfinite, "positive": lambda value: value > 0}
@@ -764,20 +766,20 @@ def cmd_verify_theory(args) -> int:
     for s, p in args.first_cases:
         if not 1 <= s <= p:
             raise UsageError(f"--first-cases {s}:{p}: s must be in 1..p")
-        profiles.append(SignalProfile(np.repeat([args.beta_support, 0.0], [s, p - s]), args.first_sigma, s))
+        profiles.append(theory.SignalProfile(np.repeat([args.beta_support, 0.0], [s, p - s]), args.first_sigma, s))
     _check_output_dirs(args.out)
     pair_cases = []
     for sigma in args.sigmas:
         for bj in args.pair_betas:
             for bk in args.pair_betas:
-                analytic = prob_select_over(bj, bk, sigma)
+                analytic = theory.prob_select_over(bj, bk, sigma)
                 seed = derive_seed(args.seed, "pair", _fmt(bj), _fmt(bk), _fmt(sigma))
-                mc = mc_select_over(bj, bk, sigma, reps=args.reps, seed=seed)
+                mc = theory.mc_select_over(bj, bk, sigma, reps=args.reps, seed=seed)
                 pair_cases.append(_agreement(args.pair_tol, analytic, mc, beta_j=bj, beta_k=bk, sigma=sigma))
     first_cases = []
     for (s, p), profile in zip(args.first_cases, profiles):
-        analytic = prob_first_correct(profile)
-        mc = mc_first_selection(profile, n=p + 10, reps=args.reps, seed=derive_seed(args.seed, "first", s, p))
+        analytic = theory.prob_first_correct(profile)
+        mc = theory.mc_first_selection(profile, n=p + 10, reps=args.reps, seed=derive_seed(args.seed, "first", s, p))
         first_cases.append(
             _agreement(
                 args.first_tol, analytic, mc, s=s, p=p, beta=args.beta_support, sigma=args.first_sigma, n=p + 10

@@ -60,8 +60,8 @@ def forked(target: Callable[..., None], jobs: Sequence[tuple]) -> Iterator[list]
     block kills and joins every child, done or abandoned, and closes the pipes."""
     if not hasattr(os, "sched_getaffinity"):
         raise OSError("no CPU affinity API: not forking")
-    # fork, not spawn: a spawned worker would first import numpy, scipy and
-    # enns, about a second, and a forked one runs only its job
+    # fork, not spawn: a spawned worker would first import numpy and enns,
+    # and a forked one runs only its job
     ctx = multiprocessing.get_context("fork")
     with ExitStack() as stack:
         children = []

@@ -18,6 +18,7 @@ from hypothesis.extra.numpy import arrays
 
 import enns.cli
 import enns.cores
+import enns.theory
 from enns.cli import (
     ExperimentConfig,
     main,
@@ -706,6 +707,21 @@ def test_estimate_resolves_columns_before_reading_csvs(tmp_path, capsys, monkeyp
     assert capsys.readouterr().err == message.format(sel=sel) + "\n"
 
 
+@pytest.mark.parametrize("metrics", ["m.json", "./m.json", "link.json"])
+def test_estimate_outputs_naming_one_file_are_usage_error(tmp_path, capsys, monkeypatch, metrics):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "m.json").write_text("an earlier model\n")
+    (tmp_path / "link.json").symlink_to(tmp_path / "m.json")
+    before = sorted(tmp_path.rglob("*"))
+    monkeypatch.setattr(enns.cli, "read_matrix_csv", no_work)
+    code = run("estimate", "--x", "X.csv", "--y", "y.csv", "--selected", "1,2", "--model-out", "m.json",
+               "--metrics-out", metrics)
+    assert code == 1
+    assert capsys.readouterr().err == f"error: --model-out and --metrics-out name the same file: {metrics}\n"
+    assert (tmp_path / "m.json").read_text() == "an earlier model\n"
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_estimate_rejects_test_fraction_outside_unit_interval(tmp_path):
     data = gen_small(tmp_path, n=40, p=4, s=2)
     for fraction in (-0.25, 1.0, 1.5):
@@ -817,9 +833,10 @@ def test_nan_and_out_of_range_values_are_usage_errors(tmp_path, capsys, monkeypa
     if command in ("select", "estimate"):
         data = gen_small(tmp_path, n=40, p=6, s=2)
         xy = ["--x", data / "X.csv", "--y", data / "y.csv"]
-    for name in ("read_matrix_csv", "gen_design_uniform", "gen_design_correlated", "prob_select_over",
-                 "prob_first_correct", "mc_select_over", "mc_first_selection"):
+    for name in ("read_matrix_csv", "gen_design_uniform", "gen_design_correlated"):
         monkeypatch.setattr(enns.cli, name, no_work)
+    for name in ("prob_select_over", "prob_first_correct", "mc_select_over", "mc_first_selection"):
+        monkeypatch.setattr(enns.theory, name, no_work)
     if command == "gen-data":
         argv = [command, "--out-dir", out, "--n", 20, "--p", 6, "--response", "linear", "--s", 2, *flags]
     elif command == "verify-theory":
@@ -1043,8 +1060,8 @@ def test_verify_theory_without_cases_is_usage_error(tmp_path, capsys, monkeypatc
     def no_simulation(*args, **kwargs):
         raise AssertionError("ran a Monte Carlo")
 
-    monkeypatch.setattr(enns.cli, "mc_select_over", no_simulation)
-    monkeypatch.setattr(enns.cli, "mc_first_selection", no_simulation)
+    monkeypatch.setattr(enns.theory, "mc_select_over", no_simulation)
+    monkeypatch.setattr(enns.theory, "mc_first_selection", no_simulation)
     out = tmp_path / "report.json"
     assert run("verify-theory", *empty, "--first-cases", "", "--out", out) == 1
     assert capsys.readouterr().err == "error: no cases to verify\n"
@@ -1057,7 +1074,7 @@ def test_verify_theory_nonpositive_reps_is_usage_error_before_any_work(tmp_path,
         raise AssertionError("computed a probability")
 
     for name in ("prob_select_over", "prob_first_correct", "mc_select_over", "mc_first_selection"):
-        monkeypatch.setattr(enns.cli, name, no_probability)
+        monkeypatch.setattr(enns.theory, name, no_probability)
     out = tmp_path / "report.json"
     assert run("verify-theory", "--reps", reps, "--out", out) == 1
     assert capsys.readouterr().err == f"error: --reps must be positive, got {reps}\n"
@@ -1093,7 +1110,7 @@ def test_verify_theory_checks_every_case_before_any_probability(tmp_path, capsys
         raise AssertionError("computed a probability")
 
     for name in ("prob_select_over", "prob_first_correct", "mc_select_over", "mc_first_selection"):
-        monkeypatch.setattr(enns.cli, name, no_probability)
+        monkeypatch.setattr(enns.theory, name, no_probability)
     out = tmp_path / "report.json"
     assert run("verify-theory", *flags.split(), "--out", out) == 1
     assert capsys.readouterr().err == f"error: {THEORY_INPUT_ERRORS[flags]}\n"
@@ -1324,9 +1341,10 @@ def test_output_in_a_missing_directory_fails_before_any_work(tmp_path, capsys, m
     cfg.write_text(BASE_CFG)
     (tmp_path / "file").write_text("")
     (tmp_path / "directory").mkdir()
-    for name in ("read_matrix_csv", "gen_design_uniform", "dnp_run", "enns_select", "train", "fit_l1",
-                 "prob_select_over", "prob_first_correct", "mc_select_over", "mc_first_selection"):
+    for name in ("read_matrix_csv", "gen_design_uniform", "dnp_run", "enns_select", "train", "fit_l1"):
         monkeypatch.setattr(enns.cli, name, no_work)
+    for name in ("prob_select_over", "prob_first_correct", "mc_select_over", "mc_first_selection"):
+        monkeypatch.setattr(enns.theory, name, no_work)
     outputs = {f: tmp_path / f.strip("-").replace("-", ".") for f in OUTPUT_TARGETS[command]}
     target = outputs[flag] = tmp_path / parent / ("" if parent == "directory" else "out.json")
     xy = ["--x", data / "X.csv", "--y", data / "y.csv"]
