@@ -14,7 +14,8 @@ columns, and both probabilities have exact short forms:
 
 Every function rejects a NaN or infinite beta and a sigma that is not positive
 and finite. The Monte-Carlo oracles draw in fixed-size chunks, so a seed fixes
-every estimate; the first-selection one runs one thread pool per call.
+every estimate; the first-selection one runs one thread pool per call and
+draws its designs in blocks, a few blocks ahead of their orthonormalization.
 """
 
 from __future__ import annotations
@@ -132,11 +133,15 @@ def _first_hits(q: np.ndarray, eps: np.ndarray, betas: np.ndarray, sigma: float,
     return int(np.sum(np.argmax(scores, axis=1) < s))
 
 
-# Designs per block: about 12 MB of draws, 500 matrices at n=60, p=50. For 5000
-# such replications, blocks of 250, 500 and 1250 matrices took 0.46, 0.49 and
-# 0.56 s (medians of 5, each spread over about 0.2 s) on two threads of a
-# 2-core x86-64 VM with one BLAS thread, against 1.04 s for the unsplit chunk.
-_BLOCK_BYTES = 12_000_000
+# Designs per block, about 5 MB of draws (208 matrices at n=60, p=50), and the
+# blocks the calling thread may draw ahead of their QR. For 5000 such
+# replications on two threads of a 2-core x86-64 VM with one BLAS thread (medians
+# of 5 calls, each spread over about 0.02 s), blocks of 104, 208 and 500 matrices
+# with a window of 6 took 0.25, 0.23 and 0.23 s and peaked 130, 155 and 215 MB
+# above the process before; with no window, blocks of 208 and 500 peaked 180 and
+# 220 MB, and the unsplit chunk took 0.47 s and 441 MB.
+_BLOCK_BYTES = 5_000_000
+_WINDOW = 6
 
 # Replications per chunk, and the rows of the pair simulator's designs: they fix
 # which numbers each replication draws, so a seeded estimate depends on them.
@@ -161,10 +166,14 @@ def mc_first_selection(profile: SignalProfile, n: int, reps: int, seed: int) -> 
     Replications run in chunks of ``_FIRST_CHUNK``. A chunk's designs are
     drawn in blocks of about ``_BLOCK_BYTES``; each block is orthonormalized,
     and later scored, in one thread pool of up to ``usable_cores()`` threads
-    while the next block is drawn. The pool ends with the call, and a chunk's
-    designs are freed before the next chunk is drawn. The random stream and
-    every matrix are those of one draw and one QR per chunk, so the result does
-    not depend on the core count."""
+    while the next block is drawn. Before drawing block i the calling thread
+    waits for the QR of block i - ``_WINDOW``, so few blocks wait for their QR
+    and a failed QR raises before the rest of the chunk is drawn. A chunk's
+    orthonormal designs, 8 c n p bytes for c replications, stay in memory until
+    its noise is drawn, and are freed before the next chunk is drawn. The pool
+    ends with the call. The random stream and every matrix are those of one
+    draw and one QR per chunk, so the result does not depend on the core
+    count."""
     sizes = _chunks(reps, _FIRST_CHUNK)
     if n < profile.p:
         raise ValueError("need n >= p to orthonormalize the design columns")
@@ -175,11 +184,12 @@ def mc_first_selection(profile: SignalProfile, n: int, reps: int, seed: int) -> 
     with ThreadPoolExecutor(usable_cores()) as pool:
         for c in sizes:
             starts = range(0, c, block)
-            # consecutive draws give the numbers of one (c, n, p) draw
-            qs = [
-                pool.submit(_orthonormal_columns, rng.standard_normal((min(block, c - a), n, profile.p)))
-                for a in starts
-            ]
+            qs = []
+            for i, a in enumerate(starts):
+                if i >= _WINDOW:
+                    qs[i - _WINDOW].result()
+                # consecutive draws give the numbers of one (c, n, p) draw
+                qs.append(pool.submit(_orthonormal_columns, rng.standard_normal((min(block, c - a), n, profile.p))))
             eps = rng.standard_normal((c, n))
             counts = [pool.submit(score, q.result(), eps[a : a + block]) for q, a in zip(qs, starts)]
             hits += sum(f.result() for f in counts)

@@ -101,7 +101,8 @@ def test_verify_theory_report_identical_with_one_and_two_cores(tmp_path, monkeyp
     for cores in (1, 2):
         out = tmp_path / f"cores{cores}.json"
         monkeypatch.setattr(enns.theory, "usable_cores", lambda: cores)
-        # 3000 designs of 60 x 50 are six blocks, of 30 x 20 two
+        # 3000 designs of 60 x 50 are fifteen blocks, more than the window, of
+        # 30 x 20 three
         assert main(["verify-theory", "--reps", "3000", "--seed", "5", "--out", str(out)]) == 0
         reports[cores] = out.read_bytes()
     assert reports[1] == reports[2]

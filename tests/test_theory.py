@@ -1,4 +1,5 @@
 import threading
+import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -252,19 +253,89 @@ def first_profile(s: int, p: int) -> SignalProfile:
 
 @pytest.mark.parametrize("seed", range(8))
 def test_mc_first_selection_matches_serial_oracle(monkeypatch, seed):
-    # 1234 designs of 60 x 50 are three blocks, the last one short
+    # 1234 designs of 60 x 50 are six blocks, the last one short
     profile = first_profile(5, 50)
     assert mc_first_selection(profile, n=60, reps=1234, seed=seed) == mc_first_selection_serial(
         profile, n=60, reps=1234, seed=seed
     )
-    # blocks of 7 designs: 100 reps in chunks of 40 are 6 + 6 + 3 blocks
+    # blocks of 1 and of 7 designs (100 reps in chunks of 40 are 6 + 6 + 3
+    # blocks of 7), under windows of 1, 2 and more blocks than a call draws
     profile = first_profile(3, 20)
-    monkeypatch.setattr(enns.theory, "_BLOCK_BYTES", 7 * 8 * 30 * 20)
-    for chunk in (20000, 40, 7):
-        monkeypatch.setattr(enns.theory, "_FIRST_CHUNK", chunk)
-        assert mc_first_selection(profile, n=30, reps=100, seed=seed) == mc_first_selection_serial(
-            profile, n=30, reps=100, seed=seed, chunk=chunk
-        )
+    for designs in (1, 7):
+        monkeypatch.setattr(enns.theory, "_BLOCK_BYTES", designs * 8 * 30 * 20)
+        for window in (1, 2, 101):
+            monkeypatch.setattr(enns.theory, "_WINDOW", window)
+            for chunk in (20000, 40, 7):
+                monkeypatch.setattr(enns.theory, "_FIRST_CHUNK", chunk)
+                assert mc_first_selection(profile, n=30, reps=100, seed=seed) == mc_first_selection_serial(
+                    profile, n=30, reps=100, seed=seed, chunk=chunk
+                )
+
+
+def counting_rng(monkeypatch, on_design):
+    """Make ``enns.theory.spawn_rng`` hand out generators that call
+    ``on_design`` with every (c, n, p) block of designs they draw."""
+    spawn = enns.theory.spawn_rng
+
+    class Counting:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def standard_normal(self, size):
+            g = self.rng.standard_normal(size)
+            if len(size) == 3:
+                on_design(g)
+            return g
+
+    monkeypatch.setattr(enns.theory, "spawn_rng", lambda *key: Counting(spawn(*key)))
+
+
+def test_mc_first_selection_bounds_the_designs_drawn_ahead_of_their_qr(monkeypatch):
+    # blocks of one design whose QR is slower than a draw: at every draw, the
+    # blocks drawn but not yet orthonormalized are at most the window plus one
+    # per pool thread, not the chunk's 60
+    monkeypatch.setattr(enns.theory, "usable_cores", lambda: 2)
+    monkeypatch.setattr(enns.theory, "_BLOCK_BYTES", 8 * 30 * 20)
+    orthonormal, drawn, finished, ahead = enns.theory._orthonormal_columns, [], [], []
+
+    def slow_qr(g):
+        time.sleep(0.005)
+        q = orthonormal(g)
+        finished.append(g)
+        return q
+
+    def on_design(g):
+        drawn.append(g)
+        ahead.append(len(drawn) - len(finished))
+
+    monkeypatch.setattr(enns.theory, "_orthonormal_columns", slow_qr)
+    counting_rng(monkeypatch, on_design)
+    profile = first_profile(3, 20)
+    assert mc_first_selection(profile, n=30, reps=60, seed=0) == mc_first_selection_serial(
+        profile, n=30, reps=60, seed=0
+    )
+    assert len(drawn) == len(finished) == 60
+    assert max(ahead) <= enns.theory._WINDOW + 2
+
+
+def test_mc_first_selection_raises_a_failed_qr_before_drawing_the_chunk(monkeypatch):
+    monkeypatch.setattr(enns.theory, "_BLOCK_BYTES", 8 * 30 * 20)
+    orthonormal, drawn = enns.theory._orthonormal_columns, []
+    boom = np.linalg.LinAlgError("QR of block 2 failed")
+
+    def failing_qr(g):
+        if len(drawn) > 2 and g is drawn[2]:
+            raise boom
+        return orthonormal(g)
+
+    monkeypatch.setattr(enns.theory, "_orthonormal_columns", failing_qr)
+    counting_rng(monkeypatch, drawn.append)
+    before = threading.active_count()
+    with pytest.raises(np.linalg.LinAlgError) as raised:
+        mc_first_selection(first_profile(3, 20), n=30, reps=100, seed=0)
+    assert raised.value is boom
+    assert len(drawn) <= 2 + enns.theory._WINDOW
+    assert threading.active_count() == before
 
 
 def test_mc_first_selection_threads_end_with_the_call(monkeypatch):
@@ -284,6 +355,7 @@ def test_mc_first_selection_threads_end_with_the_call(monkeypatch):
     # one pool per call, none left after, also for one chunk of one block and
     # for three chunks of one block each
     monkeypatch.setattr(enns.theory, "_FIRST_CHUNK", 500)
+    monkeypatch.setattr(enns.theory, "_BLOCK_BYTES", 500 * 8 * 60 * 50)
     for reps in (500, 1500):
         mc_first_selection(first_profile(5, 50), n=60, reps=reps, seed=0)
         assert threading.active_count() == before
@@ -295,6 +367,7 @@ def test_mc_first_selection_frees_each_chunk_before_the_next(monkeypatch):
     # where a call of one does
     profile = first_profile(3, 20)
     monkeypatch.setattr(enns.theory, "_FIRST_CHUNK", 2000)
+    monkeypatch.setattr(enns.theory, "_BLOCK_BYTES", 2000 * 8 * 30 * 20)
     peaks = []
     for reps in (2000, 6000):
         tracemalloc.start()
