@@ -61,7 +61,7 @@ from .metrics import (
     selection_metrics,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 _THEORY_NAMES = ("theory", "SignalProfile", "folded_normal_cdf", "folded_normal_pdf", "mc_first_selection",
                  "mc_select_over", "prob_first_correct", "prob_select_over")
 

@@ -779,12 +779,12 @@ def cmd_verify_theory(args) -> int:
     first_cases = []
     for (s, p), profile in zip(args.first_cases, profiles):
         analytic = theory.prob_first_correct(profile)
-        mc = theory.mc_first_selection(profile, n=p + 10, reps=args.reps, seed=derive_seed(args.seed, "first", s, p))
-        first_cases.append(
-            _agreement(
-                args.first_tol, analytic, mc, s=s, p=p, beta=args.beta_support, sigma=args.first_sigma, n=p + 10
-            )
-        )
+        try:
+            mc = theory.mc_first_selection(profile, n=p + 10, reps=args.reps, seed=derive_seed(args.seed, "first", s, p))
+        except MemoryError as exc:
+            raise UsageError(f"--first-cases {s}:{p}: {str(exc) or 'out of memory'}") from exc
+        case = dict(s=s, p=p, beta=args.beta_support, sigma=args.first_sigma, n=p + 10)
+        first_cases.append(_agreement(args.first_tol, analytic, mc, **case))
     doc = {
         "seed": args.seed,
         "reps": args.reps,

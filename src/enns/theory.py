@@ -14,15 +14,15 @@ columns, and both probabilities have exact short forms:
 
 Every function rejects a NaN or infinite beta and a sigma that is not positive
 and finite. The Monte-Carlo oracles draw in fixed-size chunks, so a seed fixes
-every estimate; the first-selection one runs one thread pool per call and
-draws its designs in blocks, a few blocks ahead of their orthonormalization.
+every estimate; the first-selection one gives each block of replications its
+own random stream and runs the blocks on one thread per usable core.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from functools import partial
+import threading
 
 import numpy as np
 from scipy import integrate, special
@@ -125,27 +125,25 @@ def _orthonormal_columns(g: np.ndarray) -> np.ndarray:
     return np.linalg.qr(g)[0]
 
 
-def _first_hits(q: np.ndarray, eps: np.ndarray, betas: np.ndarray, sigma: float, s: int) -> int:
+def _first_hits(q: np.ndarray, eps: np.ndarray, profile: SignalProfile) -> int:
     """Replications of the stack ``q`` whose largest |q_(j)' y| lies in the
-    first ``s`` columns, with y = q betas + sigma eps."""
-    y = np.einsum("cnp,p->cn", q, betas) + sigma * eps
+    support, with y = q |betas| + sigma eps."""
+    y = np.einsum("cnp,p->cn", q, np.abs(profile.betas)) + profile.sigma * eps
     scores = np.abs(np.einsum("cnp,cn->cp", q, y))
-    return int(np.sum(np.argmax(scores, axis=1) < s))
+    return int(np.sum(np.argmax(scores, axis=1) < profile.s))
 
 
-# Designs per block, about 5 MB of draws (208 matrices at n=60, p=50), and the
-# blocks the calling thread may draw ahead of their QR. For 5000 such
-# replications on two threads of a 2-core x86-64 VM with one BLAS thread (medians
-# of 5 calls, each spread over about 0.02 s), blocks of 104, 208 and 500 matrices
-# with a window of 6 took 0.25, 0.23 and 0.23 s and peaked 130, 155 and 215 MB
-# above the process before; with no window, blocks of 208 and 500 peaked 180 and
-# 220 MB, and the unsplit chunk took 0.47 s and 441 MB.
+# Designs per block, about 5 MB of draws (208 matrices at n=60, p=50). A pool
+# thread holds about five blocks: the draws, the QR's copy and triangle, and
+# this block's and the last one's orthonormal columns. For 5000 such
+# replications on two threads of a 2-core x86-64 VM with one BLAS thread
+# (medians of 11 calls, each spread over 0.03-0.15 s), blocks of 104, 208 and
+# 500 matrices took 0.47, 0.49 and 0.53 s and peaked 23, 47 and 112 MB above
+# the process before (version 0.1.0: 0.43-0.54 s and 150-160 MB).
 _BLOCK_BYTES = 5_000_000
-_WINDOW = 6
 
-# Replications per chunk, and the rows of the pair simulator's designs: they fix
-# which numbers each replication draws, so a seeded estimate depends on them.
-_FIRST_CHUNK = 20_000
+# Replications per chunk of the pair simulator, and the rows of its designs: they
+# fix which numbers each replication draws, so a seeded estimate depends on them.
 _PAIR_CHUNK = 50_000
 _PAIR_N = 16
 
@@ -163,38 +161,38 @@ def mc_first_selection(profile: SignalProfile, n: int, reps: int, seed: int) -> 
     and return the fraction of replications whose argmax_j |x_(j)' y| lies in
     the support.
 
-    Replications run in chunks of ``_FIRST_CHUNK``. A chunk's designs are
-    drawn in blocks of about ``_BLOCK_BYTES``; each block is orthonormalized,
-    and later scored, in one thread pool of up to ``usable_cores()`` threads
-    while the next block is drawn. Before drawing block i the calling thread
-    waits for the QR of block i - ``_WINDOW``, so few blocks wait for their QR
-    and a failed QR raises before the rest of the chunk is drawn. A chunk's
-    orthonormal designs, 8 c n p bytes for c replications, stay in memory until
-    its noise is drawn, and are freed before the next chunk is drawn. The pool
-    ends with the call. The random stream and every matrix are those of one
-    draw and one QR per chunk, so the result does not depend on the core
-    count."""
-    sizes = _chunks(reps, _FIRST_CHUNK)
+    Block i, about ``_BLOCK_BYTES`` of designs, draws its designs and then its
+    noise from ``spawn_rng(seed, "mc-first", i)``, so the result depends on
+    neither the core count nor the thread schedule. k = min(``usable_cores()``,
+    blocks) threads, one pool per call, each take every k-th block into reused
+    buffers, so the memory held is a few blocks per thread whatever ``reps``.
+    A failed block or an interrupt stops every thread before its next block."""
     if n < profile.p:
         raise ValueError("need n >= p to orthonormalize the design columns")
-    rng = spawn_rng(seed, "mc-first")
-    score = partial(_first_hits, betas=np.abs(profile.betas), sigma=profile.sigma, s=profile.s)
-    block = max(1, _BLOCK_BYTES // (8 * n * profile.p))
-    hits = 0
-    with ThreadPoolExecutor(usable_cores()) as pool:
-        for c in sizes:
-            starts = range(0, c, block)
-            qs = []
-            for i, a in enumerate(starts):
-                if i >= _WINDOW:
-                    qs[i - _WINDOW].result()
-                # consecutive draws give the numbers of one (c, n, p) draw
-                qs.append(pool.submit(_orthonormal_columns, rng.standard_normal((min(block, c - a), n, profile.p))))
-            eps = rng.standard_normal((c, n))
-            counts = [pool.submit(score, q.result(), eps[a : a + block]) for q, a in zip(qs, starts)]
-            hits += sum(f.result() for f in counts)
-            del qs, eps, counts  # the chunk's designs, before the next chunk is drawn
-    return hits / reps
+    sizes = _chunks(reps, max(1, _BLOCK_BYTES // (8 * n * profile.p)))
+    workers = min(usable_cores(), len(sizes))
+    failed = threading.Event()
+
+    def run_blocks(first: int) -> int:
+        g, eps, hits = np.empty((sizes[0], n, profile.p)), np.empty((sizes[0], n)), 0
+        for i in range(first, len(sizes), workers):
+            if failed.is_set():
+                break
+            rng, c = spawn_rng(seed, "mc-first", i), sizes[i]
+            rng.standard_normal(out=g[:c])
+            rng.standard_normal(out=eps[:c])
+            # the last q is freed once this one is made, so the next QR reuses its pages
+            q = _orthonormal_columns(g[:c])
+            hits += _first_hits(q, eps[:c], profile)
+        return hits
+
+    with ThreadPoolExecutor(workers) as pool:
+        counts = [pool.submit(run_blocks, w) for w in range(workers)]
+        try:
+            wait(counts, return_when=FIRST_EXCEPTION)
+        finally:  # every block is done, or one raised or the call was interrupted: draw no more
+            failed.set()
+        return sum(f.result() for f in counts) / reps
 
 
 def mc_select_over(beta_j: float, beta_k: float, sigma: float, reps: int, seed: int) -> float:

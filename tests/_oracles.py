@@ -9,7 +9,7 @@ scored by the loss that the next full-batch ``backward`` returns:
 ``train_reference`` ignores that loss and scores every checkpoint with its
 own ``empirical_loss`` call). ``mc_first_selection_serial`` is the
 first-selection Monte Carlo as one draw, one QR and one scoring pass per
-chunk, all in the calling thread. ``printed_select_over`` and
+block, one block after another in the calling thread. ``printed_select_over`` and
 ``printed_first_correct`` are the two selection probabilities as the paper
 prints them, by quadrature: bivariate-normal orthant probabilities
 (``orthant_prob``) and one integral per support feature.
@@ -177,22 +177,22 @@ def auc_by_pair_counting(y, scores) -> float:
     return total / (len(pos) * len(neg))
 
 
-def mc_first_selection_serial(profile: SignalProfile, n: int, reps: int, seed: int, chunk: int = 20000) -> float:
-    """``mc_first_selection`` without blocks or threads: each chunk's designs
-    come from one (c, n, p) draw and are orthonormalized by one batched QR."""
-    rng = spawn_rng(seed, "mc-first")
+def mc_first_selection_serial(profile: SignalProfile, n: int, reps: int, seed: int, block: int) -> float:
+    """``mc_first_selection`` without threads or reused buffers: block i, of
+    ``block`` replications (the last one may be short), draws its designs and
+    then its noise from its own stream, in the calling thread, one block
+    after another."""
     betas = np.abs(profile.betas)
     hits = 0
-    done = 0
-    while done < reps:
-        c = min(chunk, reps - done)
+    for i, done in enumerate(range(0, reps, block)):
+        c = min(block, reps - done)
+        rng = spawn_rng(seed, "mc-first", i)
         g = rng.standard_normal((c, n, profile.p))
-        q = np.linalg.qr(g)[0]
         eps = rng.standard_normal((c, n))
+        q = np.linalg.qr(g)[0]
         y = np.einsum("cnp,p->cn", q, betas) + profile.sigma * eps
         scores = np.abs(np.einsum("cnp,cn->cp", q, y))
         hits += int(np.sum(np.argmax(scores, axis=1) < profile.s))
-        done += c
     return hits / reps
 
 

@@ -6,7 +6,7 @@ subprocess with OPENBLAS_NUM_THREADS set to 1 and then 2 and the output bytes
 are compared. The select commands are also compared, in this process, with
 their X.csv parsed in one range and in three ranges (two forked workers and
 the calling process), and the
-verify-theory report with its Monte Carlo blocks on one and two threads.
+verify-theory report with its Monte Carlo blocks on one, two and three threads.
 """
 
 import json
@@ -96,13 +96,14 @@ def test_select_outputs_identical_with_csv_split_into_ranges(tmp_path, monkeypat
     assert outputs[1] == outputs[3]
 
 
-def test_verify_theory_report_identical_with_one_and_two_cores(tmp_path, monkeypatch):
+def test_verify_theory_report_identical_with_one_to_three_cores(tmp_path, monkeypatch):
     reports = {}
-    for cores in (1, 2):
+    for cores in (1, 2, 3):
         out = tmp_path / f"cores{cores}.json"
         monkeypatch.setattr(enns.theory, "usable_cores", lambda: cores)
-        # 3000 designs of 60 x 50 are fifteen blocks, more than the window, of
-        # 30 x 20 three
+        # 3000 designs are one block at 1:2 (n=12), three at 3:20 (1041, 1041
+        # and 918) and fifteen at 5:50 (fourteen of 208 and one of 88), so one,
+        # two and three threads each deal them out differently
         assert main(["verify-theory", "--reps", "3000", "--seed", "5", "--out", str(out)]) == 0
         reports[cores] = out.read_bytes()
-    assert reports[1] == reports[2]
+    assert reports[1] == reports[2] == reports[3]

@@ -1117,6 +1117,28 @@ def test_verify_theory_checks_every_case_before_any_probability(tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "refusal, message",
+    [(MemoryError("Unable to allocate 298 GiB"), "Unable to allocate 298 GiB"), (MemoryError(), "out of memory")],
+)
+def test_verify_theory_case_too_large_to_allocate_is_usage_error(tmp_path, capsys, monkeypatch, refusal, message):
+    # 5:200000 draws its designs one 200010 x 200000 matrix at a time, 298 GiB:
+    # the allocation is refused here before any memory is taken
+    empty = np.empty
+
+    def refuse_huge(shape, *args, **kwargs):
+        if np.prod(shape) * 8 > 1e9:
+            raise refusal
+        return empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", refuse_huge)
+    out = tmp_path / "report.json"
+    flags = ("--reps", 10, "--pair-betas", "", "--first-cases", "1:2,5:200000", "--out", out)
+    assert run("verify-theory", *flags) == 1
+    assert capsys.readouterr().err == f"error: --first-cases 5:200000: {message}\n"
+    assert not out.exists()
+
+
 def test_verify_theory_default_grid_passes_small():
     # scaled-down reps; agreement already holds at loose tolerance
     assert run("verify-theory", "--reps", 4000, "--pair-betas", "0,3", "--sigmas", "0.5",
@@ -1189,7 +1211,7 @@ GOLDEN_DIGESTS = {
     "experiment_regression.csv": "b5c463edfc072d9c78ac80931c1d5d61c9fe582688f8d719a735fd939aa72f38",
     "experiment_classification.csv": "9ac1392184954c5cc3ded7edf4cd3f66e57d76745e99574f629425feb5a5e752",
     "experiment_dnp.csv": "275ef11bfed18562d7cc1c92c989f991d5f97baba46ccae6e3d0e255dc3d8b24",
-    "verify_theory.json": "11af1375818d23ee0b0dfc768c63805a078a4facbf7f763551ec9f520d92fdc9",
+    "verify_theory.json": "a4c95b89d8b5da233a05ea4f0e9e132f10c23c281d055fe7863c69be7fb227d8",
 }
 
 

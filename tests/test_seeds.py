@@ -1,11 +1,16 @@
 """The seeding rule: configs hold hyperparameters only; every call that draws
-random numbers takes its seed as a required argument."""
+random numbers takes its seed as a required argument. Seeded outputs are
+byte-identical within a version, so the package and its metadata name the
+same version."""
 
 import dataclasses
 import importlib
 import inspect
+from pathlib import Path
 
 import pytest
+
+import enns
 
 LIBRARY_MODULES = ("network", "stagewise", "ensemble", "estimation", "simulate", "theory", "metrics")
 
@@ -42,3 +47,10 @@ def test_seeded_call_takes_a_required_seed(module, name):
     param = inspect.signature(fn).parameters.get("seed")
     assert param is not None, f"{name} has no seed parameter"
     assert param.default is inspect.Parameter.empty, f"{name}'s seed has a default"
+
+
+def test_package_version_is_the_pyproject_version():
+    # a release that changes seeded outputs bumps both, never one of them
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    assert enns.__version__ == tomllib.loads(pyproject.read_text(encoding="utf8"))["project"]["version"]

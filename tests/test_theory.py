@@ -1,3 +1,4 @@
+import sys
 import threading
 import time
 import tracemalloc
@@ -253,37 +254,40 @@ def first_profile(s: int, p: int) -> SignalProfile:
 
 @pytest.mark.parametrize("seed", range(8))
 def test_mc_first_selection_matches_serial_oracle(monkeypatch, seed):
-    # 1234 designs of 60 x 50 are six blocks, the last one short
+    # 1234 designs of 60 x 50 are five blocks of 208 and a short one of 194
     profile = first_profile(5, 50)
     assert mc_first_selection(profile, n=60, reps=1234, seed=seed) == mc_first_selection_serial(
-        profile, n=60, reps=1234, seed=seed
+        profile, n=60, reps=1234, seed=seed, block=208
     )
-    # blocks of 1 and of 7 designs (100 reps in chunks of 40 are 6 + 6 + 3
-    # blocks of 7), under windows of 1, 2 and more blocks than a call draws
+    # blocks of 1 and of 7 designs (100 reps are 14 blocks of 7 and one of 2),
+    # on 1, 2 and 3 threads that switch as often as the interpreter lets them
     profile = first_profile(3, 20)
-    for designs in (1, 7):
-        monkeypatch.setattr(enns.theory, "_BLOCK_BYTES", designs * 8 * 30 * 20)
-        for window in (1, 2, 101):
-            monkeypatch.setattr(enns.theory, "_WINDOW", window)
-            for chunk in (20000, 40, 7):
-                monkeypatch.setattr(enns.theory, "_FIRST_CHUNK", chunk)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for designs in (1, 7):
+            monkeypatch.setattr(enns.theory, "_BLOCK_BYTES", designs * 8 * 30 * 20)
+            for cores in (1, 2, 3):
+                monkeypatch.setattr(enns.theory, "usable_cores", lambda: cores)
                 assert mc_first_selection(profile, n=30, reps=100, seed=seed) == mc_first_selection_serial(
-                    profile, n=30, reps=100, seed=seed, chunk=chunk
+                    profile, n=30, reps=100, seed=seed, block=designs
                 )
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def counting_rng(monkeypatch, on_design):
     """Make ``enns.theory.spawn_rng`` hand out generators that call
-    ``on_design`` with every (c, n, p) block of designs they draw."""
+    ``on_design`` with every block of designs they draw."""
     spawn = enns.theory.spawn_rng
 
     class Counting:
         def __init__(self, rng):
             self.rng = rng
 
-        def standard_normal(self, size):
-            g = self.rng.standard_normal(size)
-            if len(size) == 3:
+        def standard_normal(self, size=None, out=None):
+            g = self.rng.standard_normal(size, out=out)
+            if g.ndim == 3:
                 on_design(g)
             return g
 
@@ -292,8 +296,8 @@ def counting_rng(monkeypatch, on_design):
 
 def test_mc_first_selection_bounds_the_designs_drawn_ahead_of_their_qr(monkeypatch):
     # blocks of one design whose QR is slower than a draw: at every draw, the
-    # blocks drawn but not yet orthonormalized are at most the window plus one
-    # per pool thread, not the chunk's 60
+    # blocks drawn but not yet orthonormalized are at most one per pool
+    # thread, not the call's 60
     monkeypatch.setattr(enns.theory, "usable_cores", lambda: 2)
     monkeypatch.setattr(enns.theory, "_BLOCK_BYTES", 8 * 30 * 20)
     orthonormal, drawn, finished, ahead = enns.theory._orthonormal_columns, [], [], []
@@ -312,33 +316,67 @@ def test_mc_first_selection_bounds_the_designs_drawn_ahead_of_their_qr(monkeypat
     counting_rng(monkeypatch, on_design)
     profile = first_profile(3, 20)
     assert mc_first_selection(profile, n=30, reps=60, seed=0) == mc_first_selection_serial(
-        profile, n=30, reps=60, seed=0
+        profile, n=30, reps=60, seed=0, block=1
     )
     assert len(drawn) == len(finished) == 60
-    assert max(ahead) <= enns.theory._WINDOW + 2
+    assert max(ahead) <= 2
 
 
-def test_mc_first_selection_raises_a_failed_qr_before_drawing_the_chunk(monkeypatch):
+def test_mc_first_selection_raises_a_failed_block_before_drawing_the_rest(monkeypatch):
+    # blocks of one design on three threads; the third block drawn raises in
+    # its QR at once and every other QR takes 5 ms: each other thread finishes
+    # at most the block it is on, so at most 3 blocks are drawn after the
+    # failed one, not the other 97
+    monkeypatch.setattr(enns.theory, "usable_cores", lambda: 3)
     monkeypatch.setattr(enns.theory, "_BLOCK_BYTES", 8 * 30 * 20)
     orthonormal, drawn = enns.theory._orthonormal_columns, []
-    boom = np.linalg.LinAlgError("QR of block 2 failed")
+    boom = np.linalg.LinAlgError("QR of the third block failed")
 
     def failing_qr(g):
-        if len(drawn) > 2 and g is drawn[2]:
+        if len(drawn) > 2 and g[0, 0, 0] == drawn[2]:
             raise boom
+        time.sleep(0.005)
         return orthonormal(g)
 
     monkeypatch.setattr(enns.theory, "_orthonormal_columns", failing_qr)
-    counting_rng(monkeypatch, drawn.append)
+    # a block's first number marks it: the threads draw into reused buffers
+    counting_rng(monkeypatch, lambda g: drawn.append(g[0, 0, 0]))
     before = threading.active_count()
     with pytest.raises(np.linalg.LinAlgError) as raised:
         mc_first_selection(first_profile(3, 20), n=30, reps=100, seed=0)
     assert raised.value is boom
-    assert len(drawn) <= 2 + enns.theory._WINDOW
+    assert len(drawn) <= 3 + 3
+    assert threading.active_count() == before
+
+
+def test_mc_first_selection_interrupted_stops_the_threads(monkeypatch):
+    # an interrupt (Ctrl-C) while the calling thread waits stops both threads
+    # before their next block, where they would otherwise draw all 1000
+    monkeypatch.setattr(enns.theory, "usable_cores", lambda: 2)
+    monkeypatch.setattr(enns.theory, "_BLOCK_BYTES", 8 * 30 * 20)
+    orthonormal, drawn = enns.theory._orthonormal_columns, []
+
+    def slow_qr(g):
+        time.sleep(0.001)
+        return orthonormal(g)
+
+    def interrupted(futures, return_when):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(enns.theory, "_orthonormal_columns", slow_qr)
+    monkeypatch.setattr(enns.theory, "wait", interrupted)
+    counting_rng(monkeypatch, drawn.append)
+    before = threading.active_count()
+    with pytest.raises(KeyboardInterrupt):
+        mc_first_selection(first_profile(3, 20), n=30, reps=1000, seed=0)
+    assert len(drawn) <= 4
     assert threading.active_count() == before
 
 
 def test_mc_first_selection_threads_end_with_the_call(monkeypatch):
+    # one pool per call, of one thread per usable core but no more threads than
+    # blocks (1234 designs of 60 x 50 are 6 blocks, 300 are 2 and 100 one),
+    # and no thread left after the call
     pools = []
 
     class Pool(ThreadPoolExecutor):
@@ -347,36 +385,31 @@ def test_mc_first_selection_threads_end_with_the_call(monkeypatch):
             super().__init__(workers)
 
     monkeypatch.setattr(enns.theory, "ThreadPoolExecutor", Pool)
-    monkeypatch.setattr(enns.theory, "usable_cores", lambda: 2)
     before = threading.active_count()
-    mc_first_selection(first_profile(5, 50), n=60, reps=1234, seed=0)
-    assert threading.active_count() == before
-    assert pools == [2]
-    # one pool per call, none left after, also for one chunk of one block and
-    # for three chunks of one block each
-    monkeypatch.setattr(enns.theory, "_FIRST_CHUNK", 500)
-    monkeypatch.setattr(enns.theory, "_BLOCK_BYTES", 500 * 8 * 60 * 50)
-    for reps in (500, 1500):
+    for cores, reps in ((1, 1234), (2, 1234), (3, 1234), (4, 300), (2, 100)):
+        monkeypatch.setattr(enns.theory, "usable_cores", lambda: cores)
         mc_first_selection(first_profile(5, 50), n=60, reps=reps, seed=0)
         assert threading.active_count() == before
-    assert pools == [2] * 3
+    assert pools == [1, 2, 3, 2, 1]
 
 
-def test_mc_first_selection_frees_each_chunk_before_the_next(monkeypatch):
-    # 2000 designs of 30 x 20 are one block: a call of three such chunks peaks
-    # where a call of one does
+def test_mc_first_selection_peak_does_not_grow_with_reps(monkeypatch):
+    # blocks of 50 designs of 30 x 20: on one thread a call of 2000
+    # replications peaks where a call of 500 does, and two threads, each with
+    # its own block, peak at most twice as high
     profile = first_profile(3, 20)
-    monkeypatch.setattr(enns.theory, "_FIRST_CHUNK", 2000)
-    monkeypatch.setattr(enns.theory, "_BLOCK_BYTES", 2000 * 8 * 30 * 20)
-    peaks = []
-    for reps in (2000, 6000):
+    monkeypatch.setattr(enns.theory, "_BLOCK_BYTES", 50 * 8 * 30 * 20)
+    peaks = {}
+    for cores, reps in ((1, 500), (1, 2000), (2, 2000)):
+        monkeypatch.setattr(enns.theory, "usable_cores", lambda: cores)
         tracemalloc.start()
         try:
             mc_first_selection(profile, n=30, reps=reps, seed=0)
-            peaks.append(tracemalloc.get_traced_memory()[1])
+            peaks[cores, reps] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert peaks[1] <= 1.1 * peaks[0]
+    assert abs(peaks[1, 2000] - peaks[1, 500]) <= 0.1 * peaks[1, 500]
+    assert peaks[2, 2000] <= 2.2 * peaks[1, 500]
 
 
 # --- profile validation ---------------------------------------------------------------
