@@ -66,7 +66,7 @@ _THEORY_NAMES = ("theory", "SignalProfile", "folded_normal_cdf", "folded_normal_
                  "mc_select_over", "prob_first_correct", "prob_select_over")
 
 
-def __getattr__(name):  # enns.theory imports scipy, which only these names need: load it on first use
+def __getattr__(name):  # only these names need enns.theory and its imports: load it on first use
     if name not in _THEORY_NAMES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from importlib import import_module  # "from . import theory" would call this function again

@@ -748,7 +748,7 @@ def _agreement(tol: float, analytic: float, mc: float, **case) -> dict:
 
 
 def cmd_verify_theory(args) -> int:
-    from . import theory  # scipy loads here, for this command only
+    from . import theory  # loaded here, for this command only
     if not (args.pair_betas and args.sigmas or args.first_cases):
         raise UsageError("no cases to verify")
     rules = {"finite": math.isfinite, "positive": lambda value: value > 0}

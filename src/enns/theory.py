@@ -15,22 +15,27 @@ columns, and both probabilities have exact short forms:
 Every function rejects a NaN or infinite beta and a sigma that is not positive
 and finite. The Monte-Carlo oracles draw in fixed-size chunks, so a seed fixes
 every estimate; the first-selection one gives each block of replications its
-own random stream and runs the blocks on one thread per usable core.
+own random stream and runs the blocks on one thread per usable core. Only
+numpy and the standard library are used: erf and erfc come from ``math``.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass
+import math
 import threading
 
 import numpy as np
-from scipy import integrate, special
 
 from .cores import usable_cores
 from .seeding import spawn_rng
 
 _SQRT2 = np.sqrt(2.0)
+_erf = np.vectorize(math.erf, otypes=[np.float64])
+_erfc = np.vectorize(math.erfc, otypes=[np.float64])
+_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(16)
+_PANELS = 48
 
 
 def _check_signal(sigma: float, *betas) -> None:
@@ -71,7 +76,7 @@ def folded_normal_cdf(x, mu: float, sigma: float):
         raise ValueError("x must be non-negative")
     mu = abs(mu)
     denom = np.sqrt(2.0 * sigma * sigma)
-    val = 0.5 * (special.erf((x + mu) / denom) + special.erf((x - mu) / denom))
+    val = 0.5 * (_erf((x + mu) / denom) + _erf((x - mu) / denom))
     return val if val.ndim else float(val)
 
 
@@ -98,26 +103,27 @@ def prob_select_over(beta_j: float, beta_k: float, sigma: float) -> float:
     1/2 at |bj| = |bk|."""
     _check_signal(sigma, beta_j, beta_k)
     bj, bk = abs(beta_j), abs(beta_k)
-    val = 0.5 + 0.5 * float(special.erf((bk - bj) / (2.0 * sigma)) * special.erf((bk + bj) / (2.0 * sigma)))
+    val = 0.5 + 0.5 * math.erf((bk - bj) / (2.0 * sigma)) * math.erf((bk + bj) / (2.0 * sigma))
     return float(min(max(val, 0.0), 1.0))
 
 
 def prob_first_correct(profile: SignalProfile) -> float:
     """Probability that the largest criterion lies in the support:
     1 - m integral_0^inf f_0(x) F_0(x)^(m-1) prod_{k<=s} F_k(x) dx, with f_0
-    and F_0 the half-normal null density and CDF and m = p - s; 1 at p = s."""
+    and F_0 the half-normal null density and CDF and m = p - s; 1 at p = s.
+    The rule is 16-node Gauss-Legendre on each of 48 panels of [0, 12 sigma]."""
     m = profile.p - profile.s
     if m == 0:
         return 1.0
-    sigma, support = profile.sigma, np.abs(profile.betas[: profile.s])
-
-    def integrand(x: float) -> float:
-        cdfs = 0.5 * (special.erf((x + support) / (_SQRT2 * sigma)) + special.erf((x - support) / (_SQRT2 * sigma)))
-        null_max = m * folded_normal_pdf(x, 0.0, sigma) * folded_normal_cdf(x, 0.0, sigma) ** (m - 1)
-        return null_max * float(np.prod(cdfs))
-
+    sigma = profile.sigma
+    support, repeats = np.unique(np.abs(profile.betas[: profile.s]), return_counts=True)
     # the null maximum's mass beyond 12 sigma is below m * 1e-32
-    val, _ = integrate.quad(integrand, 0.0, 12.0 * sigma, epsabs=1e-13, epsrel=1e-13, limit=300)
+    h = 12.0 * sigma / _PANELS
+    x = h * (np.arange(_PANELS)[:, None] + 0.5 * (_NODES + 1.0))  # the nodes, panel by panel
+    cdfs = 0.5 * (_erf((x[..., None] + support) / (_SQRT2 * sigma)) + _erf((x[..., None] - support) / (_SQRT2 * sigma)))
+    # F_0^(m-1) from erfc: a rounded F_0 near 1 would lose m - 1 times its error
+    null_max = m * folded_normal_pdf(x, 0.0, sigma) * np.exp((m - 1) * np.log1p(-_erfc(x / (_SQRT2 * sigma))))
+    val = 0.5 * h * float(np.sum(_WEIGHTS * null_max * np.prod(cdfs**repeats, axis=-1)))
     return float(min(max(1.0 - val, 0.0), 1.0))
 
 

@@ -1,6 +1,7 @@
-"""scipy loads only for the selection-probability theory: no other module
-imports it, the package serves the theory names on first use, and no command
-but ``verify-theory`` brings scipy into the process."""
+"""The package never imports scipy, and it loads the selection-probability
+theory only on first use: no module imports it when it loads, the package
+serves the theory names on first use, no command but ``verify-theory`` loads
+it, and no command loads scipy."""
 
 import ast
 import json
@@ -86,14 +87,12 @@ def test_detector_flags_scipy_anywhere_and_theory_at_module_level():
     assert scipy_and_theory_imports(source) == ([2, 3, 10], [4, 5, 6, 7, 15])
 
 
-def test_only_theory_imports_scipy_and_no_module_imports_theory_when_it_loads():
+def test_no_module_imports_scipy_or_imports_theory_when_it_loads():
     modules = sorted(PACKAGE_DIR.glob("*.py"))
     assert PACKAGE_DIR / "theory.py" in modules
     offenders = {}
     for path in modules:
         scipy, theory = scipy_and_theory_imports(path.read_text(encoding="utf8"))
-        if path.name == "theory.py":
-            scipy = []
         if scipy or theory:
             offenders[path.name] = {"scipy": scipy, "theory": theory}
     assert offenders == {}
@@ -149,7 +148,7 @@ seed = 3
 """
 
 
-def test_only_verify_theory_loads_scipy(tmp_path):
+def test_no_command_loads_scipy_and_only_verify_theory_loads_theory(tmp_path):
     (tmp_path / "exp.cfg").write_text(TINY_EXPERIMENT)
     out = run_fresh(
         """
@@ -188,5 +187,5 @@ def test_only_verify_theory_loads_scipy(tmp_path):
         ["select", False, False],
         ["estimate", False, False],
         ["run-experiment", False, False],
-        ["verify-theory", True, True],
+        ["verify-theory", False, True],
     ]

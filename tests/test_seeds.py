@@ -6,6 +6,7 @@ same version."""
 import dataclasses
 import importlib
 import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -49,8 +50,19 @@ def test_seeded_call_takes_a_required_seed(module, name):
     assert param.default is inspect.Parameter.empty, f"{name}'s seed has a default"
 
 
-def test_package_version_is_the_pyproject_version():
-    # a release that changes seeded outputs bumps both, never one of them
+def project_table() -> dict:
     tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
-    assert enns.__version__ == tomllib.loads(pyproject.read_text(encoding="utf8"))["project"]["version"]
+    return tomllib.loads(pyproject.read_text(encoding="utf8"))["project"]
+
+
+def test_package_version_is_the_pyproject_version():
+    # a release that changes seeded outputs bumps both, never one of them
+    assert enns.__version__ == project_table()["version"]
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    # scipy is for the tests and scripts/ only, in the test extra
+    names = [re.match(r"[A-Za-z0-9_.-]+", dep).group().lower() for dep in project_table()["dependencies"]]
+    assert names == ["numpy"]
+    assert any(dep.startswith("scipy") for dep in project_table()["optional-dependencies"]["test"])

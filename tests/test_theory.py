@@ -6,7 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
@@ -53,6 +53,16 @@ def test_folded_cdf_monotone_in_x():
     xs = np.linspace(0.0, 8.0, 200)
     vals = folded_normal_cdf(xs, 1.3, 0.7)
     assert np.all(np.diff(vals) >= 0)
+
+
+def test_folded_cdf_keeps_the_shape_of_x():
+    # a scalar or a 0-d array gives a float; any other array, one of its shape
+    assert type(folded_normal_cdf(1.0, 0.5, 1.0)) is float
+    assert type(folded_normal_cdf(np.array(1.0), 0.5, 1.0)) is float
+    for x in [np.empty(0), np.full((2, 3), 1.0)]:
+        val = folded_normal_cdf(x, 0.5, 1.0)
+        assert isinstance(val, np.ndarray) and val.shape == x.shape and val.dtype == np.float64
+    assert np.all(folded_normal_cdf(np.full((2, 3), 1.0), 0.5, 1.0) == folded_normal_cdf(1.0, 0.5, 1.0))
 
 
 def test_folded_pdf_at_origin():
@@ -209,11 +219,65 @@ def support_profiles(draw):
 
 @settings(deadline=None, max_examples=30)
 @given(profile=support_profiles())
+@example(profile=SignalProfile(np.r_[2.0, -2.0, 3.0, 0.5, -3.0, 2.0, np.zeros(300)], 1.5, 6))  # repeated |beta|
 def test_first_correct_closed_form_matches_printed_form(profile):
     closed = prob_first_correct(profile)
     assert abs(closed - printed_first_correct(profile)) <= 1e-12
     if profile.p == profile.s:
         assert closed == 1.0
+
+
+def first_profile(s: int, p: int) -> SignalProfile:
+    betas = np.zeros(p)
+    betas[:s] = 2.0
+    return SignalProfile(betas, 1.0, s)
+
+
+# 40-digit references, computed once with mpmath 1.3 at mp.dps = 40 (and
+# again at 60, to the same digits): the pair form (1 + erf((|bk|-|bj|)/(2 sigma))
+# erf((|bk|+|bj|)/(2 sigma))) / 2, and 1 - mp.quad of the first-correct
+# integrand over [0, inf) split at every quarter sigma up to 16 sigma. The
+# pairs are the default verify-theory grid's cases whose value moved when erf
+# came from math.erf instead of scipy.special.erf; the first cases are the
+# grid's three, with beta 2 on the support and sigma 1.
+PAIR_REFERENCES = [
+    ((0.0, 1.0, 0.5), "0.8550723132190391050190023139547636995411"),
+    ((1.0, 0.0, 0.5), "0.1449276867809608949809976860452363004589"),
+    ((2.0, 1.0, 0.5), "0.07865891136481124595328728356404112888865"),
+    ((3.0, 2.0, 0.5), "0.07864960352579037462333608775021533008169"),
+    ((0.0, 2.0, 1.0), "0.8550723132190391050190023139547636995411"),
+    ((2.0, 0.0, 1.0), "0.1449276867809608949809976860452363004589"),
+    ((3.0, 1.0, 1.0), "0.08062056901401114051808815373845765577783"),
+    ((3.0, 1.0, 2.0), "0.2806871701183579906562763760679150234971"),
+]
+FIRST_REFERENCES = [
+    ((1, 2), "0.8550723132190391050190023139547636995411"),
+    ((3, 20), "0.801001954677300589041539868303228300258"),
+    ((5, 50), "0.8102394520022134115014662370888986092879"),
+]
+
+
+@pytest.mark.parametrize("case, reference", PAIR_REFERENCES)
+def test_select_over_within_two_ulp_of_reference(case, reference):
+    ref = float(reference)
+    assert abs(prob_select_over(*case) - ref) <= 2 * np.spacing(ref)
+
+
+@pytest.mark.parametrize("case, reference", FIRST_REFERENCES)
+def test_first_correct_within_two_ulp_of_reference(case, reference):
+    ref = float(reference)
+    assert abs(prob_first_correct(first_profile(*case)) - ref) <= 2 * np.spacing(ref)
+
+
+def test_first_correct_sharp_peak():
+    # at p = 100,000 the null maximum's density peaks about 0.2 sigma wide near
+    # 4.8 sigma, and F_0^(m-1) raises the rounding of F_0 to the power m - 1:
+    # taken as F_0 ** (m - 1) from erf it errs by 1e-13 here; the reference is
+    # the mpmath integral described above
+    profile = first_profile(2, 100_000)
+    closed = prob_first_correct(profile)
+    assert abs(closed - printed_first_correct(profile)) <= 1e-12
+    assert abs(closed - 0.01380553012451790780278319555239882857485) <= 1e-14
 
 
 # --- Monte-Carlo oracle ------------------------------------------------------------
@@ -244,12 +308,6 @@ def test_mc_deterministic():
     a = mc_first_selection(profile, n=6, reps=5_000, seed=9)
     b = mc_first_selection(profile, n=6, reps=5_000, seed=9)
     assert a == b
-
-
-def first_profile(s: int, p: int) -> SignalProfile:
-    betas = np.zeros(p)
-    betas[:s] = 2.0
-    return SignalProfile(betas, 1.0, s)
 
 
 @pytest.mark.parametrize("seed", range(8))
