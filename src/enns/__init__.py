@@ -63,7 +63,7 @@ from .metrics import (
 
 __version__ = "0.2.0"
 _THEORY_NAMES = ("theory", "SignalProfile", "folded_normal_cdf", "folded_normal_pdf", "mc_first_selection",
-                 "mc_select_over", "prob_first_correct", "prob_select_over")
+                 "mc_select_over", "pair_wins", "prob_first_correct", "prob_select_over")
 
 
 def __getattr__(name):  # only these names need enns.theory and its imports: load it on first use

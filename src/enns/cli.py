@@ -748,6 +748,7 @@ def _agreement(tol: float, analytic: float, mc: float, **case) -> dict:
 
 
 def cmd_verify_theory(args) -> int:
+    from concurrent.futures import ThreadPoolExecutor  # as theory, loaded for this command only
     from . import theory  # loaded here, for this command only
     if not (args.pair_betas and args.sigmas or args.first_cases):
         raise UsageError("no cases to verify")
@@ -768,23 +769,25 @@ def cmd_verify_theory(args) -> int:
             raise UsageError(f"--first-cases {s}:{p}: s must be in 1..p")
         profiles.append(theory.SignalProfile(np.repeat([args.beta_support, 0.0], [s, p - s]), args.first_sigma, s))
     _check_output_dirs(args.out)
-    pair_cases = []
-    for sigma in args.sigmas:
-        for bj in args.pair_betas:
-            for bk in args.pair_betas:
-                analytic = theory.prob_select_over(bj, bk, sigma)
-                seed = derive_seed(args.seed, "pair", _fmt(bj), _fmt(bk), _fmt(sigma))
-                mc = theory.mc_select_over(bj, bk, sigma, reps=args.reps, seed=seed)
-                pair_cases.append(_agreement(args.pair_tol, analytic, mc, beta_j=bj, beta_k=bk, sigma=sigma))
-    first_cases = []
-    for (s, p), profile in zip(args.first_cases, profiles):
-        analytic = theory.prob_first_correct(profile)
-        try:
-            mc = theory.mc_first_selection(profile, n=p + 10, reps=args.reps, seed=derive_seed(args.seed, "first", s, p))
-        except MemoryError as exc:
-            raise UsageError(f"--first-cases {s}:{p}: {str(exc) or 'out of memory'}") from exc
-        case = dict(s=s, p=p, beta=args.beta_support, sigma=args.first_sigma, n=p + 10)
-        first_cases.append(_agreement(args.first_tol, analytic, mc, **case))
+    pairs = [(bj, bk, sigma) for sigma in args.sigmas for bj in args.pair_betas for bk in args.pair_betas]
+    # the pair cases, each on its own seed, run on one side thread beside the first cases' blocks
+    side = ThreadPoolExecutor(1)
+    try:
+        wins = [side.submit(theory.pair_wins, *case, args.reps, derive_seed(args.seed, "pair", *map(_fmt, case)))
+                for case in pairs]
+        first_cases = []
+        for (s, p), profile in zip(args.first_cases, profiles):
+            analytic = theory.prob_first_correct(profile)
+            try:
+                mc = theory.mc_first_selection(profile, p + 10, args.reps, derive_seed(args.seed, "first", s, p))
+            except MemoryError as exc:
+                raise UsageError(f"--first-cases {s}:{p}: {str(exc) or 'out of memory'}") from exc
+            case = dict(s=s, p=p, beta=args.beta_support, sigma=args.first_sigma, n=p + 10)
+            first_cases.append(_agreement(args.first_tol, analytic, mc, **case))
+        pair_cases = [_agreement(args.pair_tol, theory.prob_select_over(bj, bk, sigma), won.result() / args.reps,
+                                 beta_j=bj, beta_k=bk, sigma=sigma) for (bj, bk, sigma), won in zip(pairs, wins)]
+    finally:  # after an error or an interrupt too: drop the queued pair cases and join the thread
+        side.shutdown(cancel_futures=True)
     doc = {
         "seed": args.seed,
         "reps": args.reps,

@@ -14,9 +14,10 @@ columns, and both probabilities have exact short forms:
 
 Every function rejects a NaN or infinite beta and a sigma that is not positive
 and finite. The Monte-Carlo oracles draw in fixed-size chunks, so a seed fixes
-every estimate; the first-selection one gives each block of replications its
-own random stream and runs the blocks on one thread per usable core. Only
-numpy and the standard library are used: erf and erfc come from ``math``.
+every estimate. The first-selection one gives each block of replications its own
+random stream and runs the blocks on one thread per usable core; the pair one
+divides ``pair_wins``, a count that a caller may run on a thread of its own.
+Only numpy and the standard library are used: erf and erfc come from ``math``.
 """
 
 from __future__ import annotations
@@ -201,24 +202,30 @@ def mc_first_selection(profile: SignalProfile, n: int, reps: int, seed: int) -> 
         return sum(f.result() for f in counts) / reps
 
 
-def mc_select_over(beta_j: float, beta_k: float, sigma: float, reps: int, seed: int) -> float:
-    """Monte-Carlo estimate of P(|x_(j)' y| < |x_(k)' y|) with two
-    orthonormalized Gaussian columns of ``_PAIR_N`` rows and
-    y = beta_j x_(j) + beta_k x_(k) + eps, in chunks of ``_PAIR_CHUNK``."""
+def pair_wins(beta_j: float, beta_k: float, sigma: float, reps: int, seed: int) -> int:
+    """Replications of ``reps``, in chunks of ``_PAIR_CHUNK``, with |x_(j)' y| < |x_(k)' y| for two orthonormalized
+    Gaussian columns of ``_PAIR_N`` rows and y = beta_j x_(j) + beta_k x_(k) + eps."""
     _check_signal(sigma, beta_j, beta_k)
     sizes = _chunks(reps, _PAIR_CHUNK)
     rng = spawn_rng(seed, "mc-pair")
     wins = 0
     for c in sizes:
-        a = rng.standard_normal((c, _PAIR_N))
-        b = rng.standard_normal((c, _PAIR_N))
-        q1 = a / np.linalg.norm(a, axis=1, keepdims=True)
-        proj = np.einsum("cn,cn->c", q1, b)
-        b_perp = b - proj[:, None] * q1
-        q2 = b_perp / np.linalg.norm(b_perp, axis=1, keepdims=True)
+        q1 = rng.standard_normal((c, _PAIR_N))
+        q2 = rng.standard_normal((c, _PAIR_N))
+        q1 /= np.linalg.norm(q1, axis=1, keepdims=True)
+        q2 -= np.einsum("cn,cn->c", q1, q2)[:, None] * q1
+        q2 /= np.linalg.norm(q2, axis=1, keepdims=True)
         eps = rng.standard_normal((c, _PAIR_N))
-        y = abs(beta_j) * q1 + abs(beta_k) * q2 + sigma * eps
+        eps *= sigma
+        y = abs(beta_j) * q1  # built in place but summed left to right, so the bits of a seed stay fixed
+        y += abs(beta_k) * q2
+        y += eps
         cj = np.abs(np.einsum("cn,cn->c", q1, y))
         ck = np.abs(np.einsum("cn,cn->c", q2, y))
         wins += int(np.sum(cj < ck))
-    return wins / reps
+    return wins
+
+
+def mc_select_over(beta_j: float, beta_k: float, sigma: float, reps: int, seed: int) -> float:
+    """Monte-Carlo estimate of P(|x_(j)' y| < |x_(k)' y|): ``pair_wins`` over ``reps``."""
+    return pair_wins(beta_j, beta_k, sigma, reps, seed) / reps

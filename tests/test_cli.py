@@ -6,6 +6,8 @@ import re
 import shutil
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -835,7 +837,7 @@ def test_nan_and_out_of_range_values_are_usage_errors(tmp_path, capsys, monkeypa
         xy = ["--x", data / "X.csv", "--y", data / "y.csv"]
     for name in ("read_matrix_csv", "gen_design_uniform", "gen_design_correlated"):
         monkeypatch.setattr(enns.cli, name, no_work)
-    for name in ("prob_select_over", "prob_first_correct", "mc_select_over", "mc_first_selection"):
+    for name in ("prob_select_over", "prob_first_correct", "mc_select_over", "pair_wins", "mc_first_selection"):
         monkeypatch.setattr(enns.theory, name, no_work)
     if command == "gen-data":
         argv = [command, "--out-dir", out, "--n", 20, "--p", 6, "--response", "linear", "--s", 2, *flags]
@@ -1060,8 +1062,8 @@ def test_verify_theory_without_cases_is_usage_error(tmp_path, capsys, monkeypatc
     def no_simulation(*args, **kwargs):
         raise AssertionError("ran a Monte Carlo")
 
-    monkeypatch.setattr(enns.theory, "mc_select_over", no_simulation)
-    monkeypatch.setattr(enns.theory, "mc_first_selection", no_simulation)
+    for name in ("mc_select_over", "pair_wins", "mc_first_selection"):
+        monkeypatch.setattr(enns.theory, name, no_simulation)
     out = tmp_path / "report.json"
     assert run("verify-theory", *empty, "--first-cases", "", "--out", out) == 1
     assert capsys.readouterr().err == "error: no cases to verify\n"
@@ -1073,7 +1075,7 @@ def test_verify_theory_nonpositive_reps_is_usage_error_before_any_work(tmp_path,
     def no_probability(*args, **kwargs):
         raise AssertionError("computed a probability")
 
-    for name in ("prob_select_over", "prob_first_correct", "mc_select_over", "mc_first_selection"):
+    for name in ("prob_select_over", "prob_first_correct", "mc_select_over", "pair_wins", "mc_first_selection"):
         monkeypatch.setattr(enns.theory, name, no_probability)
     out = tmp_path / "report.json"
     assert run("verify-theory", "--reps", reps, "--out", out) == 1
@@ -1109,7 +1111,7 @@ def test_verify_theory_checks_every_case_before_any_probability(tmp_path, capsys
     def no_probability(*args, **kwargs):
         raise AssertionError("computed a probability")
 
-    for name in ("prob_select_over", "prob_first_correct", "mc_select_over", "mc_first_selection"):
+    for name in ("prob_select_over", "prob_first_correct", "mc_select_over", "pair_wins", "mc_first_selection"):
         monkeypatch.setattr(enns.theory, name, no_probability)
     out = tmp_path / "report.json"
     assert run("verify-theory", *flags.split(), "--out", out) == 1
@@ -1137,6 +1139,64 @@ def test_verify_theory_case_too_large_to_allocate_is_usage_error(tmp_path, capsy
     assert run("verify-theory", *flags) == 1
     assert capsys.readouterr().err == f"error: --first-cases 5:200000: {message}\n"
     assert not out.exists()
+
+
+def test_verify_theory_refused_first_case_drops_the_queued_pair_cases(tmp_path, capsys, monkeypatch):
+    empty, pair_wins, calls = np.empty, enns.theory.pair_wins, []
+
+    def refuse_huge(shape, *args, **kwargs):
+        if np.prod(shape) * 8 > 1e9:
+            raise MemoryError("Unable to allocate 298 GiB")
+        return empty(shape, *args, **kwargs)
+
+    def slow_pair(*args):
+        calls.append(args)
+        time.sleep(1.0)  # the first cases fail well within this, with the rest still queued
+        return pair_wins(*args)
+
+    monkeypatch.setattr(np, "empty", refuse_huge)
+    monkeypatch.setattr(enns.theory, "pair_wins", slow_pair)
+    before = threading.active_count()
+    out = tmp_path / "report.json"
+    flags = ("--reps", 10, "--pair-betas", "0,1,2", "--sigmas", 1, "--first-cases", "1:2,5:200000", "--out", out)
+    assert run("verify-theory", *flags) == 1
+    assert capsys.readouterr().err == "error: --first-cases 5:200000: Unable to allocate 298 GiB\n"
+    assert not out.exists()
+    assert threading.active_count() == before
+    assert len(calls) <= 1  # of 9 pair cases
+
+
+@pytest.mark.parametrize("failure", [RuntimeError("pair case failed"), ValueError("sigma must be positive and finite")])
+def test_verify_theory_pair_case_error_surfaces_unchanged(tmp_path, capsys, monkeypatch, failure):
+    def failing_pair(*args):
+        raise failure
+
+    monkeypatch.setattr(enns.theory, "pair_wins", failing_pair)
+    before = threading.active_count()
+    out = tmp_path / "report.json"
+    flags = ("--reps", 10, "--pair-betas", "0,1", "--sigmas", 1, "--first-cases", "1:2", "--out", out)
+    if isinstance(failure, ValueError):  # read as from one thread: a usage error
+        assert run("verify-theory", *flags) == 1
+        assert capsys.readouterr().err == f"error: {failure}\n"
+    else:
+        with pytest.raises(RuntimeError) as raised:
+            run("verify-theory", *flags)
+        assert raised.value is failure
+    assert not out.exists()
+    assert threading.active_count() == before
+
+
+def test_verify_theory_interrupt_in_a_first_case_leaves_no_thread(tmp_path, monkeypatch):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(enns.theory, "mc_first_selection", interrupted)
+    before = threading.active_count()
+    out = tmp_path / "report.json"
+    with pytest.raises(KeyboardInterrupt):
+        run("verify-theory", "--reps", 10, "--pair-betas", "0,1,2", "--first-cases", "1:2", "--out", out)
+    assert not out.exists()
+    assert threading.active_count() == before
 
 
 def test_verify_theory_default_grid_passes_small():
@@ -1365,7 +1425,7 @@ def test_output_in_a_missing_directory_fails_before_any_work(tmp_path, capsys, m
     (tmp_path / "directory").mkdir()
     for name in ("read_matrix_csv", "gen_design_uniform", "dnp_run", "enns_select", "train", "fit_l1"):
         monkeypatch.setattr(enns.cli, name, no_work)
-    for name in ("prob_select_over", "prob_first_correct", "mc_select_over", "mc_first_selection"):
+    for name in ("prob_select_over", "prob_first_correct", "mc_select_over", "pair_wins", "mc_first_selection"):
         monkeypatch.setattr(enns.theory, name, no_work)
     outputs = {f: tmp_path / f.strip("-").replace("-", ".") for f in OUTPUT_TARGETS[command]}
     target = outputs[flag] = tmp_path / parent / ("" if parent == "directory" else "out.json")

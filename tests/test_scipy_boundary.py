@@ -19,7 +19,7 @@ PACKAGE_DIR = REPO_DIR / "src" / "enns"
 
 THEORY_NAMES = [
     "SignalProfile", "folded_normal_cdf", "folded_normal_pdf", "mc_first_selection", "mc_select_over",
-    "prob_first_correct", "prob_select_over",
+    "pair_wins", "prob_first_correct", "prob_select_over",
 ]
 
 # the public names of ``dir(enns)`` after a bare ``import enns``
@@ -32,7 +32,7 @@ PUBLIC_NAMES = [
     "filter_appearances", "fit_l1", "fit_stagewise", "folded_normal_cdf", "folded_normal_pdf", "forward_batch",
     "gen_design_correlated", "gen_design_uniform", "gen_response", "layer_deltas", "load_model",
     "mc_first_selection", "mc_select_over", "metrics", "model_from_json", "model_to_json", "network",
-    "predict_bagged_dropout", "prob_first_correct", "prob_select_over", "regression_metrics", "save_model",
+    "pair_wins", "predict_bagged_dropout", "prob_first_correct", "prob_select_over", "regression_metrics", "save_model",
     "seeding", "selection_metrics", "simulate", "soft_threshold", "stagewise", "stagewise_fit", "theory", "train",
     "xavier_init",
 ]

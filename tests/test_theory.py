@@ -17,6 +17,7 @@ from enns.theory import (
     folded_normal_pdf,
     mc_first_selection,
     mc_select_over,
+    pair_wins,
     prob_first_correct,
     prob_select_over,
 )
@@ -138,6 +139,14 @@ def test_select_over_matches_design_simulation():
     analytic = prob_select_over(0.0, 3.0, 1.0)
     mc = mc_select_over(0.0, 3.0, 1.0, reps=100_000, seed=5)
     assert abs(analytic - mc) < 0.01
+
+
+@pytest.mark.parametrize("case, wins", [((2.0, 1.0, 1.0, 123_457, 11), 30823), ((0.0, -0.5, 2.0, 5000, 3), 2471)])
+def test_pair_wins_pins_the_seeded_count(case, wins):
+    # counts of the version 0.2.0 simulator, which built each array out of place;
+    # 123,457 replications take three chunks, the last one short
+    assert pair_wins(*case) == wins
+    assert mc_select_over(*case) == wins / case[3]
 
 
 def test_select_over_monotone_spot_check():
@@ -468,6 +477,18 @@ def test_mc_first_selection_peak_does_not_grow_with_reps(monkeypatch):
             tracemalloc.stop()
     assert abs(peaks[1, 2000] - peaks[1, 500]) <= 0.1 * peaks[1, 500]
     assert peaks[2, 2000] <= 2.2 * peaks[1, 500]
+
+
+def test_pair_wins_holds_five_chunk_arrays():
+    # the two columns, the noise, y and one product; the arrays are built in place
+    array = enns.theory._PAIR_CHUNK * enns.theory._PAIR_N * 8
+    tracemalloc.start()
+    try:
+        pair_wins(1.0, 2.0, 1.0, reps=enns.theory._PAIR_CHUNK, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.5 * array
 
 
 # --- profile validation ---------------------------------------------------------------

@@ -78,3 +78,33 @@ def test_tracer_binds_every_target_and_restores(tmp_path):
         if id(getattr(v, "__wrapped__", None)) in traced
     ]
     assert left == []
+
+
+def test_verify_theory_spans_nest_on_one_thread(tmp_path):
+    # the tracer keeps one span stack, so a traced function run beside another,
+    # on a second thread, would open spans that cross their parent or a sibling
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install(enns)
+    try:
+        with tracer.span("call", 0):
+            assert enns.cli.main([
+                "verify-theory", "--reps", "2000", "--pair-betas", "0,1,2", "--sigmas", "0.5,1",
+                "--first-cases", "1:2,3:20", "--out", str(tmp_path / "report.json"),
+            ]) == 0
+    finally:
+        tracer.restore()
+
+    assert None not in tracer.spans  # every span closed
+    spans = {span_id: (parent, start, end) for span_id, parent, _, _, start, end in tracer.spans}
+    for parent, start, end in spans.values():
+        if parent != -1:
+            assert spans[parent][1] <= start <= end <= spans[parent][2]
+    children = {}
+    for parent, start, end in spans.values():
+        children.setdefault(parent, []).append((start, end))
+    for siblings in children.values():
+        siblings.sort()
+        assert all(prev_end <= start for (_, prev_end), (start, _) in zip(siblings, siblings[1:]))
+    assert tracer.counts["theory.qr_gflop"] > 0
+    assert len(tracer.durations("theory.mc_first_selection")) == 2
