@@ -33,7 +33,7 @@ import numpy as np
 from .cores import forked, usable_cores
 from .ensemble import EnnsConfig, SelectionReport, enns_select
 from .estimation import SPARSITY_MODES, SparsitySpec, fit_l1
-from .metrics import METRIC_COLUMNS, PredictionMetrics, classification_metrics, regression_metrics, selection_metrics
+from .metrics import METRIC_COLUMNS, prediction_metrics, selection_metrics
 from .network import (
     ACTIVATIONS,
     TASKS,
@@ -565,12 +565,6 @@ def _fit(data_fit: Dataset, settings: _Settings, seed: int) -> tuple[NetworkPara
     return fit_l1(data_fit, arch, settings.sparsity, settings.opts, seed), arch
 
 
-def _prediction_metrics(task: str, y: np.ndarray, preds: np.ndarray) -> PredictionMetrics:
-    if task == "regression":
-        return regression_metrics(y, preds)
-    return classification_metrics(y, preds, threshold=0.5)
-
-
 # --- subcommands -----------------------------------------------------------------
 
 
@@ -655,7 +649,7 @@ def cmd_estimate(args) -> int:
     metrics_doc = {"task": args.task, "n_test": n_test, "metrics": {}}
     if n_test > 0:
         preds = forward_batch(params, arch, data_sel.x[test_idx])
-        values = _prediction_metrics(args.task, data.y[test_idx], preds).as_dict()  # null: not finite or n/a
+        values = prediction_metrics(args.task, data.y[test_idx], preds)  # null: not finite or n/a
         metrics_doc["metrics"] = {k: None if v is None or not math.isfinite(v) else v for k, v in values.items()}
     _write_json(metrics_doc, args.metrics_out)
     return 0
@@ -680,7 +674,7 @@ def _experiment_repetition(cfg: ExperimentConfig, spec: ResponseSpec, settings: 
         # no features: predict the mean response (a share in [0, 1] for 0/1 labels)
         preds = np.full(n_test, float(np.mean(data_rest.y)))
     sel = selection_metrics(selected, truth.support)
-    values = _prediction_metrics(cfg.task, y[test_idx], preds).as_dict().values()
+    values = prediction_metrics(cfg.task, y[test_idx], preds).values()
     return [
         float(len(selected)),
         float(sel.true_positives),

@@ -149,10 +149,8 @@ def predict_bagged_dropout(
         ]
     )
     mean = per.mean(axis=0)
-    if arch.task == "classification":
-        labels = (mean > spec.threshold).astype(np.int64)
-        return BaggedPrediction(prediction=mean, labels=labels, per_repeat=per)
-    return BaggedPrediction(prediction=mean, labels=None, per_repeat=per)
+    labels = (mean > spec.threshold).astype(np.int64) if arch.task == "classification" else None
+    return BaggedPrediction(prediction=mean, labels=labels, per_repeat=per)
 
 
 def fit_stagewise(

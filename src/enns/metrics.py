@@ -32,10 +32,6 @@ class PredictionMetrics:
     auc: Optional[float] = None
     f1: Optional[float] = None
 
-    def as_dict(self) -> dict[str, Optional[float]]:
-        task = "regression" if self.rmse is not None else "classification"
-        return {name: getattr(self, name) for name in METRIC_COLUMNS[task]}
-
 
 def selection_metrics(selected: Iterable[int], true_support: Iterable[int]) -> SelectionMetrics:
     """Support-recovery counts; the false-positive rate is the share of
@@ -48,16 +44,28 @@ def selection_metrics(selected: Iterable[int], true_support: Iterable[int]) -> S
     return SelectionMetrics(true_positives=tp, false_positives=fp, false_positive_rate=fpr)
 
 
-def regression_metrics(y: np.ndarray, yhat: np.ndarray) -> PredictionMetrics:
-    """RMSE, MAE and MAPE (MAPE averages |(y-yhat)/y| over nonzero y only;
-    NaN if every response is zero, inf if a ratio overflows because some y is
-    tiny)."""
+def _vectors(y: np.ndarray, yhat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both inputs as flat float64 vectors of one nonzero length."""
     y = np.asarray(y, dtype=np.float64).ravel()
     yhat = np.asarray(yhat, dtype=np.float64).ravel()
     if y.size == 0:
         raise ValueError("empty vectors")
     if y.shape != yhat.shape:
         raise ValueError("length mismatch")
+    return y, yhat
+
+
+def prediction_metrics(task: str, y: np.ndarray, yhat: np.ndarray) -> dict[str, Optional[float]]:
+    """The task's ``METRIC_COLUMNS``, in order, as a name -> value dict."""
+    metrics = regression_metrics(y, yhat) if task == "regression" else classification_metrics(y, yhat)
+    return {name: getattr(metrics, name) for name in METRIC_COLUMNS[task]}
+
+
+def regression_metrics(y: np.ndarray, yhat: np.ndarray) -> PredictionMetrics:
+    """RMSE, MAE and MAPE (MAPE averages |(y-yhat)/y| over nonzero y only;
+    NaN if every response is zero, inf if a ratio overflows because some y is
+    tiny)."""
+    y, yhat = _vectors(y, yhat)
     err = y - yhat
     rmse = float(np.sqrt(np.mean(err**2)))
     mae = float(np.mean(np.abs(err)))
@@ -67,23 +75,16 @@ def regression_metrics(y: np.ndarray, yhat: np.ndarray) -> PredictionMetrics:
     return PredictionMetrics(rmse=rmse, mae=mae, mape=mape)
 
 
-def classification_metrics(
-    y: np.ndarray, p_hat: np.ndarray, threshold: float = 0.5
-) -> PredictionMetrics:
-    """Accuracy and F1 at the threshold (positive class 1, F1 = 0 when
-    undefined) and AUC by the rank statistic with ties counted half."""
-    y = np.asarray(y, dtype=np.float64).ravel()
-    p_hat = np.asarray(p_hat, dtype=np.float64).ravel()
-    if y.size == 0:
-        raise ValueError("empty vectors")
-    if y.shape != p_hat.shape:
-        raise ValueError("length mismatch")
+def classification_metrics(y: np.ndarray, p_hat: np.ndarray) -> PredictionMetrics:
+    """Accuracy and F1 of the labels 1{p_hat > 0.5} (positive class 1, F1 = 0
+    when undefined) and AUC by the rank statistic with ties counted half."""
+    y, p_hat = _vectors(y, p_hat)
     if not np.all((y == 0.0) | (y == 1.0)):
         raise ValueError("labels must be 0/1")
     if not np.all((p_hat >= 0.0) & (p_hat <= 1.0)):  # NaN too
         raise ValueError("scores must lie in [0, 1]")
 
-    pred = (p_hat > threshold).astype(np.float64)
+    pred = (p_hat > 0.5).astype(np.float64)
     accuracy = float(np.mean(pred == y))
 
     n_pos = int(np.sum(y == 1.0))

@@ -36,13 +36,9 @@ class NumericalError(RuntimeError):
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    """Logistic function, evaluated without overflow for large |z|."""
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """Logistic function without overflow: e = exp(-|z|) <= 1 on both sides of 0."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def _activation(name: str, z: np.ndarray) -> np.ndarray:
@@ -164,8 +160,8 @@ class Dataset:
         return self._part(self.x[idx], self.y[idx])
 
     def subset_columns(self, cols: Sequence[int]) -> "Dataset":
-        # x[:, cols] is column-major; row-major keeps all-column products bit-identical
-        return self._part(np.ascontiguousarray(self.x[:, list(cols)]), self.y)
+        # take copies into a row-major array, which keeps all-column products bit-identical
+        return self._part(np.take(self.x, cols, axis=1), self.y)
 
 
 @dataclass(frozen=True)
@@ -346,11 +342,10 @@ def dropout_mask(params: NetworkParameters, rate: float, seed: int) -> NetworkPa
     if not 0.0 <= rate < 1.0:
         raise ValueError("dropout rate must be in [0, 1)")
     rng = np.random.default_rng(seed)
-    weights = [params.weights[0].copy()]
-    for w in params.weights[1:]:
-        keep = rng.random(w.shape) >= rate
-        weights.append(w * keep)
-    return NetworkParameters(weights, [t.copy() for t in params.intercepts])
+    masked = params.copy()
+    for w in masked.weights[1:]:
+        w *= rng.random(w.shape) >= rate
+    return masked
 
 
 def _layer_views(flat: np.ndarray, arch: NetworkArchitecture) -> NetworkParameters:

@@ -77,13 +77,10 @@ def gen_design_uniform(n: int, p: int, seed: int) -> np.ndarray:
     return np.random.default_rng(seed).uniform(-1.0, 1.0, size=(n, p))
 
 
-def gen_design_correlated(
-    n: int, p: int, rho: float, seed: int, truncate: bool = True
-) -> np.ndarray:
+def gen_design_correlated(n: int, p: int, rho: float, seed: int) -> np.ndarray:
     """Equicorrelated standard normal design via a shared factor:
     x_ij <- (x_ij + t*u_i)/sqrt(1+t^2) with t = sqrt(rho/(1-rho)) gives
-    pairwise correlation rho; entries are then clamped to [-1, 1]
-    (pass truncate=False to inspect the pre-truncation matrix)."""
+    pairwise correlation rho; entries are then clamped to [-1, 1]."""
     if n < 1 or p < 1:
         raise ValueError("n and p must be positive")
     if not 0.0 <= rho < 1.0:
@@ -93,7 +90,7 @@ def gen_design_correlated(
     u = rng.standard_normal(n)
     t = np.sqrt(rho / (1.0 - rho))
     z = (x + t * u[:, None]) / np.sqrt(1.0 + t * t)
-    return np.clip(z, -1.0, 1.0) if truncate else z
+    return np.clip(z, -1.0, 1.0)
 
 
 def _additive_eta(x: np.ndarray) -> np.ndarray:

@@ -12,7 +12,9 @@ first-selection Monte Carlo as one draw, one QR and one scoring pass per
 block, one block after another in the calling thread. ``printed_select_over`` and
 ``printed_first_correct`` are the two selection probabilities as the paper
 prints them, by quadrature: bivariate-normal orthant probabilities
-(``orthant_prob``) and one integral per support feature.
+(``orthant_prob``) and one integral per support feature. ``sigmoid_masked`` is
+the logistic function written half by half through boolean masks, and
+``correlated_design_raw`` is the correlated design before its clamp.
 """
 from __future__ import annotations
 
@@ -57,6 +59,26 @@ def loss_by_loops(params: NetworkParameters, arch, x_rows, y_vals, task: str) ->
             prob = min(max(prob, 1e-12), 1.0 - 1e-12)
             total += -(yv * math.log(prob) + (1.0 - yv) * math.log(1.0 - prob))
     return total / len(y_vals)
+
+
+def sigmoid_masked(z: np.ndarray) -> np.ndarray:
+    """1/(1+e^-z) into the entries with z >= 0 and e^z/(1+e^z) into the rest."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def correlated_design_raw(n: int, p: int, rho: float, seed: int) -> np.ndarray:
+    """The equicorrelated normal design from the draws ``gen_design_correlated``
+    makes, (x_ij + t u_i) / sqrt(1 + t^2) with t = sqrt(rho/(1-rho)), unclamped."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, p))
+    u = rng.standard_normal(n)
+    t = np.sqrt(rho / (1.0 - rho))
+    return (x + t * u[:, None]) / np.sqrt(1.0 + t * t)
 
 
 def finite_difference_gradients(
@@ -240,9 +262,14 @@ def printed_first_correct(profile: SignalProfile) -> float:
 
     def integrand(x: float, k: int) -> float:
         below, above = (x - betas) / scale, (x + betas) / scale
-        cdfs = np.clip(0.5 * (special.erf(above) + special.erf(below)), 1e-300, 1.0)
+        logs = np.log(np.clip(0.5 * (special.erf(above) + special.erf(below)), 1e-300, 1.0))
+        # log F_j as log1p(-(1 - F_j)) where F_j > 1/2: a sum of p logs of
+        # rounded F_j near 1 would add up p rounding errors
+        tail = 0.5 * (special.erfc(above) + special.erfc(below))
+        near_one = tail < 0.5
+        logs[near_one] = np.log1p(-tail[near_one])
         pdf = (np.exp(-below[k] ** 2) + np.exp(-above[k] ** 2)) / (np.sqrt(np.pi) * scale)
-        return float(pdf * np.exp(np.sum(np.log(cdfs)) - np.log(cdfs[k])))
+        return float(pdf * np.exp(np.sum(logs) - logs[k]))
 
     peaks = np.unique(betas[: profile.s])  # each integrand's peak, as a breakpoint
     total = sum(

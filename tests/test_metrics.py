@@ -147,7 +147,7 @@ def test_classification_tie_counts_half():
 def test_classification_accuracy_and_f1():
     y = np.array([1.0, 1.0, 0.0, 0.0])
     p = np.array([0.9, 0.4, 0.6, 0.1])
-    m = classification_metrics(y, p, threshold=0.5)
+    m = classification_metrics(y, p)
     assert m.accuracy == pytest.approx(0.5)
     # precision 1/2, recall 1/2
     assert m.f1 == pytest.approx(0.5)
@@ -156,7 +156,7 @@ def test_classification_accuracy_and_f1():
 def test_classification_f1_zero_when_undefined():
     y = np.array([1.0, 1.0, 0.0])
     p = np.array([0.1, 0.2, 0.3])
-    m = classification_metrics(y, p, threshold=0.5)
+    m = classification_metrics(y, p)
     assert m.f1 == 0.0
 
 
@@ -171,8 +171,8 @@ def test_classification_single_class_auc_absent():
 def test_classification_threshold_is_strict():
     y = np.array([1.0, 0.0])
     p = np.array([0.5, 0.4])
-    m = classification_metrics(y, p, threshold=0.5)
-    # p_hat == threshold predicts the negative class
+    m = classification_metrics(y, p)
+    # p_hat == 0.5 predicts the negative class
     assert m.accuracy == pytest.approx(0.5)
 
 

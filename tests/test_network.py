@@ -24,13 +24,14 @@ from enns.network import (
     model_from_json,
     model_to_json,
     save_model,
+    sigmoid,
     train,
     xavier_init,
 )
 from enns.estimation import SparsitySpec, fit_l1, fit_stagewise, soft_threshold
 from enns.stagewise import DnpConfig, stagewise_fit
 
-from _oracles import adagrad_by_layers, loss_by_loops, max_relative_gradient_error, train_reference
+from _oracles import adagrad_by_layers, loss_by_loops, max_relative_gradient_error, sigmoid_masked, train_reference
 
 
 def small_arch(task="regression", hidden=(4, 2), p=3, activation="relu"):
@@ -560,6 +561,37 @@ def test_dataset_validation():
             Dataset(np.zeros((1, 2)), np.array([bad]), "regression")
     with pytest.raises(ValueError):
         Dataset(np.zeros((3, 2)), np.zeros(4), "regression")
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    scale=st.floats(1.0, 800.0),
+    unit=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=40),
+)
+def test_sigmoid_matches_the_masked_halves_bit_for_bit(scale, unit):
+    z = scale * np.array(unit)
+    assert sigmoid(z).tobytes() == sigmoid_masked(z).tobytes()
+
+
+def test_sigmoid_edges_match_the_masked_halves():
+    z = np.array([0.0, 1e-320, 745.0, 1000.0, np.inf])
+    z = np.concatenate([z, -z]).reshape(2, 5)
+    assert sigmoid(z).tobytes() == sigmoid_masked(z).tobytes()
+    assert sigmoid(z)[0, 4] == 1.0 and sigmoid(z)[1, 4] == 0.0
+    # NaN stays NaN; its bit pattern may differ between the two forms
+    assert np.isnan(sigmoid(np.array([np.nan, -np.nan]))).all()
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("cols", [[], range(1, 4), [2, 2, 0], [-1, 0, -4]], ids=["empty", "range", "repeated", "negative"])
+def test_subset_columns_is_a_row_major_copy(order, cols):
+    x = np.asarray(np.random.default_rng(4).standard_normal((6, 5)), order=order)
+    data = Dataset(x, np.zeros(6))
+    assert data.x.flags.f_contiguous == (order == "F")
+    part = data.subset_columns(cols)
+    assert part.x.flags.c_contiguous
+    assert part.x.shape == (6, len(cols)) and np.array_equal(part.x, x[:, list(cols)])
+    assert not np.shares_memory(part.x, data.x)
 
 
 @pytest.mark.parametrize("task", ["regression", "classification"])

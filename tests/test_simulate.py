@@ -9,6 +9,8 @@ from enns.simulate import (
     gen_response,
 )
 
+from _oracles import correlated_design_raw
+
 
 # --- uniform design -----------------------------------------------------------
 
@@ -31,7 +33,8 @@ def test_uniform_deterministic():
 
 
 def test_correlated_zero_rho_is_plain_normal():
-    raw = gen_design_correlated(5_000, 6, rho=0.0, seed=3, truncate=False)
+    raw = correlated_design_raw(5_000, 6, rho=0.0, seed=3)
+    assert np.array_equal(gen_design_correlated(5_000, 6, rho=0.0, seed=3), np.clip(raw, -1.0, 1.0))
     assert abs(raw.mean()) < 0.05
     assert abs(raw.var() - 1.0) < 0.05
     corr = np.corrcoef(raw, rowvar=False)
@@ -40,15 +43,17 @@ def test_correlated_zero_rho_is_plain_normal():
 
 
 def test_correlated_truncation_is_clamping():
-    raw = gen_design_correlated(500, 4, rho=0.4, seed=5, truncate=False)
-    clipped = gen_design_correlated(500, 4, rho=0.4, seed=5, truncate=True)
+    raw = correlated_design_raw(500, 4, rho=0.4, seed=5)
+    clipped = gen_design_correlated(500, 4, rho=0.4, seed=5)
+    assert np.any(np.abs(raw) > 1.0)
     assert np.array_equal(clipped, np.clip(raw, -1.0, 1.0))
 
 
 @pytest.mark.parametrize("rho", [0.3, 0.7])
 def test_correlated_pre_truncation_pairwise_correlation(rho):
     # shared-factor weight t = sqrt(rho/(1-rho)) gives pairwise correlation rho
-    raw = gen_design_correlated(10_000, 6, rho=rho, seed=11, truncate=False)
+    raw = correlated_design_raw(10_000, 6, rho=rho, seed=11)
+    assert np.array_equal(gen_design_correlated(10_000, 6, rho=rho, seed=11), np.clip(raw, -1.0, 1.0))
     corr = np.corrcoef(raw, rowvar=False)
     off = corr[np.triu_indices(6, k=1)]
     assert abs(off.mean() - rho) < 0.03

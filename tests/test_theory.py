@@ -236,9 +236,9 @@ def test_first_correct_closed_form_matches_printed_form(profile):
         assert closed == 1.0
 
 
-def first_profile(s: int, p: int) -> SignalProfile:
+def first_profile(s: int, p: int, beta: float = 2.0) -> SignalProfile:
     betas = np.zeros(p)
-    betas[:s] = 2.0
+    betas[:s] = beta
     return SignalProfile(betas, 1.0, s)
 
 
@@ -278,15 +278,22 @@ def test_first_correct_within_two_ulp_of_reference(case, reference):
     assert abs(prob_first_correct(first_profile(*case)) - ref) <= 2 * np.spacing(ref)
 
 
-def test_first_correct_sharp_peak():
+@pytest.mark.parametrize(
+    "beta, reference",
+    [(2.0, "0.01380553012451790780278319555239882857485"), (6.0, "0.9918024970661601629515153353130267675917")],
+    ids=["beta2", "beta6"],
+)
+def test_first_correct_sharp_peak(beta, reference):
     # at p = 100,000 the null maximum's density peaks about 0.2 sigma wide near
     # 4.8 sigma, and F_0^(m-1) raises the rounding of F_0 to the power m - 1:
-    # taken as F_0 ** (m - 1) from erf it errs by 1e-13 here; the reference is
-    # the mpmath integral described above
-    profile = first_profile(2, 100_000)
+    # taken as F_0 ** (m - 1) from erf it errs by 1e-13 at beta 2; the printed
+    # form's sum of 100,000 log F_j errs by 9e-13 at beta 6 unless each log F_j
+    # near 1 comes from erfc; the references are the mpmath integral described
+    # above, with beta on the support
+    profile = first_profile(2, 100_000, beta)
     closed = prob_first_correct(profile)
-    assert abs(closed - printed_first_correct(profile)) <= 1e-12
-    assert abs(closed - 0.01380553012451790780278319555239882857485) <= 1e-14
+    assert abs(closed - printed_first_correct(profile)) <= 1e-13
+    assert abs(closed - float(reference)) <= 1e-14
 
 
 # --- Monte-Carlo oracle ------------------------------------------------------------
