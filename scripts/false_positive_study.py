@@ -19,16 +19,16 @@ def main():
     ap.add_argument("--seed", type=int, default=61)
     args = ap.parse_args()
 
-    result = paired_false_positive_study(
+    ensemble_fpr, plain_fpr = paired_false_positive_study(
         n=args.n, p=args.p, s=args.s, seeds=args.seeds, seed=args.seed
     )
-    diffs = result.plain_fpr - result.ensemble_fpr
-    t_stat, p_two = stats.ttest_rel(result.plain_fpr, result.ensemble_fpr)
+    diffs = plain_fpr - ensemble_fpr
+    t_stat, p_two = stats.ttest_rel(plain_fpr, ensemble_fpr)
     p_one = p_two / 2 if t_stat > 0 else 1.0 - p_two / 2
     print(f"n={args.n} p={args.p} s={args.s} paired seeds={args.seeds}")
-    print(f"mean FPR ensemble: {result.ensemble_fpr.mean():.3f}")
-    print(f"mean FPR plain:    {result.plain_fpr.mean():.3f}")
-    print(f"mean difference:   {result.mean_difference:+.3f}")
+    print(f"mean FPR ensemble: {ensemble_fpr.mean():.3f}")
+    print(f"mean FPR plain:    {plain_fpr.mean():.3f}")
+    print(f"mean difference:   {diffs.mean():+.3f}")
     print(f"positive diffs:    {int(np.sum(diffs > 0))}/{args.seeds}")
     print(f"one-sided paired t-test p-value: {p_one:.4f}")
 

@@ -17,14 +17,14 @@ def main():
     ap.add_argument("--n-train", type=int, default=100)
     args = ap.parse_args()
 
-    result = sparse_versus_plain_rmse(
+    sparse_rmse, plain_rmse = sparse_versus_plain_rmse(
         seeds=args.seeds, seed=args.seed, noise_sd=args.noise_sd, n_train=args.n_train
     )
-    wins = int(np.sum(result.sparse_rmse <= result.plain_rmse))
+    wins = int(np.sum(sparse_rmse <= plain_rmse))
     print(f"paired seeds={args.seeds} noise_sd={args.noise_sd} n_train={args.n_train}")
-    print(f"mean test RMSE soft-threshold: {result.sparse_rmse.mean():.3f}")
-    print(f"mean test RMSE plain:          {result.plain_rmse.mean():.3f}")
-    print(f"per-seed wins: {wins}/{args.seeds}, mean improvement {result.mean_difference:+.3f}")
+    print(f"mean test RMSE soft-threshold: {sparse_rmse.mean():.3f}")
+    print(f"mean test RMSE plain:          {plain_rmse.mean():.3f}")
+    print(f"per-seed wins: {wins}/{args.seeds}, mean improvement {(plain_rmse - sparse_rmse).mean():+.3f}")
 
 
 if __name__ == "__main__":

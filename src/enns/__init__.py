@@ -54,7 +54,6 @@ from .simulate import (
     gen_response,
 )
 from .metrics import (
-    PredictionMetrics,
     SelectionMetrics,
     classification_metrics,
     regression_metrics,

@@ -20,19 +20,6 @@ class SelectionMetrics:
 METRIC_COLUMNS = {"regression": ("rmse", "mae", "mape"), "classification": ("accuracy", "auc", "f1")}
 
 
-@dataclass(frozen=True)
-class PredictionMetrics:
-    """Regression fills rmse/mae/mape; classification fills accuracy/auc/f1.
-    auc is None when only one class is present."""
-
-    rmse: Optional[float] = None
-    mae: Optional[float] = None
-    mape: Optional[float] = None
-    accuracy: Optional[float] = None
-    auc: Optional[float] = None
-    f1: Optional[float] = None
-
-
 def selection_metrics(selected: Iterable[int], true_support: Iterable[int]) -> SelectionMetrics:
     """Support-recovery counts; the false-positive rate is the share of
     selected features outside the true support (0 for an empty selection)."""
@@ -57,14 +44,13 @@ def _vectors(y: np.ndarray, yhat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def prediction_metrics(task: str, y: np.ndarray, yhat: np.ndarray) -> dict[str, Optional[float]]:
     """The task's ``METRIC_COLUMNS``, in order, as a name -> value dict."""
-    metrics = regression_metrics(y, yhat) if task == "regression" else classification_metrics(y, yhat)
-    return {name: getattr(metrics, name) for name in METRIC_COLUMNS[task]}
+    return regression_metrics(y, yhat) if task == "regression" else classification_metrics(y, yhat)
 
 
-def regression_metrics(y: np.ndarray, yhat: np.ndarray) -> PredictionMetrics:
-    """RMSE, MAE and MAPE (MAPE averages |(y-yhat)/y| over nonzero y only;
-    NaN if every response is zero, inf if a ratio overflows because some y is
-    tiny)."""
+def regression_metrics(y: np.ndarray, yhat: np.ndarray) -> dict[str, Optional[float]]:
+    """The regression ``METRIC_COLUMNS`` dict: RMSE, MAE and MAPE (MAPE averages
+    |(y-yhat)/y| over nonzero y only; NaN if every response is zero, inf if a
+    ratio overflows because some y is tiny)."""
     y, yhat = _vectors(y, yhat)
     err = y - yhat
     rmse = float(np.sqrt(np.mean(err**2)))
@@ -72,12 +58,13 @@ def regression_metrics(y: np.ndarray, yhat: np.ndarray) -> PredictionMetrics:
     nonzero = y != 0.0
     with np.errstate(over="ignore"):
         mape = float(np.mean(np.abs(err[nonzero] / y[nonzero]))) if np.any(nonzero) else float("nan")
-    return PredictionMetrics(rmse=rmse, mae=mae, mape=mape)
+    return dict(zip(METRIC_COLUMNS["regression"], (rmse, mae, mape)))
 
 
-def classification_metrics(y: np.ndarray, p_hat: np.ndarray) -> PredictionMetrics:
-    """Accuracy and F1 of the labels 1{p_hat > 0.5} (positive class 1, F1 = 0
-    when undefined) and AUC by the rank statistic with ties counted half."""
+def classification_metrics(y: np.ndarray, p_hat: np.ndarray) -> dict[str, Optional[float]]:
+    """The classification ``METRIC_COLUMNS`` dict: accuracy and F1 of the labels
+    1{p_hat > 0.5} (positive class 1, F1 = 0 when undefined) and AUC by the rank
+    statistic with ties counted half (None when only one class is present)."""
     y, p_hat = _vectors(y, p_hat)
     if not np.all((y == 0.0) | (y == 1.0)):
         raise ValueError("labels must be 0/1")
@@ -107,4 +94,4 @@ def classification_metrics(y: np.ndarray, p_hat: np.ndarray) -> PredictionMetric
         precision = tp / (tp + fp)
         recall = tp / (tp + fn)
         f1 = 2.0 * precision * recall / (precision + recall)
-    return PredictionMetrics(accuracy=accuracy, auc=auc, f1=float(f1))
+    return dict(zip(METRIC_COLUMNS["classification"], (accuracy, auc, float(f1))))

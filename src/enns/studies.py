@@ -7,7 +7,7 @@ are bit-reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -72,16 +72,6 @@ def next_selection_hit_rate(
     return hits / reps
 
 
-@dataclass(frozen=True)
-class PairedFprResult:
-    ensemble_fpr: np.ndarray
-    plain_fpr: np.ndarray
-
-    @property
-    def mean_difference(self) -> float:
-        return float(np.mean(self.plain_fpr - self.ensemble_fpr))
-
-
 def paired_false_positive_study(
     n: int,
     p: int,
@@ -91,9 +81,9 @@ def paired_false_positive_study(
     epochs: int = 50,
     num_bags: int = 10,
     proportion: float = 0.3,
-) -> PairedFprResult:
-    """Per-seed selection false-positive rates of the bagged ensemble versus a
-    single stage-wise pass on the same network-generated regression data."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-seed selection false-positive rates ``(ensemble_fpr, plain_fpr)`` of the
+    bagged ensemble and of a single stage-wise pass on the same network-generated data."""
     dnp_cfg = selection_dnp_config(epochs)
     cfg = EnnsConfig(target_s0=s, num_bags=num_bags, appearance_proportion=proportion, dnp=dnp_cfg)
     spec = ResponseSpec(kind="network", task="regression", s=s)
@@ -108,7 +98,7 @@ def paired_false_positive_study(
         report = enns_select(data, arch, cfg, derive_seed(rep_seed, "enns"))
         fpr_e.append(selection_metrics(report.selected, truth.support).false_positive_rate)
         fpr_d.append(selection_metrics(plain, truth.support).false_positive_rate)
-    return PairedFprResult(np.asarray(fpr_e), np.asarray(fpr_d))
+    return np.asarray(fpr_e), np.asarray(fpr_d)
 
 
 def _effective_signal_floor(
@@ -176,16 +166,6 @@ def high_signal_recovery_rate(
     return hits / seeds
 
 
-@dataclass(frozen=True)
-class SparsePlainResult:
-    sparse_rmse: np.ndarray
-    plain_rmse: np.ndarray
-
-    @property
-    def mean_difference(self) -> float:
-        return float(np.mean(self.plain_rmse - self.sparse_rmse))
-
-
 def sparse_versus_plain_rmse(
     seeds: int,
     seed: int = 0,
@@ -194,9 +174,10 @@ def sparse_versus_plain_rmse(
     noise_sd: float = 40.0,
     hidden: tuple[int, ...] = (100, 50),
     epochs: int = 1000,
-) -> SparsePlainResult:
-    """Paired test RMSE of the l1 soft-threshold fit versus plain training on
-    noisy network-generated regression over the s = 2 true support columns.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-seed test RMSE ``(sparse_rmse, plain_rmse)`` of the l1 soft-threshold
+    fit versus plain training on noisy network-generated regression over the
+    s = 2 true support columns.
 
     The plain arm trains a heavily over-parameterized net to convergence (rate
     0.3, minibatches of 10); the soft-threshold arm runs the identical schedule
@@ -218,6 +199,6 @@ def sparse_versus_plain_rmse(
         train_seed = derive_seed(rep_seed, "train")
         fitted_plain = train(xavier_init(arch, train_seed), arch, data_train, opts, train_seed)
         fitted_sparse = fit_l1(data_train, arch, sparsity, opts, train_seed)
-        plain.append(regression_metrics(y[te], forward_batch(fitted_plain, arch, x[te])).rmse)
-        sparse.append(regression_metrics(y[te], forward_batch(fitted_sparse, arch, x[te])).rmse)
-    return SparsePlainResult(np.asarray(sparse), np.asarray(plain))
+        plain.append(regression_metrics(y[te], forward_batch(fitted_plain, arch, x[te]))["rmse"])
+        sparse.append(regression_metrics(y[te], forward_batch(fitted_sparse, arch, x[te]))["rmse"])
+    return np.asarray(sparse), np.asarray(plain)

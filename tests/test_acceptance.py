@@ -178,17 +178,17 @@ def test_criterion_5_next_selection_probability_decays():
 @pytest.mark.slow
 def test_criterion_6_ensemble_reduces_false_positives():
     start = time.perf_counter()
-    result = paired_false_positive_study(n=300, p=1000, s=5, seeds=30, seed=61)
-    diffs = result.plain_fpr - result.ensemble_fpr
-    t_stat, p_two = stats.ttest_rel(result.plain_fpr, result.ensemble_fpr)
+    ensemble_fpr, plain_fpr = paired_false_positive_study(n=300, p=1000, s=5, seeds=30, seed=61)
+    diffs = plain_fpr - ensemble_fpr
+    t_stat, p_two = stats.ttest_rel(plain_fpr, ensemble_fpr)
     p_one = p_two / 2 if t_stat > 0 else 1.0 - p_two / 2
-    ok = result.mean_difference > 0 and p_one < 0.05
+    ok = diffs.mean() > 0 and p_one < 0.05
     elapsed = time.perf_counter() - start
     report(
         6,
         "ensemble-false-positive-reduction",
         ok,
-        f"mean FPR ensemble {result.ensemble_fpr.mean():.3f} vs plain {result.plain_fpr.mean():.3f}, "
+        f"mean FPR ensemble {ensemble_fpr.mean():.3f} vs plain {plain_fpr.mean():.3f}, "
         f"one-sided p {p_one:.4f}, positive diffs {int(np.sum(diffs > 0))}/30",
         elapsed,
         3600.0,
@@ -213,15 +213,15 @@ def test_criterion_7_high_signal_selection_consistency():
 @pytest.mark.slow
 def test_criterion_8_soft_threshold_fit_not_worse_than_plain():
     start = time.perf_counter()
-    result = sparse_versus_plain_rmse(seeds=20, seed=81)
-    ok = result.sparse_rmse.mean() <= result.plain_rmse.mean()
+    sparse_rmse, plain_rmse = sparse_versus_plain_rmse(seeds=20, seed=81)
+    ok = sparse_rmse.mean() <= plain_rmse.mean()
     elapsed = time.perf_counter() - start
     report(
         8,
         "sparse-fit-rmse",
         ok,
-        f"mean test RMSE sparse {result.sparse_rmse.mean():.2f} vs plain {result.plain_rmse.mean():.2f} "
-        f"(wins {int(np.sum(result.sparse_rmse <= result.plain_rmse))}/20)",
+        f"mean test RMSE sparse {sparse_rmse.mean():.2f} vs plain {plain_rmse.mean():.2f} "
+        f"(wins {int(np.sum(sparse_rmse <= plain_rmse))}/20)",
         elapsed,
         1800.0,
     )

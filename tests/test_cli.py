@@ -28,8 +28,9 @@ from enns.cli import (
     read_matrix_csv,
     write_matrix_csv,
 )
-from enns.network import forward_batch, load_model
+from enns.network import NumericalError, forward_batch, load_model
 from enns.metrics import regression_metrics
+from enns.seeding import derive_seed
 
 
 def run(*argv):
@@ -596,7 +597,7 @@ def test_estimate_round_trip_and_metrics(tmp_path):
     perm = spawn_rng(8, "estimate-split").permutation(100)
     test_idx = perm[:25]
     preds = forward_batch(params, arch, x[test_idx][:, [0, 1]])
-    expected = regression_metrics(y[test_idx, 0], preds).rmse
+    expected = regression_metrics(y[test_idx, 0], preds)["rmse"]
     got = json.loads(metrics.read_text())["metrics"]["rmse"]
     assert got == pytest.approx(expected, abs=1e-12)
 
@@ -931,6 +932,71 @@ def test_run_experiment_classification_metrics(tmp_path):
     assert run("run-experiment", "--config", cfg, "--out", out) == 0
     header = out.read_text().splitlines()[0].split(",")
     assert header[6:] == ["accuracy", "auc", "f1"]
+
+
+def fail_repetitions(monkeypatch, failing):
+    """Make the ``failing`` repetitions (1-based) raise NumericalError; the others run."""
+    repetition = enns.cli._experiment_repetition
+    calls = []
+
+    def patched(*args):
+        calls.append(args)
+        if len(calls) in failing:
+            raise NumericalError("non-finite loss")
+        return repetition(*args)
+
+    monkeypatch.setattr(enns.cli, "_experiment_repetition", patched)
+
+
+def test_run_experiment_failed_repetition_is_left_out_of_the_aggregates(tmp_path, monkeypatch):
+    fail_repetitions(monkeypatch, {2})
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(BASE_CFG.replace("repetitions = 2", "repetitions = 3"))
+    out = tmp_path / "res.csv"
+    assert run("run-experiment", "--config", cfg, "--out", out) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [row[:3] for row in rows] == [
+        ["1", str(derive_seed(13, "rep", 0)), "ok"],
+        ["2", str(derive_seed(13, "rep", 1)), "failed"],
+        ["3", str(derive_seed(13, "rep", 2)), "ok"],
+        ["mean", "", ""],
+        ["stderr", "", ""],
+    ]
+    assert rows[1][3:] == [""] * 6
+    kept = np.array([[float(v) for v in rows[k][3:]] for k in (0, 2)])
+    assert [float(v) for v in rows[3][3:]] == [col.mean() for col in kept.T]
+    assert [float(v) for v in rows[4][3:]] == [col.std(ddof=1) / np.sqrt(2) for col in kept.T]
+
+
+def test_run_experiment_with_every_repetition_failed_writes_no_aggregates(tmp_path, monkeypatch):
+    fail_repetitions(monkeypatch, {1, 2, 3})
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(BASE_CFG.replace("repetitions = 2", "repetitions = 3"))
+    out = tmp_path / "res.csv"
+    assert run("run-experiment", "--config", cfg, "--out", out) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0].startswith("repetition,seed,status,")
+    assert lines[1:] == [f"{k + 1},{derive_seed(13, 'rep', k)},failed,,,,,," for k in range(3)]
+
+
+def test_run_experiment_single_test_row_leaves_auc_empty(tmp_path):
+    # one test row per repetition (floor(0.025 * 40) = 1): one class, so no AUC
+    text = BASE_CFG.replace("n = 100", "n = 40").replace("task = regression", "task = classification")
+    text = text.replace("method = enns", "method = dnp").replace("max_epochs = 20", "max_epochs = 10")
+    text = text.replace("repetitions = 2", "repetitions = 3")
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(text + "train_fraction = 0.775\nvalidation_fraction = 0.2\ntest_fraction = 0.025\n")
+    out = tmp_path / "res.csv"
+    assert run("run-experiment", "--config", cfg, "--out", out) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0].split(",")[6:] == ["accuracy", "auc", "f1"]
+    rows = [line.split(",") for line in lines[1:]]
+    assert [row[0] for row in rows] == ["1", "2", "3", "mean", "stderr"]
+    assert {row[6] for row in rows[:3]} <= {"0", "1"}  # the accuracy of one row
+    for row in rows:
+        accuracy, auc, f1 = row[6:]
+        assert auc == ""
+        assert accuracy != "" and f1 != ""
 
 
 def test_config_unknown_key_is_hard_error(tmp_path):

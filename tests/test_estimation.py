@@ -16,7 +16,6 @@ from enns.estimation import (
 from enns.network import (
     Dataset,
     NetworkArchitecture,
-    NetworkParameters,
     TrainOptions,
     empirical_loss,
     forward_batch,

@@ -4,7 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from enns.metrics import classification_metrics, regression_metrics, selection_metrics
+from enns.metrics import (
+    METRIC_COLUMNS,
+    classification_metrics,
+    prediction_metrics,
+    regression_metrics,
+    selection_metrics,
+)
 
 from _oracles import auc_by_pair_counting
 
@@ -54,26 +60,26 @@ def test_selection_relabel_symmetry(sel, sup, offset):
 
 def test_regression_perfect_fit():
     m = regression_metrics(np.array([1.0, -2.0, 3.0]), np.array([1.0, -2.0, 3.0]))
-    assert m.rmse == 0.0 and m.mae == 0.0 and m.mape == 0.0
+    assert m["rmse"] == 0.0 and m["mae"] == 0.0 and m["mape"] == 0.0
 
 
 def test_regression_hand_case():
     m = regression_metrics(np.array([1.0, 2.0]), np.array([2.0, 2.0]))
-    assert m.rmse == pytest.approx(1.0 / np.sqrt(2.0))
-    assert m.mae == pytest.approx(0.5)
-    assert m.mape == pytest.approx(0.5)
+    assert m["rmse"] == pytest.approx(1.0 / np.sqrt(2.0))
+    assert m["mae"] == pytest.approx(0.5)
+    assert m["mape"] == pytest.approx(0.5)
 
 
 def test_regression_mape_skips_zero_targets():
     m = regression_metrics(np.array([0.0, 2.0]), np.array([1.0, 1.0]))
-    assert m.mape == pytest.approx(0.5)
+    assert m["mape"] == pytest.approx(0.5)
 
 
 @pytest.mark.filterwarnings("error")
 def test_regression_mape_overflow_is_inf_without_warning():
     m = regression_metrics(np.array([1e-310, 2.0]), np.array([1.0, 1.0]))
-    assert m.mape == np.inf
-    assert m.rmse == pytest.approx(1.0)
+    assert m["mape"] == np.inf
+    assert m["rmse"] == pytest.approx(1.0)
 
 
 def test_regression_against_independent_implementation():
@@ -85,9 +91,9 @@ def test_regression_against_independent_implementation():
     rmse = (rmse / 50) ** 0.5
     mae = sum(abs(a - b) for a, b in zip(y, yhat)) / 50
     mape = sum(abs((a - b) / a) for a, b in zip(y, yhat) if a != 0) / sum(1 for a in y if a != 0)
-    assert m.rmse == pytest.approx(rmse, abs=1e-12)
-    assert m.mae == pytest.approx(mae, abs=1e-12)
-    assert m.mape == pytest.approx(mape, abs=1e-12)
+    assert m["rmse"] == pytest.approx(rmse, abs=1e-12)
+    assert m["mae"] == pytest.approx(mae, abs=1e-12)
+    assert m["mape"] == pytest.approx(mape, abs=1e-12)
 
 
 @given(
@@ -103,7 +109,7 @@ def test_regression_rmse_dominates_mae(pairs):
     y = np.array([a for a, _ in pairs])
     yhat = np.array([b for _, b in pairs])
     m = regression_metrics(y, yhat)
-    assert m.rmse >= m.mae - 1e-12
+    assert m["rmse"] >= m["mae"] - 1e-12
 
 
 def test_regression_rejects_empty():
@@ -117,13 +123,13 @@ def test_regression_rejects_empty():
 def test_classification_perfectly_separated_auc():
     y = np.array([0.0, 0.0, 1.0, 1.0])
     p = np.array([0.1, 0.2, 0.8, 0.9])
-    assert classification_metrics(y, p).auc == 1.0
+    assert classification_metrics(y, p)["auc"] == 1.0
 
 
 def test_classification_constant_scores_auc_half():
     y = np.array([0.0, 1.0, 0.0, 1.0])
     p = np.full(4, 0.3)
-    assert classification_metrics(y, p).auc == pytest.approx(0.5)
+    assert classification_metrics(y, p)["auc"] == pytest.approx(0.5)
 
 
 def test_classification_hand_case_pair_counting():
@@ -132,7 +138,7 @@ def test_classification_hand_case_pair_counting():
     expected = auc_by_pair_counting(y, p)
     assert expected == pytest.approx(8.0 / 9.0)
     m = classification_metrics(np.array(y, float), np.array(p))
-    assert m.auc == pytest.approx(expected, abs=1e-12)
+    assert m["auc"] == pytest.approx(expected, abs=1e-12)
 
 
 def test_classification_tie_counts_half():
@@ -141,31 +147,31 @@ def test_classification_tie_counts_half():
     expected = auc_by_pair_counting(y, p)
     assert expected == pytest.approx(7.5 / 9.0)
     m = classification_metrics(np.array(y, float), np.array(p))
-    assert m.auc == pytest.approx(expected, abs=1e-12)
+    assert m["auc"] == pytest.approx(expected, abs=1e-12)
 
 
 def test_classification_accuracy_and_f1():
     y = np.array([1.0, 1.0, 0.0, 0.0])
     p = np.array([0.9, 0.4, 0.6, 0.1])
     m = classification_metrics(y, p)
-    assert m.accuracy == pytest.approx(0.5)
+    assert m["accuracy"] == pytest.approx(0.5)
     # precision 1/2, recall 1/2
-    assert m.f1 == pytest.approx(0.5)
+    assert m["f1"] == pytest.approx(0.5)
 
 
 def test_classification_f1_zero_when_undefined():
     y = np.array([1.0, 1.0, 0.0])
     p = np.array([0.1, 0.2, 0.3])
     m = classification_metrics(y, p)
-    assert m.f1 == 0.0
+    assert m["f1"] == 0.0
 
 
 def test_classification_single_class_auc_absent():
     y = np.ones(4)
     p = np.array([0.1, 0.5, 0.6, 0.9])
     m = classification_metrics(y, p)
-    assert m.auc is None
-    assert m.accuracy is not None
+    assert m["auc"] is None
+    assert m["accuracy"] is not None
 
 
 def test_classification_threshold_is_strict():
@@ -173,7 +179,7 @@ def test_classification_threshold_is_strict():
     p = np.array([0.5, 0.4])
     m = classification_metrics(y, p)
     # p_hat == 0.5 predicts the negative class
-    assert m.accuracy == pytest.approx(0.5)
+    assert m["accuracy"] == pytest.approx(0.5)
 
 
 @settings(deadline=None)
@@ -190,9 +196,9 @@ def test_classification_threshold_is_strict():
 def test_classification_auc_invariant_under_monotone_transform(pairs):
     y = np.array([a for a, _ in pairs], dtype=float)
     p = np.array([b for _, b in pairs])
-    a1 = classification_metrics(y, p).auc
+    a1 = classification_metrics(y, p)["auc"]
     # dividing by a power of two is exact, hence strictly order-preserving
-    a2 = classification_metrics(y, p / 4.0).auc
+    a2 = classification_metrics(y, p / 4.0)["auc"]
     assert a1 == pytest.approx(a2, abs=1e-12)
 
 
@@ -214,7 +220,7 @@ def test_classification_auc_matches_rankdata_with_heavy_ties(pairs):
     n_neg = y.size - n_pos
     ranks = stats.rankdata(p)
     expected = float((np.sum(ranks[y == 1.0]) - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
-    assert classification_metrics(y, p).auc == expected
+    assert classification_metrics(y, p)["auc"] == expected
 
 
 def test_classification_rejects_bad_labels():
@@ -224,3 +230,24 @@ def test_classification_rejects_bad_labels():
         classification_metrics(np.array([0.0, 1.0]), np.array([0.5, 1.5]))
     with pytest.raises(ValueError):
         classification_metrics(np.array([0.0, 1.0]), np.array([0.5, np.nan]))
+
+
+# --- the metric table ----------------------------------------------------------------
+
+TASK_METRICS = {"regression": regression_metrics, "classification": classification_metrics}
+
+
+@pytest.mark.parametrize("task", ["regression", "classification"])
+def test_prediction_metrics_is_the_task_table_in_column_order(task):
+    y = np.array([1.0, 0.0, 1.0, 1.0, 0.0])
+    yhat = np.array([0.9, 0.2, 0.4, 0.7, 0.6])
+    values = prediction_metrics(task, y, yhat)
+    assert tuple(values) == METRIC_COLUMNS[task]
+    assert values == TASK_METRICS[task](y, yhat)
+
+
+@pytest.mark.parametrize("label", [0.0, 1.0])
+def test_prediction_metrics_auc_is_none_for_one_class(label):
+    values = prediction_metrics("classification", np.full(3, label), np.array([0.2, 0.5, 0.9]))
+    assert values["auc"] is None
+    assert values["accuracy"] is not None and values["f1"] is not None

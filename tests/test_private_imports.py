@@ -58,13 +58,15 @@ def test_detector_flags_unused_imports():
 
 
 def test_every_imported_name_is_used():
-    modules = sorted(p for p in PACKAGE_DIR.glob("*.py") if p.name != "__init__.py")
+    """In every enns module (not ``__init__.py``, which only re-exports), script and test module."""
+    modules = [p for p in PACKAGE_DIR.glob("*.py") if p.name != "__init__.py"]
+    modules = sorted([*modules, *REPO_DIR.glob("scripts/*.py"), *REPO_DIR.glob("tests/*.py")])
     assert modules
     offenders = {}
     for path in modules:
         names = unused_imports(path.read_text(encoding="utf8"))
         if names:
-            offenders[path.name] = names
+            offenders[str(path.relative_to(REPO_DIR))] = names
     assert offenders == {}
 
 

@@ -25,7 +25,7 @@ THEORY_NAMES = [
 # the public names of ``dir(enns)`` after a bare ``import enns``
 PUBLIC_NAMES = [
     "BaggedDropoutSpec", "BaggedPrediction", "Dataset", "DnpConfig", "EnnsConfig", "GroundTruth",
-    "NetworkArchitecture", "NetworkParameters", "NumericalError", "PredictionMetrics", "ResponseSpec",
+    "NetworkArchitecture", "NetworkParameters", "NumericalError", "ResponseSpec",
     "SelectionMetrics", "SelectionReport", "SelectionState", "SignalProfile", "SparsitySpec", "TrainOptions",
     "adagrad_step", "backward", "bootstrap_indices", "candidate_scores", "classification_metrics", "cores",
     "dnp_run", "dropout_mask", "empirical_loss", "enns_round", "enns_select", "ensemble", "estimation",

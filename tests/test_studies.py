@@ -19,8 +19,10 @@ def _hit_rate():
 
 
 def _paired_fpr():
-    r = paired_false_positive_study(n=60, p=30, s=3, seeds=2, num_bags=3, proportion=0.4, epochs=10)
-    return [*r.ensemble_fpr, *r.plain_fpr]
+    ensemble_fpr, plain_fpr = paired_false_positive_study(
+        n=60, p=30, s=3, seeds=2, num_bags=3, proportion=0.4, epochs=10
+    )
+    return [*ensemble_fpr, *plain_fpr]
 
 
 def _high_signal():
@@ -28,8 +30,8 @@ def _high_signal():
 
 
 def _sparse_rmse():
-    r = sparse_versus_plain_rmse(seeds=2, n=120, n_train=40, hidden=(8, 4), epochs=30)
-    return [*r.sparse_rmse, *r.plain_rmse]
+    sparse_rmse, plain_rmse = sparse_versus_plain_rmse(seeds=2, n=120, n_train=40, hidden=(8, 4), epochs=30)
+    return [*sparse_rmse, *plain_rmse]
 
 
 STUDY_DIGESTS = {
