@@ -15,8 +15,10 @@ columns, and both probabilities have exact short forms:
 Every function rejects a NaN or infinite beta and a sigma that is not positive
 and finite. The Monte-Carlo oracles draw in fixed-size chunks, so a seed fixes
 every estimate. The first-selection one gives each block of replications its own
-random stream and runs the blocks on one thread per usable core; the pair one
-divides ``pair_wins``, a count that a caller may run on a thread of its own.
+random stream, runs the blocks on one thread per usable core and scores each
+block in slices of designs; the pair one divides ``pair_wins``, a count that a
+caller may run on a thread of its own, which draws each chunk whole and does its
+arithmetic in slices of rows. No design's or row's numbers depend on the slice.
 Only numpy and the standard library are used: erf and erfc come from ``math``.
 """
 
@@ -141,18 +143,24 @@ def _first_hits(q: np.ndarray, eps: np.ndarray, profile: SignalProfile) -> int:
 
 
 # Designs per block, about 5 MB of draws (208 matrices at n=60, p=50). A pool
-# thread holds about five blocks: the draws, the QR's copy and triangle, and
-# this block's and the last one's orthonormal columns. For 5000 such
-# replications on two threads of a 2-core x86-64 VM with one BLAS thread
-# (medians of 11 calls, each spread over 0.03-0.15 s), blocks of 104, 208 and
-# 500 matrices took 0.47, 0.49 and 0.53 s and peaked 23, 47 and 112 MB above
-# the process before (version 0.1.0: 0.43-0.54 s and 150-160 MB).
+# thread holds about 1.3 blocks: the draws, and one slice's QR copy, triangle
+# and orthonormal columns. For 5000 such replications on two threads of a
+# 2-core x86-64 VM with one BLAS thread (medians of 11 calls), blocks of 104,
+# 208 and 500 matrices took 0.34, 0.34 and 0.30 s and peaked 15, 20 and 33 MB
+# above the process before (whole-block QR: 0.33-0.52 s and 31, 54 and 119 MB;
+# version 0.1.0: 0.43-0.54 s and 150-160 MB).
 _BLOCK_BYTES = 5_000_000
+# Designs per QR slice of a block, about 0.5 MB (20 matrices at n=60, p=50).
+# For 10,000 replications as above (medians of 9 alternated calls), slices of
+# 10, 16, 20 and 41 matrices took 1.02, 0.93, 0.90 and 0.89 s, whole blocks 1.09 s.
+_QR_BYTES = 500_000
 
 # Replications per chunk of the pair simulator, and the rows of its designs: they
 # fix which numbers each replication draws, so a seeded estimate depends on them.
 _PAIR_CHUNK = 50_000
 _PAIR_N = 16
+# Replications per slice of a pair chunk's arithmetic, 512 kB per array.
+_PAIR_SLICE = 4096
 
 
 def _chunks(reps: int, size: int) -> list[int]:
@@ -172,12 +180,14 @@ def mc_first_selection(profile: SignalProfile, n: int, reps: int, seed: int) -> 
     noise from ``spawn_rng(seed, "mc-first", i)``, so the result depends on
     neither the core count nor the thread schedule. k = min(``usable_cores()``,
     blocks) threads, one pool per call, each take every k-th block into reused
-    buffers, so the memory held is a few blocks per thread whatever ``reps``.
-    A failed block or an interrupt stops every thread before its next block."""
+    buffers and orthonormalize and score it in slices of about ``_QR_BYTES``,
+    so the memory held is about one block per thread whatever ``reps``. A
+    failed slice or an interrupt stops every thread before its next block."""
     if n < profile.p:
         raise ValueError("need n >= p to orthonormalize the design columns")
     sizes = _chunks(reps, max(1, _BLOCK_BYTES // (8 * n * profile.p)))
     workers = min(usable_cores(), len(sizes))
+    step = max(1, _QR_BYTES // (8 * n * profile.p))
     failed = threading.Event()
 
     def run_blocks(first: int) -> int:
@@ -188,9 +198,9 @@ def mc_first_selection(profile: SignalProfile, n: int, reps: int, seed: int) -> 
             rng, c = spawn_rng(seed, "mc-first", i), sizes[i]
             rng.standard_normal(out=g[:c])
             rng.standard_normal(out=eps[:c])
-            # the last q is freed once this one is made, so the next QR reuses its pages
-            q = _orthonormal_columns(g[:c])
-            hits += _first_hits(q, eps[:c], profile)
+            for lo in range(0, c, step):  # a slice's QR copy, R and Q are freed before the next slice
+                hi = min(c, lo + step)
+                hits += _first_hits(_orthonormal_columns(g[lo:hi]), eps[lo:hi], profile)
         return hits
 
     with ThreadPoolExecutor(workers) as pool:
@@ -204,25 +214,25 @@ def mc_first_selection(profile: SignalProfile, n: int, reps: int, seed: int) -> 
 
 def pair_wins(beta_j: float, beta_k: float, sigma: float, reps: int, seed: int) -> int:
     """Replications of ``reps``, in chunks of ``_PAIR_CHUNK``, with |x_(j)' y| < |x_(k)' y| for two orthonormalized
-    Gaussian columns of ``_PAIR_N`` rows and y = beta_j x_(j) + beta_k x_(k) + eps."""
+    Gaussian columns of ``_PAIR_N`` rows and y = beta_j x_(j) + beta_k x_(k) + eps. A chunk's columns and noise
+    are drawn whole and its arithmetic runs in slices of ``_PAIR_SLICE`` rows."""
     _check_signal(sigma, beta_j, beta_k)
     sizes = _chunks(reps, _PAIR_CHUNK)
-    rng = spawn_rng(seed, "mc-pair")
-    wins = 0
-    for c in sizes:
-        q1 = rng.standard_normal((c, _PAIR_N))
-        q2 = rng.standard_normal((c, _PAIR_N))
-        q1 /= np.linalg.norm(q1, axis=1, keepdims=True)
-        q2 -= np.einsum("cn,cn->c", q1, q2)[:, None] * q1
-        q2 /= np.linalg.norm(q2, axis=1, keepdims=True)
-        eps = rng.standard_normal((c, _PAIR_N))
-        eps *= sigma
-        y = abs(beta_j) * q1  # built in place but summed left to right, so the bits of a seed stay fixed
-        y += abs(beta_k) * q2
-        y += eps
-        cj = np.abs(np.einsum("cn,cn->c", q1, y))
-        ck = np.abs(np.einsum("cn,cn->c", q2, y))
-        wins += int(np.sum(cj < ck))
+    rng, buffer, wins = spawn_rng(seed, "mc-pair"), np.empty(3 * sizes[0] * _PAIR_N), 0
+    for c in sizes:  # each chunk draws two columns and then the noise into the one buffer
+        draws = rng.standard_normal(out=buffer[: 3 * c * _PAIR_N]).reshape(3, c, _PAIR_N)
+        for lo in range(0, c, _PAIR_SLICE):
+            q1, q2, eps = draws[:, lo : lo + _PAIR_SLICE]
+            q1 /= np.linalg.norm(q1, axis=1, keepdims=True)
+            q2 -= np.einsum("cn,cn->c", q1, q2)[:, None] * q1
+            q2 /= np.linalg.norm(q2, axis=1, keepdims=True)
+            eps *= sigma
+            y = abs(beta_j) * q1  # built in place but summed left to right, so the bits of a seed stay fixed
+            y += abs(beta_k) * q2
+            y += eps
+            cj = np.abs(np.einsum("cn,cn->c", q1, y))
+            ck = np.abs(np.einsum("cn,cn->c", q2, y))
+            wins += int(np.sum(cj < ck))
     return wins
 
 

@@ -9,7 +9,9 @@ scored by the loss that the next full-batch ``backward`` returns:
 ``train_reference`` ignores that loss and scores every checkpoint with its
 own ``empirical_loss`` call). ``mc_first_selection_serial`` is the
 first-selection Monte Carlo as one draw, one QR and one scoring pass per
-block, one block after another in the calling thread. ``printed_select_over`` and
+block, one block after another in the calling thread, and
+``pair_wins_whole_chunk`` is the pair count with each chunk's arithmetic done
+on the whole chunk at once. ``printed_select_over`` and
 ``printed_first_correct`` are the two selection probabilities as the paper
 prints them, by quadrature: bivariate-normal orthant probabilities
 (``orthant_prob``) and one integral per support feature. ``sigmoid_masked`` is
@@ -216,6 +218,29 @@ def mc_first_selection_serial(profile: SignalProfile, n: int, reps: int, seed: i
         scores = np.abs(np.einsum("cnp,cn->cp", q, y))
         hits += int(np.sum(np.argmax(scores, axis=1) < profile.s))
     return hits / reps
+
+
+def pair_wins_whole_chunk(beta_j: float, beta_k: float, sigma: float, reps: int, seed: int) -> int:
+    """``pair_wins`` with each chunk of 50,000 replications of 16-row designs
+    orthonormalized, built and scored as whole arrays, the way version 0.2.0 did."""
+    rng = spawn_rng(seed, "mc-pair")
+    wins = 0
+    for done in range(0, reps, 50_000):
+        c = min(50_000, reps - done)
+        q1 = rng.standard_normal((c, 16))
+        q2 = rng.standard_normal((c, 16))
+        q1 /= np.linalg.norm(q1, axis=1, keepdims=True)
+        q2 -= np.einsum("cn,cn->c", q1, q2)[:, None] * q1
+        q2 /= np.linalg.norm(q2, axis=1, keepdims=True)
+        eps = rng.standard_normal((c, 16))
+        eps *= sigma
+        y = abs(beta_j) * q1
+        y += abs(beta_k) * q2
+        y += eps
+        cj = np.abs(np.einsum("cn,cn->c", q1, y))
+        ck = np.abs(np.einsum("cn,cn->c", q2, y))
+        wins += int(np.sum(cj < ck))
+    return wins
 
 
 def orthant_prob(a: float, b: float, rho: float) -> float:

@@ -22,7 +22,13 @@ from enns.theory import (
     prob_select_over,
 )
 
-from _oracles import mc_first_selection_serial, orthant_prob, printed_first_correct, printed_select_over
+from _oracles import (
+    mc_first_selection_serial,
+    orthant_prob,
+    pair_wins_whole_chunk,
+    printed_first_correct,
+    printed_select_over,
+)
 
 
 # --- folded normal -------------------------------------------------------------
@@ -350,6 +356,29 @@ def test_mc_first_selection_matches_serial_oracle(monkeypatch, seed):
         sys.setswitchinterval(interval)
 
 
+def test_mc_first_selection_qr_slices_match_the_whole_block_oracle(monkeypatch):
+    # the oracle orthonormalizes and scores each block of 208 designs of 60 x 50
+    # at once; QR slices of 1 design, of 7 (a divisor of neither 208 nor the
+    # short last block's 194) and of a whole block count the same hits on 1, 2
+    # and 3 threads
+    profile = first_profile(5, 50)
+    expected = mc_first_selection_serial(profile, n=60, reps=1234, seed=4, block=208)
+    orthonormal, slices = enns.theory._orthonormal_columns, []
+
+    def recording_qr(g):
+        slices.append(len(g))
+        return orthonormal(g)
+
+    monkeypatch.setattr(enns.theory, "_orthonormal_columns", recording_qr)
+    for designs in (1, 7, 208):
+        monkeypatch.setattr(enns.theory, "_QR_BYTES", designs * 8 * 60 * 50)
+        for cores in (1, 2, 3):
+            monkeypatch.setattr(enns.theory, "usable_cores", lambda: cores)
+            slices.clear()
+            assert mc_first_selection(profile, n=60, reps=1234, seed=4) == expected
+            assert max(slices) == designs and sum(slices) == 1234
+
+
 def counting_rng(monkeypatch, on_design):
     """Make ``enns.theory.spawn_rng`` hand out generators that call
     ``on_design`` with every block of designs they draw."""
@@ -423,6 +452,36 @@ def test_mc_first_selection_raises_a_failed_block_before_drawing_the_rest(monkey
     assert threading.active_count() == before
 
 
+def test_mc_first_selection_raises_a_failed_slice_before_drawing_the_rest(monkeypatch):
+    # blocks of 8 designs in QR slices of 2 on three threads; the second slice
+    # of the third block drawn raises in its QR and every other slice takes
+    # 5 ms: each other thread finishes at most the block it is on, so at most
+    # 3 blocks are drawn after the failed one, not the other 47
+    monkeypatch.setattr(enns.theory, "usable_cores", lambda: 3)
+    monkeypatch.setattr(enns.theory, "_BLOCK_BYTES", 8 * 8 * 30 * 20)
+    monkeypatch.setattr(enns.theory, "_QR_BYTES", 2 * 8 * 30 * 20)
+    orthonormal, drawn, sliced = enns.theory._orthonormal_columns, [], []
+    boom = np.linalg.LinAlgError("QR of the third block's second slice failed")
+
+    def failing_qr(g):
+        sliced.append(g[0, 0, 0])
+        if len(drawn) > 2 and g[0, 0, 0] == drawn[2][1]:
+            raise boom
+        time.sleep(0.005)
+        return orthonormal(g)
+
+    monkeypatch.setattr(enns.theory, "_orthonormal_columns", failing_qr)
+    # a slice's first number marks it: the first numbers of a block's first and second slices
+    counting_rng(monkeypatch, lambda g: drawn.append((g[0, 0, 0], g[2, 0, 0])))
+    before = threading.active_count()
+    with pytest.raises(np.linalg.LinAlgError) as raised:
+        mc_first_selection(first_profile(3, 20), n=30, reps=400, seed=0)
+    assert raised.value is boom
+    assert drawn[2][0] in sliced
+    assert len(drawn) <= 3 + 3
+    assert threading.active_count() == before
+
+
 def test_mc_first_selection_interrupted_stops_the_threads(monkeypatch):
     # an interrupt (Ctrl-C) while the calling thread waits stops both threads
     # before their next block, where they would otherwise draw all 1000
@@ -444,6 +503,33 @@ def test_mc_first_selection_interrupted_stops_the_threads(monkeypatch):
     with pytest.raises(KeyboardInterrupt):
         mc_first_selection(first_profile(3, 20), n=30, reps=1000, seed=0)
     assert len(drawn) <= 4
+    assert threading.active_count() == before
+
+
+def test_mc_first_selection_interrupted_finishes_the_block_it_is_on(monkeypatch):
+    # blocks of 8 designs in QR slices of 2: an interrupt stops both threads
+    # once the block they are on is scored, where they would otherwise draw all 125
+    monkeypatch.setattr(enns.theory, "usable_cores", lambda: 2)
+    monkeypatch.setattr(enns.theory, "_BLOCK_BYTES", 8 * 8 * 30 * 20)
+    monkeypatch.setattr(enns.theory, "_QR_BYTES", 2 * 8 * 30 * 20)
+    orthonormal, drawn, sliced = enns.theory._orthonormal_columns, [], []
+
+    def slow_qr(g):
+        time.sleep(0.001)
+        sliced.append(len(g))
+        return orthonormal(g)
+
+    def interrupted(futures, return_when):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(enns.theory, "_orthonormal_columns", slow_qr)
+    monkeypatch.setattr(enns.theory, "wait", interrupted)
+    counting_rng(monkeypatch, drawn.append)
+    before = threading.active_count()
+    with pytest.raises(KeyboardInterrupt):
+        mc_first_selection(first_profile(3, 20), n=30, reps=1000, seed=0)
+    assert len(drawn) <= 4
+    assert sliced == [2] * 4 * len(drawn)
     assert threading.active_count() == before
 
 
@@ -486,16 +572,44 @@ def test_mc_first_selection_peak_does_not_grow_with_reps(monkeypatch):
     assert peaks[2, 2000] <= 2.2 * peaks[1, 500]
 
 
-def test_pair_wins_holds_five_chunk_arrays():
-    # the two columns, the noise, y and one product; the arrays are built in place
-    array = enns.theory._PAIR_CHUNK * enns.theory._PAIR_N * 8
+def test_mc_first_selection_holds_about_one_block_per_thread(monkeypatch):
+    # one thread, five blocks of 208 designs of 60 x 50: the block's draws and
+    # one QR slice's copy, triangle and Q, not the whole block's
+    monkeypatch.setattr(enns.theory, "usable_cores", lambda: 1)
+    block = 208 * 60 * 50 * 8
     tracemalloc.start()
     try:
-        pair_wins(1.0, 2.0, 1.0, reps=enns.theory._PAIR_CHUNK, seed=3)
+        mc_first_selection(first_profile(5, 50), n=60, reps=1040, seed=0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 5.5 * array
+    assert peak <= 1.6 * block
+
+
+def test_pair_wins_holds_three_chunk_arrays():
+    # the two columns and the noise, drawn whole into one buffer that every
+    # chunk reuses; the Gram-Schmidt step, y and the products are made one
+    # slice of rows at a time. Three chunks, the last one short
+    array = enns.theory._PAIR_CHUNK * enns.theory._PAIR_N * 8
+    tracemalloc.start()
+    try:
+        pair_wins(1.0, 2.0, 1.0, reps=2 * enns.theory._PAIR_CHUNK + 3, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * array
+
+
+@pytest.mark.parametrize("case", [(2.0, 1.0, 1.0), (0.0, -0.5, 2.0), (0.3, 0.31, 0.05), (-4.0, 0.0, 3.0)])
+def test_pair_wins_slices_match_the_whole_chunk_oracle(monkeypatch, case):
+    # one replication, a slice less one, a slice and one (a last slice of one
+    # row) and two chunks, the second of three rows; then slices of 7 rows,
+    # which divide neither chunk
+    rows, chunk = enns.theory._PAIR_SLICE, enns.theory._PAIR_CHUNK
+    for reps in (1, rows - 1, rows + 1, chunk + 3):
+        assert pair_wins(*case, reps, seed=6) == pair_wins_whole_chunk(*case, reps, seed=6)
+    monkeypatch.setattr(enns.theory, "_PAIR_SLICE", 7)
+    assert pair_wins(*case, chunk + 3, seed=6) == pair_wins_whole_chunk(*case, chunk + 3, seed=6)
 
 
 # --- profile validation ---------------------------------------------------------------
