@@ -8,9 +8,9 @@ runs the network forward once: each checkpoint is scored by the next epoch's
 ``backward``.
 
 Everything is plain numpy with float64 arrays. Functions never mutate their
-arguments, except ``adagrad_step``; training works on private copies, so
-parameter containers behave as immutable values and independent calls are safe
-to run concurrently.
+arguments, except ``adagrad_step`` and ``backward``'s ``out``; training works
+on private copies, so parameter containers behave as immutable values and
+independent calls are safe to run concurrently.
 """
 
 from __future__ import annotations
@@ -236,12 +236,12 @@ def forward_batch(params: NetworkParameters, arch: NetworkArchitecture, x: np.nd
     return _outputs(_forward_internal(params, arch, x)[2], arch.task)
 
 
-def _loss(eta: np.ndarray, data: Dataset) -> float:
-    """Empirical loss of the network outputs ``eta`` on ``data``; raises
-    ``NumericalError`` when it is not finite."""
+def _loss(eta: np.ndarray, data: Dataset, r: np.ndarray | None = None) -> float:
+    """Empirical loss of the network outputs ``eta`` on ``data`` (from r = eta - y
+    if given, for regression); raises ``NumericalError`` when it is not finite."""
     y = data.y
     if data.task == "regression":
-        r = y - eta
+        r = eta - y if r is None else r  # (eta - y)^2 has the bits of (y - eta)^2
         loss = float(np.add.reduce(r * r)) / len(y)
     else:
         loss = -float(np.mean(y * np.log(eta) + (1.0 - y) * np.log(1.0 - eta)))
@@ -272,11 +272,12 @@ def _deltas(
     acts: list[np.ndarray],
     zs: list[np.ndarray],
     out: np.ndarray,
+    r: np.ndarray | None = None,
 ) -> list[np.ndarray]:
-    """The deltas d_0..d_m of ``layer_deltas`` from one forward pass's values."""
+    """The deltas d_0..d_m of ``layer_deltas`` from one forward pass's values (r = out - y if given)."""
     n = data.n
     if data.task == "regression":
-        delta = (2.0 / n) * (out - data.y)
+        delta = (2.0 / n) * (out - data.y if r is None else r)
     else:
         delta = (sigmoid(out) - data.y) / n
     deltas = [delta[:, None]]  # d_m, (n, 1); d_m-1 .. d_0 follow
@@ -310,19 +311,24 @@ def layer_deltas(
 
 
 def backward(
-    params: NetworkParameters, arch: NetworkArchitecture, data: Dataset
+    params: NetworkParameters, arch: NetworkArchitecture, data: Dataset, out: NetworkParameters | None = None
 ) -> tuple[float, NetworkParameters]:
     """``(empirical_loss, gradients)`` from one forward pass: the loss equals
     ``empirical_loss(params, arch, data)`` exactly, and the gradients of every
     weight and intercept are exact (see ``layer_deltas``); an all-zero input
     row gets its gradient too. A non-finite loss raises ``NumericalError``
-    before any gradient arithmetic runs."""
+    before any gradient arithmetic runs. The gradients go into the arrays of ``out``
+    (C-contiguous float64, the parameters' shapes, else ``ValueError``) when it is given."""
     _check_fits(arch, data)
-    acts, zs, out = _forward_internal(params, arch, data.x)
-    loss = _loss(_outputs(out, arch.task), data)
-    deltas = _deltas(params, arch, data, acts, zs, out)
-    g_weights = [a.T @ d for a, d in zip(acts, deltas)]
-    return loss, NetworkParameters(g_weights, [np.add.reduce(d, axis=0) for d in deltas])
+    acts, zs, raw = _forward_internal(params, arch, data.x)
+    r = raw - data.y if arch.task == "regression" else None
+    loss = _loss(_outputs(raw, arch.task), data, r)
+    deltas = _deltas(params, arch, data, acts, zs, raw, r)
+    out = params.copy() if out is None else out  # every entry is overwritten below
+    for a, d, g_w, g_t in zip(acts, deltas, out.weights, out.intercepts, strict=True):
+        np.dot(a.T, d, out=g_w)  # the bits of a.T @ d; out must fit exactly
+        np.add.reduce(d, axis=0, out=g_t)
+    return loss, out
 
 
 def adagrad_step(theta: np.ndarray, grad: np.ndarray, acc: np.ndarray, lr: float) -> None:
@@ -330,9 +336,10 @@ def adagrad_step(theta: np.ndarray, grad: np.ndarray, acc: np.ndarray, lr: float
     theta -= lr*g / (sqrt(acc) + eps). ``grad`` is left holding the step taken."""
     if not lr > 0:
         raise ValueError("learning rate must be positive")
-    acc += grad * grad
+    tmp = grad * grad  # the one temporary
+    acc += tmp
     grad *= lr
-    grad /= np.sqrt(acc) + EPS_ADAGRAD
+    grad /= np.add(np.sqrt(acc, out=tmp), EPS_ADAGRAD, out=tmp)
     theta -= grad
 
 
@@ -398,6 +405,7 @@ def train(
         epoch_hook(cur, -1)
     acc = np.zeros_like(theta)
     grad = np.empty_like(theta)
+    g = _layer_views(grad, arch)  # backward writes each step's gradients here
     best = np.empty_like(theta)
     best_loss, stale = math.inf, 0
 
@@ -411,7 +419,7 @@ def train(
             at = epoch - 1  # the epoch a non-finite loss is reported at
             try:
                 if fused:
-                    loss, g = backward(cur, arch, fit_data)
+                    loss = backward(cur, arch, fit_data, g)[0]
                 else:
                     loss = empirical_loss(cur, arch, monitor_data)
                 if loss < best_loss:
@@ -426,11 +434,11 @@ def train(
                     parts = [fit_data]
                 else:
                     order, size = rng.permutation(n_fit), opts.batch_size
-                    parts = (fit_data.subset_rows(order[i : i + size]) for i in range(0, n_fit, size))
+                    x, y = fit_data.x[order], fit_data.y[order]  # cut into row slices, no copy per batch
+                    parts = (fit_data._part(x[i : i + size], y[i : i + size]) for i in range(0, n_fit, size))
                 for part in parts:
                     if not fused:
-                        g = backward(cur, arch, part)[1]
-                    np.concatenate([*g.weights, *g.intercepts], axis=None, out=grad)
+                        backward(cur, arch, part, g)
                     adagrad_step(theta, grad, acc, opts.learning_rate)
             except NumericalError as exc:
                 raise NumericalError(f"non-finite loss at epoch {at}") from exc

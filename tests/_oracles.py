@@ -15,8 +15,10 @@ on the whole chunk at once. ``printed_select_over`` and
 ``printed_first_correct`` are the two selection probabilities as the paper
 prints them, by quadrature: bivariate-normal orthant probabilities
 (``orthant_prob``) and one integral per support feature. ``sigmoid_masked`` is
-the logistic function written half by half through boolean masks, and
-``correlated_design_raw`` is the correlated design before its clamp.
+the logistic function written half by half through boolean masks,
+``correlated_design_raw`` is the correlated design before its clamp, and
+``percentile_by_sorting`` picks a nearest-rank percentile from a Python
+``sorted`` list.
 """
 from __future__ import annotations
 
@@ -71,6 +73,15 @@ def sigmoid_masked(z: np.ndarray) -> np.ndarray:
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
     return out
+
+
+def percentile_by_sorting(values, pct: float) -> float:
+    """The k-th smallest entry, k = ceil(pct/100 * size), of a Python
+    ``sorted`` list of the values; 0.0 for pct <= 0 or no values."""
+    flat = sorted(float(v) for v in np.ravel(values))
+    if not flat or pct <= 0.0:
+        return 0.0
+    return flat[math.ceil(pct / 100.0 * len(flat)) - 1]
 
 
 def correlated_design_raw(n: int, p: int, rho: float, seed: int) -> np.ndarray:

@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -23,6 +25,8 @@ from enns.network import (
     xavier_init,
 )
 from enns.stagewise import DnpConfig, dnp_run
+
+from _oracles import percentile_by_sorting
 
 
 # --- soft_threshold ---------------------------------------------------------------
@@ -69,6 +73,37 @@ def test_nearest_rank_percentile():
     assert nearest_rank_percentile(vals, 0.0) == 0.0
     with pytest.raises(ValueError):
         nearest_rank_percentile(vals, 100.0)
+
+
+PCTS = st.one_of(st.sampled_from([1e-9, 50.0, 70.0, 99.999]), st.floats(1e-9, 99.999))
+
+
+@given(
+    zeros=st.lists(st.sampled_from([0.0, -0.0]), max_size=40),
+    rest=st.lists(st.floats(-1e6, 1e6), max_size=40),
+    pct=PCTS,
+    seed=st.integers(0, 2**16),
+)
+@example(zeros=[], rest=[2.5], pct=1e-9, seed=0)
+@example(zeros=[-0.0], rest=[], pct=99.999, seed=0)
+@example(zeros=[0.0] * 7, rest=[1.0, 1.0, 2.0], pct=70.0, seed=0)
+def test_nearest_rank_percentile_is_the_sorted_order_statistic(zeros, rest, pct, seed):
+    # exact zeros in bulk (as thresholded |weights| hold them), duplicates and both signed zeros
+    values = np.random.default_rng(seed).permutation(np.array(zeros + rest, dtype=np.float64))
+    got = nearest_rank_percentile(values, pct)
+    assert type(got) is float and got == percentile_by_sorting(values, pct)
+    if values.size:
+        assert got in values and np.sum(values <= got) >= pct / 100.0 * values.size
+
+
+@given(size=st.integers(1, 60), pct=PCTS, shift=st.sampled_from([-1, 0, 1]))
+def test_nearest_rank_percentile_with_a_zero_share_at_above_and_below_pct(size, pct, shift):
+    # k = ceil(pct% of size) is the rank picked: k + shift zeros and the rest positive
+    k = math.ceil(pct / 100.0 * size)
+    zeros = min(max(k + shift, 0), size)
+    values = np.concatenate([np.zeros(zeros), np.arange(1.0, size - zeros + 1.0)])
+    expected = 0.0 if zeros >= k else float(k - zeros)
+    assert nearest_rank_percentile(values[::-1], pct) == expected == percentile_by_sorting(values, pct)
 
 
 def test_sparsity_spec_validation():

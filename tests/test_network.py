@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import enns.network
@@ -28,10 +28,18 @@ from enns.network import (
     train,
     xavier_init,
 )
-from enns.estimation import SparsitySpec, fit_l1, fit_stagewise, soft_threshold
+from enns.estimation import SparsitySpec, fit_l1, fit_stagewise, nearest_rank_percentile, soft_threshold
 from enns.stagewise import DnpConfig, stagewise_fit
 
-from _oracles import adagrad_by_layers, loss_by_loops, max_relative_gradient_error, sigmoid_masked, train_reference
+from _oracles import (
+    adagrad_by_layers,
+    finite_difference_gradients,
+    loss_by_loops,
+    max_relative_gradient_error,
+    percentile_by_sorting,
+    sigmoid_masked,
+    train_reference,
+)
 
 
 def small_arch(task="regression", hidden=(4, 2), p=3, activation="relu"):
@@ -264,6 +272,59 @@ def test_backward_loss_is_the_empirical_loss(hidden, activation, task, n, p, out
     assert type(loss) is float and loss == expected
 
 
+def gradient_buffer(params):
+    return NetworkParameters([np.full(w.shape, np.nan) for w in params.weights],
+                             [np.full(t.shape, np.nan) for t in params.intercepts])
+
+
+@pytest.mark.parametrize("task", ["regression", "classification"])
+@pytest.mark.parametrize("activation", ["relu", "sigmoid"])
+@pytest.mark.parametrize("rows", [slice(4, 5), slice(2, 5), slice(None)])  # batches of 1, 3 and all n rows
+def test_backward_into_out_matches_fresh_gradients(task, activation, rows):
+    arch = small_arch(task=task, activation=activation)
+    params = xavier_init(arch, 11)
+    full = random_dataset(arch, n=8, seed=2)
+    data = Dataset(full.x[rows], full.y[rows], task)  # a row slice, as train's minibatches are
+    buf = gradient_buffer(params)
+    loss, got = backward(params, arch, data, buf)
+    fresh_loss, fresh = backward(params, arch, data)
+    assert got is buf and all(a is b for a, b in zip(layers(got), layers(buf), strict=True))
+    assert type(loss) is float and loss == fresh_loss
+    # the products and sums of layer_deltas, as backward formed them with fresh arrays
+    acts, deltas = layer_deltas(params, arch, data)
+    products = [a.T @ d for a, d in zip(acts, deltas)] + [np.add.reduce(d, axis=0) for d in deltas]
+    for a, b, c in zip(layers(got), layers(fresh), products, strict=True):
+        assert a.shape == b.shape == c.shape and a.tobytes() == b.tobytes() == c.tobytes()
+    # and the slow oracles
+    assert loss == pytest.approx(loss_by_loops(params, arch, data.x.tolist(), data.y.tolist(), task), abs=1e-12)
+    for a, f in zip(layers(got), layers(finite_difference_gradients(params, arch, data)), strict=True):
+        np.testing.assert_allclose(a, f, rtol=1e-5, atol=1e-7)
+
+
+def test_backward_rejects_a_mis_shaped_out():
+    arch = small_arch()
+    params = xavier_init(arch, 3)
+    data = random_dataset(arch, n=6, seed=1)
+    wrong = [
+        ("weights", 1, np.empty((2, 4))),  # transposed
+        ("weights", 0, np.empty((1, 3, 4))),  # a broadcastable leading axis
+        ("weights", 2, np.empty((2, 1), dtype=np.float32)),  # the right shape, float32
+        ("weights", 0, np.empty((4, 3)).T),  # the right shape, not C-contiguous
+        ("intercepts", 1, np.empty(3)),
+        ("intercepts", 0, np.empty((1, 4))),
+        ("weights", 2, None),  # a layer missing
+        ("intercepts", 2, None),
+    ]
+    for field, layer, bad in wrong:
+        buf = gradient_buffer(params)
+        if bad is None:
+            del getattr(buf, field)[layer]
+        else:
+            getattr(buf, field)[layer] = bad
+        with pytest.raises(ValueError):
+            backward(params, arch, data, buf)
+
+
 # --- adagrad_step -------------------------------------------------------------
 
 
@@ -432,9 +493,17 @@ def test_train_training_loss_non_increasing_checkpoints():
     validation_fraction=st.sampled_from([0.0, 0.25]),
     patience=st.sampled_from([0, 3]),
     max_epochs=st.sampled_from([0, 3, 6]),
-    threshold=st.sampled_from([None, 0.02]),
+    threshold=st.sampled_from([None, 0.02, "percentile"]),
     seed=st.integers(0, 2**16),
 )
+# n_fit = 10 rows in batches of 3, the last one short; with a validation split
+# (n_fit = 12 - 3 in batches of 4); and the l1 fit's percentile hook
+@example(hidden=[4, 3], activation="relu", task="regression", n=10, p=2, batch_size=3,
+         validation_fraction=0.0, patience=0, max_epochs=6, threshold=None, seed=1)
+@example(hidden=[3], activation="sigmoid", task="classification", n=12, p=3, batch_size=4,
+         validation_fraction=0.25, patience=3, max_epochs=6, threshold=None, seed=2)
+@example(hidden=[4, 3], activation="relu", task="regression", n=10, p=2, batch_size=3,
+         validation_fraction=0.25, patience=0, max_epochs=6, threshold="percentile", seed=3)
 def test_train_matches_per_layer_reference(
     hidden, activation, task, n, p, batch_size, validation_fraction, patience, max_epochs, threshold, seed
 ):
@@ -447,7 +516,18 @@ def test_train_matches_per_layer_reference(
         validation_fraction=validation_fraction,
     )
     hook = reference_hook = None
-    if threshold is not None:
+    if threshold == "percentile":  # as fit_l1 thresholds, at the 50th |weight| percentile
+        def hook(params, epoch):
+            for w in params.weights[1:]:
+                w[...] = soft_threshold(w, nearest_rank_percentile(np.abs(w), 50.0))
+
+        def reference_hook(params, epoch):
+            return NetworkParameters(
+                [params.weights[0],
+                 *(soft_threshold(w, percentile_by_sorting(np.abs(w), 50.0)) for w in params.weights[1:])],
+                params.intercepts,
+            )
+    elif threshold is not None:
         def hook(params, epoch):
             for w in params.weights[1:]:
                 w[...] = soft_threshold(w, threshold)
