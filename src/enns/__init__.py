@@ -54,7 +54,6 @@ from .simulate import (
     gen_response,
 )
 from .metrics import (
-    SelectionMetrics,
     classification_metrics,
     regression_metrics,
     selection_metrics,

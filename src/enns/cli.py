@@ -33,7 +33,7 @@ import numpy as np
 from .cores import forked, usable_cores
 from .ensemble import EnnsConfig, SelectionReport, enns_select
 from .estimation import SPARSITY_MODES, SparsitySpec, fit_l1
-from .metrics import METRIC_COLUMNS, prediction_metrics, selection_metrics
+from .metrics import METRIC_COLUMNS, SELECTION_COLUMNS, prediction_metrics, selection_metrics
 from .network import (
     ACTIVATIONS,
     TASKS,
@@ -650,7 +650,7 @@ def cmd_estimate(args) -> int:
     if n_test > 0:
         preds = forward_batch(params, arch, data_sel.x[test_idx])
         values = prediction_metrics(args.task, data.y[test_idx], preds)  # null: not finite or n/a
-        metrics_doc["metrics"] = {k: None if v is None or not math.isfinite(v) else v for k, v in values.items()}
+        metrics_doc["metrics"] = {k: v if math.isfinite(v) else None for k, v in values.items()}
     _write_json(metrics_doc, args.metrics_out)
     return 0
 
@@ -673,14 +673,8 @@ def _experiment_repetition(cfg: ExperimentConfig, spec: ResponseSpec, settings: 
     else:
         # no features: predict the mean response (a share in [0, 1] for 0/1 labels)
         preds = np.full(n_test, float(np.mean(data_rest.y)))
-    sel = selection_metrics(selected, truth.support)
-    values = prediction_metrics(cfg.task, y[test_idx], preds).values()
-    return [
-        float(len(selected)),
-        float(sel.true_positives),
-        float(sel.false_positive_rate),
-        *[float("nan") if v is None else float(v) for v in values],
-    ]
+    values = {**selection_metrics(selected, truth.support), **prediction_metrics(cfg.task, y[test_idx], preds)}
+    return [float(v) for v in values.values()]
 
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[list[str], list[list[str]]]:
@@ -688,8 +682,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[str], list[list[str]]]:
     spec = _response_spec(cfg)
     inner_val = cfg.validation_fraction / max(cfg.train_fraction + cfg.validation_fraction, 1e-12)
     settings = _settings(cfg, inner_val)
-    metric_cols = METRIC_COLUMNS[cfg.task]
-    header = ["repetition", "seed", "status", "n_selected", "correct_count", "false_positive_rate", *metric_cols]
+    header = ["repetition", "seed", "status", *SELECTION_COLUMNS, *METRIC_COLUMNS[cfg.task]]
     rows: list[list[str]] = []
     numeric: list[list[float]] = []
     for rep in range(cfg.repetitions):
@@ -697,7 +690,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[str], list[list[str]]]:
         try:
             record = _experiment_repetition(cfg, spec, settings, rep_seed)
         except NumericalError:
-            rows.append([str(rep + 1), str(rep_seed), "failed"] + [""] * (3 + len(metric_cols)))
+            rows.append([str(rep + 1), str(rep_seed), "failed"] + [""] * (len(header) - 3))
             continue
         numeric.append(record)
         rows.append([str(rep + 1), str(rep_seed), "ok", *map(_cell, record)])

@@ -3,32 +3,22 @@ errors and threshold/rank classification scores."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
-
-@dataclass(frozen=True)
-class SelectionMetrics:
-    true_positives: int
-    false_positives: int
-    false_positive_rate: float
-
-
-# the prediction metrics of each task, in results-CSV column order
+# the selection metrics and the prediction metrics of each task, in results-CSV column order
+SELECTION_COLUMNS = ("n_selected", "correct_count", "false_positive_rate")
 METRIC_COLUMNS = {"regression": ("rmse", "mae", "mape"), "classification": ("accuracy", "auc", "f1")}
 
 
-def selection_metrics(selected: Iterable[int], true_support: Iterable[int]) -> SelectionMetrics:
-    """Support-recovery counts; the false-positive rate is the share of
-    selected features outside the true support (0 for an empty selection)."""
+def selection_metrics(selected: Iterable[int], true_support: Iterable[int]) -> dict[str, float]:
+    """The ``SELECTION_COLUMNS`` dict: the distinct selected features, those in
+    the true support, and the share outside it (0 for an empty selection)."""
     sel = set(int(j) for j in selected)
-    sup = set(int(j) for j in true_support)
-    tp = len(sel & sup)
-    fp = len(sel - sup)
-    fpr = fp / len(sel) if sel else 0.0
-    return SelectionMetrics(true_positives=tp, false_positives=fp, false_positive_rate=fpr)
+    correct = len(sel & set(int(j) for j in true_support))
+    fpr = (len(sel) - correct) / len(sel) if sel else 0.0
+    return dict(zip(SELECTION_COLUMNS, (len(sel), correct, fpr)))
 
 
 def _vectors(y: np.ndarray, yhat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -42,12 +32,12 @@ def _vectors(y: np.ndarray, yhat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return y, yhat
 
 
-def prediction_metrics(task: str, y: np.ndarray, yhat: np.ndarray) -> dict[str, Optional[float]]:
+def prediction_metrics(task: str, y: np.ndarray, yhat: np.ndarray) -> dict[str, float]:
     """The task's ``METRIC_COLUMNS``, in order, as a name -> value dict."""
     return regression_metrics(y, yhat) if task == "regression" else classification_metrics(y, yhat)
 
 
-def regression_metrics(y: np.ndarray, yhat: np.ndarray) -> dict[str, Optional[float]]:
+def regression_metrics(y: np.ndarray, yhat: np.ndarray) -> dict[str, float]:
     """The regression ``METRIC_COLUMNS`` dict: RMSE, MAE and MAPE (MAPE averages
     |(y-yhat)/y| over nonzero y only; NaN if every response is zero, inf if a
     ratio overflows because some y is tiny)."""
@@ -61,10 +51,10 @@ def regression_metrics(y: np.ndarray, yhat: np.ndarray) -> dict[str, Optional[fl
     return dict(zip(METRIC_COLUMNS["regression"], (rmse, mae, mape)))
 
 
-def classification_metrics(y: np.ndarray, p_hat: np.ndarray) -> dict[str, Optional[float]]:
+def classification_metrics(y: np.ndarray, p_hat: np.ndarray) -> dict[str, float]:
     """The classification ``METRIC_COLUMNS`` dict: accuracy and F1 of the labels
     1{p_hat > 0.5} (positive class 1, F1 = 0 when undefined) and AUC by the rank
-    statistic with ties counted half (None when only one class is present)."""
+    statistic with ties counted half (NaN when only one class is present)."""
     y, p_hat = _vectors(y, p_hat)
     if not np.all((y == 0.0) | (y == 1.0)):
         raise ValueError("labels must be 0/1")
@@ -77,7 +67,7 @@ def classification_metrics(y: np.ndarray, p_hat: np.ndarray) -> dict[str, Option
     n_pos = int(np.sum(y == 1.0))
     n_neg = y.size - n_pos
     if n_pos == 0 or n_neg == 0:
-        auc = None
+        auc = float("nan")
     else:
         # average ranks, so tied pairs count half: each distinct score takes the
         # mean of the 1-based positions its ties occupy in sorted order

@@ -96,8 +96,8 @@ def paired_false_positive_study(
         data = Dataset(x, y, "regression")
         plain = dnp_run(data, arch, s, dnp_cfg, seed=derive_seed(rep_seed, "dnp"))
         report = enns_select(data, arch, cfg, derive_seed(rep_seed, "enns"))
-        fpr_e.append(selection_metrics(report.selected, truth.support).false_positive_rate)
-        fpr_d.append(selection_metrics(plain, truth.support).false_positive_rate)
+        fpr_e.append(selection_metrics(report.selected, truth.support)["false_positive_rate"])
+        fpr_d.append(selection_metrics(plain, truth.support)["false_positive_rate"])
     return np.asarray(fpr_e), np.asarray(fpr_d)
 
 

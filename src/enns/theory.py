@@ -70,16 +70,15 @@ class SignalProfile:
         return self.betas.size
 
 
-def folded_normal_cdf(x, mu: float, sigma: float):
-    """CDF of |N(mu, sigma^2)| at x >= 0:
-    (erf((x+|mu|)/sqrt(2 sigma^2)) + erf((x-|mu|)/sqrt(2 sigma^2))) / 2."""
+def folded_normal_cdf(x, mu, sigma: float):
+    """CDF of |N(mu, sigma^2)| at x >= 0, broadcast over x and mu:
+    (erf((x+|mu|)/(sqrt2 sigma)) + erf((x-|mu|)/(sqrt2 sigma))) / 2."""
     x = np.asarray(x, dtype=np.float64)
     _check_signal(sigma, mu)
     if np.any(x < 0):
         raise ValueError("x must be non-negative")
-    mu = abs(mu)
-    denom = np.sqrt(2.0 * sigma * sigma)
-    val = 0.5 * (_erf((x + mu) / denom) + _erf((x - mu) / denom))
+    mu = np.abs(mu)
+    val = 0.5 * (_erf((x + mu) / (_SQRT2 * sigma)) + _erf((x - mu) / (_SQRT2 * sigma)))
     return val if val.ndim else float(val)
 
 
@@ -123,7 +122,7 @@ def prob_first_correct(profile: SignalProfile) -> float:
     # the null maximum's mass beyond 12 sigma is below m * 1e-32
     h = 12.0 * sigma / _PANELS
     x = h * (np.arange(_PANELS)[:, None] + 0.5 * (_NODES + 1.0))  # the nodes, panel by panel
-    cdfs = 0.5 * (_erf((x[..., None] + support) / (_SQRT2 * sigma)) + _erf((x[..., None] - support) / (_SQRT2 * sigma)))
+    cdfs = folded_normal_cdf(x[..., None], support, sigma)
     # F_0^(m-1) from erfc: a rounded F_0 near 1 would lose m - 1 times its error
     null_max = m * folded_normal_pdf(x, 0.0, sigma) * np.exp((m - 1) * np.log1p(-_erfc(x / (_SQRT2 * sigma))))
     val = 0.5 * h * float(np.sum(_WEIGHTS * null_max * np.prod(cdfs**repeats, axis=-1)))

@@ -29,7 +29,7 @@ from enns.cli import (
     write_matrix_csv,
 )
 from enns.network import NumericalError, forward_batch, load_model
-from enns.metrics import regression_metrics
+from enns.metrics import METRIC_COLUMNS, SELECTION_COLUMNS, regression_metrics
 from enns.seeding import derive_seed
 
 
@@ -624,6 +624,18 @@ def test_estimate_writes_a_metric_that_is_not_finite_as_null(tmp_path):
     doc = strict_json(metrics)["metrics"]
     assert doc["mape"] is None
     assert all(np.isfinite(doc[name]) for name in ("rmse", "mae"))
+    # every label 1: the test rows hold one class, so AUC does not apply
+    data = gen_small(tmp_path / "cls", n=40, p=6, s=2, task="classification")
+    write_matrix_csv(data / "y.csv", ["y"], np.ones((40, 1)))
+    code = run(
+        "estimate", "--x", data / "X.csv", "--y", data / "y.csv", "--task", "classification", "--selected", "1,2",
+        "--epochs", 5, "--model-out", tmp_path / "cls" / "model.json", "--metrics-out", metrics,
+    )
+    assert code == 0
+    doc = strict_json(metrics)["metrics"]
+    assert list(doc) == ["accuracy", "auc", "f1"]
+    assert doc["auc"] is None
+    assert all(np.isfinite(doc[name]) for name in ("accuracy", "f1"))
 
 
 def test_json_output_refuses_nan_and_writes_no_file(tmp_path):
@@ -968,15 +980,17 @@ def test_run_experiment_failed_repetition_is_left_out_of_the_aggregates(tmp_path
     assert [float(v) for v in rows[4][3:]] == [col.std(ddof=1) / np.sqrt(2) for col in kept.T]
 
 
-def test_run_experiment_with_every_repetition_failed_writes_no_aggregates(tmp_path, monkeypatch):
+@pytest.mark.parametrize("task", ["regression", "classification"])
+def test_run_experiment_with_every_repetition_failed_writes_no_aggregates(tmp_path, monkeypatch, task):
     fail_repetitions(monkeypatch, {1, 2, 3})
     cfg = tmp_path / "exp.cfg"
-    cfg.write_text(BASE_CFG.replace("repetitions = 2", "repetitions = 3"))
+    cfg.write_text(BASE_CFG.replace("repetitions = 2", "repetitions = 3").replace("task = regression", f"task = {task}"))
     out = tmp_path / "res.csv"
     assert run("run-experiment", "--config", cfg, "--out", out) == 0
-    lines = out.read_text().splitlines()
-    assert lines[0].startswith("repetition,seed,status,")
-    assert lines[1:] == [f"{k + 1},{derive_seed(13, 'rep', k)},failed,,,,,," for k in range(3)]
+    header, *rows = [line.split(",") for line in out.read_text().splitlines()]
+    assert header == ["repetition", "seed", "status", *SELECTION_COLUMNS, *METRIC_COLUMNS[task]]
+    empty = [""] * (len(header) - 3)
+    assert rows == [[str(k + 1), str(derive_seed(13, "rep", k)), "failed", *empty] for k in range(3)]
 
 
 def test_run_experiment_single_test_row_leaves_auc_empty(tmp_path):

@@ -286,8 +286,8 @@ def test_select_false_positives_not_worse_than_dnp_on_average():
             dnp=fast_dnp(40),
         )
         report = enns_select(data, arch, cfg, derive_seed(seed, "e"))
-        fpr_e.append(selection_metrics(report.selected, truth.support).false_positive_rate)
-        fpr_d.append(selection_metrics(dnp_sel, truth.support).false_positive_rate)
+        fpr_e.append(selection_metrics(report.selected, truth.support)["false_positive_rate"])
+        fpr_d.append(selection_metrics(dnp_sel, truth.support)["false_positive_rate"])
     assert np.mean(fpr_e) <= np.mean(fpr_d) + 1e-12
 
 

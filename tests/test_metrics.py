@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from scipy import stats
 
 from enns.metrics import (
     METRIC_COLUMNS,
+    SELECTION_COLUMNS,
     classification_metrics,
     prediction_metrics,
     regression_metrics,
@@ -20,28 +23,28 @@ from _oracles import auc_by_pair_counting
 
 def test_selection_perfect():
     m = selection_metrics({1, 2, 3}, {1, 2, 3})
-    assert m.false_positive_rate == 0.0
-    assert m.true_positives == 3
-    assert m.false_positives == 0
+    assert m["false_positive_rate"] == 0.0
+    assert m["correct_count"] == 3
+    assert m["n_selected"] - m["correct_count"] == 0
 
 
 def test_selection_total_miss():
     m = selection_metrics({4, 5, 6}, {1, 2, 3})
-    assert m.false_positive_rate == 1.0
-    assert m.true_positives == 0
+    assert m["false_positive_rate"] == 1.0
+    assert m["correct_count"] == 0
 
 
 def test_selection_counting():
     m = selection_metrics({1, 2, 9}, {1, 2, 3})
-    assert m.true_positives == 2
-    assert m.false_positives == 1
-    assert m.false_positive_rate == pytest.approx(1.0 / 3.0)
+    assert m["correct_count"] == 2
+    assert m["n_selected"] - m["correct_count"] == 1
+    assert m["false_positive_rate"] == pytest.approx(1.0 / 3.0)
 
 
 def test_selection_empty_selection_has_zero_fpr():
     m = selection_metrics(set(), {1, 2})
-    assert m.false_positive_rate == 0.0
-    assert m.true_positives == 0
+    assert m["false_positive_rate"] == 0.0
+    assert m["correct_count"] == 0
 
 
 @given(
@@ -53,6 +56,12 @@ def test_selection_relabel_symmetry(sel, sup, offset):
     base = selection_metrics(sel, sup)
     shifted = selection_metrics({j + offset for j in sel}, {j + offset for j in sup})
     assert base == shifted
+
+
+def test_selection_metrics_is_the_column_table_counting_distinct_features():
+    m = selection_metrics([3, 1, 3, 9, 1], [1, 2, 3])
+    assert list(m) == list(SELECTION_COLUMNS)
+    assert m == {"n_selected": 3, "correct_count": 2, "false_positive_rate": 1.0 / 3.0}
 
 
 # --- regression metrics -----------------------------------------------------------
@@ -170,7 +179,7 @@ def test_classification_single_class_auc_absent():
     y = np.ones(4)
     p = np.array([0.1, 0.5, 0.6, 0.9])
     m = classification_metrics(y, p)
-    assert m["auc"] is None
+    assert math.isnan(m["auc"])
     assert m["accuracy"] is not None
 
 
@@ -249,5 +258,5 @@ def test_prediction_metrics_is_the_task_table_in_column_order(task):
 @pytest.mark.parametrize("label", [0.0, 1.0])
 def test_prediction_metrics_auc_is_none_for_one_class(label):
     values = prediction_metrics("classification", np.full(3, label), np.array([0.2, 0.5, 0.9]))
-    assert values["auc"] is None
+    assert math.isnan(values["auc"])
     assert values["accuracy"] is not None and values["f1"] is not None

@@ -26,7 +26,7 @@ THEORY_NAMES = [
 PUBLIC_NAMES = [
     "BaggedDropoutSpec", "BaggedPrediction", "Dataset", "DnpConfig", "EnnsConfig", "GroundTruth",
     "NetworkArchitecture", "NetworkParameters", "NumericalError", "ResponseSpec",
-    "SelectionMetrics", "SelectionReport", "SelectionState", "SignalProfile", "SparsitySpec", "TrainOptions",
+    "SelectionReport", "SelectionState", "SignalProfile", "SparsitySpec", "TrainOptions",
     "adagrad_step", "backward", "bootstrap_indices", "candidate_scores", "classification_metrics", "cores",
     "dnp_run", "dropout_mask", "empirical_loss", "enns_round", "enns_select", "ensemble", "estimation",
     "filter_appearances", "fit_l1", "fit_stagewise", "folded_normal_cdf", "folded_normal_pdf", "forward_batch",

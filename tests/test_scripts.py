@@ -2,7 +2,6 @@
 library example."""
 
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -53,4 +52,4 @@ def test_readme_library_example_runs():
     example = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("\n```", 1)[0]
     proc = python("-c", example)
     assert proc.returncode == 0, proc.stderr
-    assert re.fullmatch(r"SelectionMetrics\(.*\)\n", proc.stdout)
+    assert proc.stdout == "{'n_selected': 5, 'correct_count': 5, 'false_positive_rate': 0.0}\n"

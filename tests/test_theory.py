@@ -72,6 +72,22 @@ def test_folded_cdf_keeps_the_shape_of_x():
     assert np.all(folded_normal_cdf(np.full((2, 3), 1.0), 0.5, 1.0) == folded_normal_cdf(1.0, 0.5, 1.0))
 
 
+@pytest.mark.parametrize("sigma", [0.7, 1.0, 1.3, 3.0])
+def test_folded_cdf_broadcasts_over_mu_with_the_bits_of_scalar_calls(sigma):
+    x = np.linspace(0.0, 9.0, 37).reshape(37, 1)
+    mus = np.array([-2.5, 0.0, 0.3, 1.0, 4.0])
+    vals = folded_normal_cdf(x[..., None], mus, sigma)
+    assert vals.shape == (37, 1, 5)
+    scalar = [[folded_normal_cdf(float(xi), float(mu), sigma) for mu in mus] for xi in x[:, 0]]
+    assert vals[:, 0].tolist() == scalar
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_folded_cdf_rejects_a_non_finite_entry_of_an_array_mu(bad):
+    with pytest.raises(ValueError, match="betas must be finite"):
+        folded_normal_cdf(np.array([1.0, 2.0]), np.array([0.5, bad, 1.0])[:, None], 1.0)
+
+
 def test_folded_pdf_at_origin():
     assert folded_normal_pdf(0.0, 0.0, 1.0) == pytest.approx(np.sqrt(2.0 / np.pi), abs=1e-12)
 
@@ -284,6 +300,27 @@ def test_first_correct_within_two_ulp_of_reference(case, reference):
     assert abs(prob_first_correct(first_profile(*case)) - ref) <= 2 * np.spacing(ref)
 
 
+# prob_first_correct's values at version 0.2.0, as float.hex: (support betas, p, sigma, value);
+# a sigma other than a power of 2 pins the rounding of the support CDFs' sqrt2 sigma
+FIRST_BITS = [
+    ((1.0, 1.0, 1.0, 1.0, 1.0), 50, 0.7, "0x1.1ca39b4945ae3p-1"),
+    ((2.0, 1.5, 1.0, 0.5, 0.25), 1000, 1.3, "0x1.d545dbfdd8140p-5"),
+    ((3.0, -2.0, 1.0), 200, 3.0, "0x1.b76b6f5693ff0p-5"),
+    ((0.8,), 10, 0.7, "0x1.1913726ea7b5ep-2"),
+    ((4.0, 4.0, 4.0, 4.0, 4.0), 1000, 3.0, "0x1.b0c180393cc20p-4"),
+    ((1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1), 500, 1.3, "0x1.73d9b66f95080p-5"),
+    ((2.5, 0.0), 20, 0.3, "0x1.fffffdb8b018ap-1"),
+]
+
+
+@pytest.mark.parametrize("support, p, sigma, bits", FIRST_BITS)
+def test_first_correct_keeps_its_bits(support, p, sigma, bits):
+    betas = np.zeros(p)
+    betas[: len(support)] = support
+    assert prob_first_correct(SignalProfile(betas, sigma, len(support))) == float.fromhex(bits)
+
+
+@pytest.mark.slow
 @pytest.mark.parametrize(
     "beta, reference",
     [(2.0, "0.01380553012451790780278319555239882857485"), (6.0, "0.9918024970661601629515153353130267675917")],
