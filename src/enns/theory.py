@@ -16,9 +16,10 @@ Every function rejects a NaN or infinite beta and a sigma that is not positive
 and finite. The Monte-Carlo oracles draw in fixed-size chunks, so a seed fixes
 every estimate. The first-selection one gives each block of replications its own
 random stream, runs the blocks on one thread per usable core and scores each
-block in slices of designs; the pair one divides ``pair_wins``, a count that a
-caller may run on a thread of its own, which draws each chunk whole and does its
-arithmetic in slices of rows. No design's or row's numbers depend on the slice.
+block in slices of designs, from the QR of each design beside its noise with no
+Q formed; the pair one divides ``pair_wins``, a count that a caller may run on a
+thread of its own, which draws each chunk whole and does its arithmetic in
+slices of rows. No design's or row's numbers depend on the slice.
 Only numpy and the standard library are used: erf and erfc come from ``math``.
 """
 
@@ -129,29 +130,28 @@ def prob_first_correct(profile: SignalProfile) -> float:
     return float(min(max(1.0 - val, 0.0), 1.0))
 
 
-def _orthonormal_columns(g: np.ndarray) -> np.ndarray:
-    return np.linalg.qr(g)[0]
-
-
-def _first_hits(q: np.ndarray, eps: np.ndarray, profile: SignalProfile) -> int:
-    """Replications of the stack ``q`` whose largest |q_(j)' y| lies in the
-    support, with y = q |betas| + sigma eps."""
-    y = np.einsum("cnp,p->cn", q, np.abs(profile.betas)) + profile.sigma * eps
-    scores = np.abs(np.einsum("cnp,cn->cp", q, y))
+def _first_hits(g: np.ndarray, eps: np.ndarray, profile: SignalProfile) -> int:
+    """Replications of the stack ``g`` whose largest |q_(j)' y| lies in the
+    support, with q the orthonormalized columns of g and y = q |betas| + sigma
+    eps: q' y = |betas| + sigma q' eps, and q' eps tops the last column of the
+    Householder R of [g | eps] (``h`` holds R transposed), so no q is formed."""
+    h = np.linalg.qr(np.concatenate([g, eps[..., None]], axis=2), mode="raw")[0]
+    scores = np.abs(np.abs(profile.betas) + profile.sigma * h[:, profile.p, : profile.p])
     return int(np.sum(np.argmax(scores, axis=1) < profile.s))
 
 
 # Designs per block, about 5 MB of draws (208 matrices at n=60, p=50). A pool
-# thread holds about 1.3 blocks: the draws, and one slice's QR copy, triangle
-# and orthonormal columns. For 5000 such replications on two threads of a
-# 2-core x86-64 VM with one BLAS thread (medians of 11 calls), blocks of 104,
-# 208 and 500 matrices took 0.34, 0.34 and 0.30 s and peaked 15, 20 and 33 MB
-# above the process before (whole-block QR: 0.33-0.52 s and 31, 54 and 119 MB;
-# version 0.1.0: 0.43-0.54 s and 150-160 MB).
+# thread holds about 1.2 blocks: the draws, and one slice's copy of [G | eps]
+# and the ``h`` its QR returns. With Q formed, for 5000 such replications on two
+# threads of a 2-core x86-64 VM with one BLAS thread (medians of 11 calls), blocks
+# of 104, 208 and 500 matrices took 0.34, 0.34 and 0.30 s and peaked 15, 20 and
+# 33 MB above the process before (whole-block QR: 0.33-0.52 s and 31, 54 and 119
+# MB; version 0.1.0: 0.43-0.54 s and 150-160 MB).
 _BLOCK_BYTES = 5_000_000
 # Designs per QR slice of a block, about 0.5 MB (20 matrices at n=60, p=50).
 # For 10,000 replications as above (medians of 9 alternated calls), slices of
-# 10, 16, 20 and 41 matrices took 1.02, 0.93, 0.90 and 0.89 s, whole blocks 1.09 s.
+# 10, 20, 41 and 104 matrices and whole blocks took 0.43, 0.43, 0.44, 0.43 and
+# 0.48 s and peaked 11.2, 12.2, 14.3, 20.5 and 30.7 MB (tracemalloc).
 _QR_BYTES = 500_000
 
 # Replications per chunk of the pair simulator, and the rows of its designs: they
@@ -179,7 +179,7 @@ def mc_first_selection(profile: SignalProfile, n: int, reps: int, seed: int) -> 
     noise from ``spawn_rng(seed, "mc-first", i)``, so the result depends on
     neither the core count nor the thread schedule. k = min(``usable_cores()``,
     blocks) threads, one pool per call, each take every k-th block into reused
-    buffers and orthonormalize and score it in slices of about ``_QR_BYTES``,
+    buffers and score it with ``_first_hits`` in slices of about ``_QR_BYTES``,
     so the memory held is about one block per thread whatever ``reps``. A
     failed slice or an interrupt stops every thread before its next block."""
     if n < profile.p:
@@ -197,9 +197,9 @@ def mc_first_selection(profile: SignalProfile, n: int, reps: int, seed: int) -> 
             rng, c = spawn_rng(seed, "mc-first", i), sizes[i]
             rng.standard_normal(out=g[:c])
             rng.standard_normal(out=eps[:c])
-            for lo in range(0, c, step):  # a slice's QR copy, R and Q are freed before the next slice
+            for lo in range(0, c, step):  # each slice's [G | eps] and h are freed before the next
                 hi = min(c, lo + step)
-                hits += _first_hits(_orthonormal_columns(g[lo:hi]), eps[lo:hi], profile)
+                hits += _first_hits(g[lo:hi], eps[lo:hi], profile)
         return hits
 
     with ThreadPoolExecutor(workers) as pool:

@@ -400,13 +400,13 @@ def test_mc_first_selection_qr_slices_match_the_whole_block_oracle(monkeypatch):
     # and 3 threads
     profile = first_profile(5, 50)
     expected = mc_first_selection_serial(profile, n=60, reps=1234, seed=4, block=208)
-    orthonormal, slices = enns.theory._orthonormal_columns, []
+    score, slices = enns.theory._first_hits, []
 
-    def recording_qr(g):
+    def recording_qr(g, eps, profile):
         slices.append(len(g))
-        return orthonormal(g)
+        return score(g, eps, profile)
 
-    monkeypatch.setattr(enns.theory, "_orthonormal_columns", recording_qr)
+    monkeypatch.setattr(enns.theory, "_first_hits", recording_qr)
     for designs in (1, 7, 208):
         monkeypatch.setattr(enns.theory, "_QR_BYTES", designs * 8 * 60 * 50)
         for cores in (1, 2, 3):
@@ -414,6 +414,45 @@ def test_mc_first_selection_qr_slices_match_the_whole_block_oracle(monkeypatch):
             slices.clear()
             assert mc_first_selection(profile, n=60, reps=1234, seed=4) == expected
             assert max(slices) == designs and sum(slices) == 1234
+
+
+@pytest.mark.parametrize(
+    "betas, sigma, n, reps",
+    [
+        ([2.0], 1.0, 1, 300),  # square designs, n = p: 1:1, 2:5 and 5:50
+        ([2.0, 2.0, 0.0, 0.0, 0.0], 1.0, 5, 2000),
+        ([2.0] * 5 + [0.0] * 45, 1.0, 50, 1000),
+        ([2.0] * 3 + [0.0] * 17, 1.0, 21, 2000),  # n = p + 1
+        ([0.1] * 3 + [0.0] * 17, 0.05, 30, 2000),  # sigma 0.05 and 20
+        ([2.0] * 3 + [0.0] * 17, 20.0, 30, 2000),
+        ([-2.0, 1.0, -0.5] + [0.0] * 17, 1.0, 30, 2000),  # negative betas
+        ([2.0] * 5 + [0.0] * 45, 1.0, 60, 1001),  # blocks of 208 and 169, neither a multiple of the slice's 20
+    ],
+)
+def test_mc_first_selection_edge_shapes_match_the_q_forming_oracle(betas, sigma, n, reps):
+    # the oracle forms Q and scores q' (q |betas| + sigma eps); the kernel reads
+    # q' eps from the R of [g | eps]: every replication's pick lands alike
+    profile = SignalProfile(np.array(betas), sigma, int(np.count_nonzero(betas)))
+    block = max(1, enns.theory._BLOCK_BYTES // (8 * n * profile.p))
+    assert mc_first_selection(profile, n=n, reps=reps, seed=5) == mc_first_selection_serial(
+        profile, n=n, reps=reps, seed=5, block=block
+    )
+
+
+@pytest.mark.parametrize("n, p, sigma", [(60, 50, 1.0), (50, 50, 1.0), (21, 20, 0.05), (30, 20, 20.0), (2, 1, 1.0)])
+def test_first_selection_scores_from_r_match_the_q_form(n, p, sigma):
+    # |q' y| with q formed against ||betas| + sigma q' eps| with q' eps the top
+    # of R's last column, on 20 designs: apart by at most 1e-12 of a design's
+    # largest score (2.1e-15 at 60 x 50 and 6.2e-14 at 12 x 2 over the 100,000
+    # replications of the default verify-theory grid)
+    rng = np.random.default_rng(p)
+    betas = np.abs(rng.standard_normal(p) * 2.0)
+    g, eps = rng.standard_normal((20, n, p)), rng.standard_normal((20, n))
+    q = np.linalg.qr(g)[0]
+    q_form = np.abs(np.einsum("cnp,cn->cp", q, np.einsum("cnp,p->cn", q, betas) + sigma * eps))
+    h = np.linalg.qr(np.concatenate([g, eps[..., None]], axis=2), mode="raw")[0]
+    r_form = np.abs(betas + sigma * h[:, p, :p])
+    assert np.all(np.abs(q_form - r_form) <= 1e-12 * q_form.max(axis=1, keepdims=True))
 
 
 def counting_rng(monkeypatch, on_design):
@@ -436,23 +475,23 @@ def counting_rng(monkeypatch, on_design):
 
 def test_mc_first_selection_bounds_the_designs_drawn_ahead_of_their_qr(monkeypatch):
     # blocks of one design whose QR is slower than a draw: at every draw, the
-    # blocks drawn but not yet orthonormalized are at most one per pool
-    # thread, not the call's 60
+    # blocks drawn but not yet scored are at most one per pool thread, not
+    # the call's 60
     monkeypatch.setattr(enns.theory, "usable_cores", lambda: 2)
     monkeypatch.setattr(enns.theory, "_BLOCK_BYTES", 8 * 30 * 20)
-    orthonormal, drawn, finished, ahead = enns.theory._orthonormal_columns, [], [], []
+    score, drawn, finished, ahead = enns.theory._first_hits, [], [], []
 
-    def slow_qr(g):
+    def slow_qr(g, eps, profile):
         time.sleep(0.005)
-        q = orthonormal(g)
+        hits = score(g, eps, profile)
         finished.append(g)
-        return q
+        return hits
 
     def on_design(g):
         drawn.append(g)
         ahead.append(len(drawn) - len(finished))
 
-    monkeypatch.setattr(enns.theory, "_orthonormal_columns", slow_qr)
+    monkeypatch.setattr(enns.theory, "_first_hits", slow_qr)
     counting_rng(monkeypatch, on_design)
     profile = first_profile(3, 20)
     assert mc_first_selection(profile, n=30, reps=60, seed=0) == mc_first_selection_serial(
@@ -469,16 +508,16 @@ def test_mc_first_selection_raises_a_failed_block_before_drawing_the_rest(monkey
     # failed one, not the other 97
     monkeypatch.setattr(enns.theory, "usable_cores", lambda: 3)
     monkeypatch.setattr(enns.theory, "_BLOCK_BYTES", 8 * 30 * 20)
-    orthonormal, drawn = enns.theory._orthonormal_columns, []
+    score, drawn = enns.theory._first_hits, []
     boom = np.linalg.LinAlgError("QR of the third block failed")
 
-    def failing_qr(g):
+    def failing_qr(g, eps, profile):
         if len(drawn) > 2 and g[0, 0, 0] == drawn[2]:
             raise boom
         time.sleep(0.005)
-        return orthonormal(g)
+        return score(g, eps, profile)
 
-    monkeypatch.setattr(enns.theory, "_orthonormal_columns", failing_qr)
+    monkeypatch.setattr(enns.theory, "_first_hits", failing_qr)
     # a block's first number marks it: the threads draw into reused buffers
     counting_rng(monkeypatch, lambda g: drawn.append(g[0, 0, 0]))
     before = threading.active_count()
@@ -497,17 +536,17 @@ def test_mc_first_selection_raises_a_failed_slice_before_drawing_the_rest(monkey
     monkeypatch.setattr(enns.theory, "usable_cores", lambda: 3)
     monkeypatch.setattr(enns.theory, "_BLOCK_BYTES", 8 * 8 * 30 * 20)
     monkeypatch.setattr(enns.theory, "_QR_BYTES", 2 * 8 * 30 * 20)
-    orthonormal, drawn, sliced = enns.theory._orthonormal_columns, [], []
+    score, drawn, sliced = enns.theory._first_hits, [], []
     boom = np.linalg.LinAlgError("QR of the third block's second slice failed")
 
-    def failing_qr(g):
+    def failing_qr(g, eps, profile):
         sliced.append(g[0, 0, 0])
         if len(drawn) > 2 and g[0, 0, 0] == drawn[2][1]:
             raise boom
         time.sleep(0.005)
-        return orthonormal(g)
+        return score(g, eps, profile)
 
-    monkeypatch.setattr(enns.theory, "_orthonormal_columns", failing_qr)
+    monkeypatch.setattr(enns.theory, "_first_hits", failing_qr)
     # a slice's first number marks it: the first numbers of a block's first and second slices
     counting_rng(monkeypatch, lambda g: drawn.append((g[0, 0, 0], g[2, 0, 0])))
     before = threading.active_count()
@@ -524,16 +563,16 @@ def test_mc_first_selection_interrupted_stops_the_threads(monkeypatch):
     # before their next block, where they would otherwise draw all 1000
     monkeypatch.setattr(enns.theory, "usable_cores", lambda: 2)
     monkeypatch.setattr(enns.theory, "_BLOCK_BYTES", 8 * 30 * 20)
-    orthonormal, drawn = enns.theory._orthonormal_columns, []
+    score, drawn = enns.theory._first_hits, []
 
-    def slow_qr(g):
+    def slow_qr(g, eps, profile):
         time.sleep(0.001)
-        return orthonormal(g)
+        return score(g, eps, profile)
 
     def interrupted(futures, return_when):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(enns.theory, "_orthonormal_columns", slow_qr)
+    monkeypatch.setattr(enns.theory, "_first_hits", slow_qr)
     monkeypatch.setattr(enns.theory, "wait", interrupted)
     counting_rng(monkeypatch, drawn.append)
     before = threading.active_count()
@@ -549,17 +588,17 @@ def test_mc_first_selection_interrupted_finishes_the_block_it_is_on(monkeypatch)
     monkeypatch.setattr(enns.theory, "usable_cores", lambda: 2)
     monkeypatch.setattr(enns.theory, "_BLOCK_BYTES", 8 * 8 * 30 * 20)
     monkeypatch.setattr(enns.theory, "_QR_BYTES", 2 * 8 * 30 * 20)
-    orthonormal, drawn, sliced = enns.theory._orthonormal_columns, [], []
+    score, drawn, sliced = enns.theory._first_hits, [], []
 
-    def slow_qr(g):
+    def slow_qr(g, eps, profile):
         time.sleep(0.001)
         sliced.append(len(g))
-        return orthonormal(g)
+        return score(g, eps, profile)
 
     def interrupted(futures, return_when):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(enns.theory, "_orthonormal_columns", slow_qr)
+    monkeypatch.setattr(enns.theory, "_first_hits", slow_qr)
     monkeypatch.setattr(enns.theory, "wait", interrupted)
     counting_rng(monkeypatch, drawn.append)
     before = threading.active_count()
@@ -611,7 +650,7 @@ def test_mc_first_selection_peak_does_not_grow_with_reps(monkeypatch):
 
 def test_mc_first_selection_holds_about_one_block_per_thread(monkeypatch):
     # one thread, five blocks of 208 designs of 60 x 50: the block's draws and
-    # one QR slice's copy, triangle and Q, not the whole block's
+    # one slice's copy of [G | eps] and its QR's h, not the whole block's
     monkeypatch.setattr(enns.theory, "usable_cores", lambda: 1)
     block = 208 * 60 * 50 * 8
     tracemalloc.start()
